@@ -11,14 +11,12 @@ from .detect import (Decision, DetectorKind, SensingMetric, Threshold,
                      required_calibration_trials)
 from .errors import CalibrationError, ConfigurationError, CyclosenseError
 from .harness import (ComplexityReport, RocPoint, SensingConfig, complexity_model,
-                      emit_roc_csv, read_threshold_file, run_roc, write_roc_csv,
-                      write_threshold_file)
+                      read_threshold_file, run_roc, write_roc_csv, write_threshold_file)
 from .scd import (CycleProfile, ScdSlice, SmoothingWindow, Spectrum, WindowKind,
-                  cycle_profile, dft, dft_naive, make_window, scd_slice,
-                  scd_slice_naive, write_profile_csv)
+                  cycle_profile, dft, make_window, scd_slice, write_profile_csv)
 from .siggen import (ChannelSpec, ModulationKind, ModulationSpec, SampleBuffer,
-                     add_awgn, generate_am, generate_bpsk, noise_only,
-                     read_signal_file, write_signal_file)
+                     add_awgn, generate_am, generate_bpsk, generate_signal,
+                     noise_only, read_signal_file, write_signal_file)
 
 __version__ = "0.1.0"
 
@@ -49,11 +47,10 @@ __all__ = [
     "cycle_profile",
     "decide",
     "dft",
-    "dft_naive",
-    "emit_roc_csv",
     "energy_metric",
     "generate_am",
     "generate_bpsk",
+    "generate_signal",
     "make_window",
     "noise_only",
     "read_signal_file",
@@ -61,7 +58,6 @@ __all__ = [
     "required_calibration_trials",
     "run_roc",
     "scd_slice",
-    "scd_slice_naive",
     "write_profile_csv",
     "write_roc_csv",
     "write_signal_file",

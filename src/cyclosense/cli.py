@@ -14,18 +14,19 @@ Exit codes: 0 success, 2 configuration/usage error, 3 I/O error.
 """
 
 import argparse
+import math
 import sys
 
 import numpy as np
 
-from .detect import DetectorKind, calibrate_threshold, cycle_metric, decide, energy_metric
+from .detect import DetectorKind, decide
 from .errors import CalibrationError, ConfigurationError
-from .harness import (PHASE_ONESHOT, PHASE_PROFILE, SensingConfig, complexity_model,
-                      derive_seed, emit_roc_csv, read_threshold_file, run_roc,
-                      write_roc_csv, write_threshold_file, _snr_token)
-from .scd import WindowKind, cycle_profile, dft, make_window, scd_slice, write_profile_csv
+from .harness import (SensingConfig, calibrate_at_noise, complexity_model, measure,
+                      output_stream, profile_seed, read_threshold_file, run_roc,
+                      write_roc_csv, write_threshold_file)
+from .scd import WindowKind, cycle_profile, make_window, write_profile_csv
 from .siggen import (ChannelSpec, ModulationKind, ModulationSpec, add_awgn,
-                     generate_am, generate_bpsk, noise_only, read_signal_file)
+                     generate_signal, read_signal_file)
 
 _DEFAULT_SNR_DB = (-22.0,)
 _DEFAULT_TARGET_PF = (0.01, 0.1)
@@ -105,35 +106,50 @@ def _single_value(values, default, flag):
     return values[0]
 
 
-def _load_or_generate_buffer(args):
-    """Signal for the one-shot subcommands: file if --input, else generated."""
-    snr_db = _single_value(args.snr_db, None, "--snr-db")
-    if args.input is not None:
-        buffer = read_signal_file(args.input)
-    else:
-        spec = _modulation_from_args(args)
-        token = 0 if snr_db is None else _snr_token(snr_db)
-        seed = derive_seed(args.seed, PHASE_PROFILE, token, 0, 0)
-        if spec.kind is ModulationKind.AM:
-            buffer = generate_am(spec, args.n, args.fs_hz, seed)
-        else:
-            buffer = generate_bpsk(spec, args.n, args.fs_hz, seed)
-    if snr_db is not None:
-        noise_seed = derive_seed(args.seed, PHASE_PROFILE, _snr_token(snr_db), 0, 1)
-        buffer = add_awgn(buffer, ChannelSpec(snr_db, noise_seed))
-    return buffer
+def _oneshot_config(args, detector, n_samples, sample_rate_hz) -> SensingConfig:
+    """Config for one-shot calibration and decisions, from the flags they read.
+
+    The cycle detector monitors twice the carrier of the modulation the
+    flags describe.  The energy detector reads no modulation or window
+    flags, so those fields keep neutral values and cannot make it fail.
+    """
+    common = dict(n_samples=n_samples, sample_rate_hz=sample_rate_hz,
+                  calibration_trials=args.calibration_trials, master_seed=args.seed)
+    if detector is DetectorKind.ENERGY:
+        return SensingConfig(smoothing_len=1, **common)
+    return SensingConfig(modulation=_modulation_from_args(args),
+                         smoothing_len=args.smoothing_len,
+                         window_kind=WindowKind(args.window), **common)
+
+
+def _calibrate(args, config, detector):
+    if args.noise_variance is None:
+        raise ConfigurationError(
+            "--noise-variance is required when no threshold file is given"
+        )
+    target_pf = _single_value(args.target_pf, 0.1, "--target-pf")
+    return calibrate_at_noise(config, detector, target_pf, args.noise_variance)
 
 
 def _cmd_profile(args) -> int:
-    buffer = _load_or_generate_buffer(args)
+    snr_db = _single_value(args.snr_db, None, "--snr-db")
+    for flag, value in (("--alpha-max-hz", args.alpha_max_hz),
+                        ("--alpha-step-hz", args.alpha_step_hz)):
+        if value is not None and not (value > 0 and math.isfinite(value)):
+            raise ConfigurationError(f"{flag} must be positive and finite")
+    if args.input is not None:
+        buffer = read_signal_file(args.input)
+    else:
+        buffer = generate_signal(_modulation_from_args(args), args.n, args.fs_hz,
+                                 profile_seed(args.seed, snr_db, 0))
+    if snr_db is not None:
+        buffer = add_awgn(buffer, ChannelSpec(snr_db, profile_seed(args.seed, snr_db, 1)))
     n = len(buffer)
     window = make_window(WindowKind(args.window), args.smoothing_len)
     fres = buffer.sample_rate_hz / n
     step = 2.0 * fres
     max_shift = (n - 1) // 2
     if args.alpha_max_hz is not None:
-        if not args.alpha_max_hz > 0:
-            raise ConfigurationError("--alpha-max-hz must be positive")
         max_shift = min(max_shift, int(args.alpha_max_hz // step))
     stride = 1
     if args.alpha_step_hz is not None:
@@ -141,72 +157,27 @@ def _cmd_profile(args) -> int:
     shifts = np.arange(-max_shift, max_shift + 1, stride)
     alphas = 2.0 * shifts * fres
     profile = cycle_profile(buffer, alphas, window)
-    if args.out is not None:
-        with open(args.out, "w", newline="\n") as fh:
-            write_profile_csv(profile, fh)
-    else:
-        write_profile_csv(profile, sys.stdout)
+    with output_stream(args.out) as stream:
+        write_profile_csv(profile, stream)
     return 0
-
-
-def _calibrate_threshold_from_noise(args, detector, target_pf, n, sample_rate_hz):
-    """Noise-only Monte Carlo calibration at an explicit noise variance.
-
-    The ROC harness derives the noise level from SNR, but one-shot
-    decisions on external signals have no SNR handle, so the level is
-    given directly via --noise-variance.
-    """
-    if args.noise_variance is None:
-        raise ConfigurationError(
-            "--noise-variance is required when no threshold file is given"
-        )
-    if not args.noise_variance > 0:
-        raise ConfigurationError("--noise-variance must be positive")
-    window = make_window(WindowKind(args.window), args.smoothing_len)
-    ts = 1.0 / sample_rate_hz
-    alpha0 = 2.0 * args.fc_hz
-    values = np.empty(args.calibration_trials)
-    for trial in range(args.calibration_trials):
-        seed = derive_seed(args.seed, PHASE_ONESHOT, 0, trial, 0)
-        buffer = noise_only(n, args.noise_variance, seed, sample_rate_hz)
-        if detector is DetectorKind.CYCLE_FEATURE:
-            piece = scd_slice(dft(buffer), alpha0, window, ts)
-            values[trial] = cycle_metric(piece).value
-        else:
-            values[trial] = energy_metric(buffer).value
-    return calibrate_threshold(values, target_pf, detector)
 
 
 def _cmd_calibrate(args) -> int:
     detector = DetectorKind(args.detector)
-    target_pf = _single_value(args.target_pf, 0.1, "--target-pf")
-    threshold = _calibrate_threshold_from_noise(
-        args, detector, target_pf, args.n, args.fs_hz)
-    if args.out is not None:
-        write_threshold_file(threshold, args.out)
-    else:
-        sys.stdout.write(
-            f"{threshold.detector.value},{threshold.target_pf!r},{threshold.value!r}\n")
+    config = _oneshot_config(args, detector, args.n, args.fs_hz)
+    write_threshold_file(_calibrate(args, config, detector), args.out)
     return 0
 
 
 def _cmd_detect(args) -> int:
     buffer = read_signal_file(args.input)
-    n = len(buffer)
     detector = DetectorKind(args.detector)
+    config = _oneshot_config(args, detector, len(buffer), buffer.sample_rate_hz)
     if args.threshold_file is not None:
         threshold = read_threshold_file(args.threshold_file)
     else:
-        target_pf = _single_value(args.target_pf, 0.1, "--target-pf")
-        threshold = _calibrate_threshold_from_noise(
-            args, detector, target_pf, n, buffer.sample_rate_hz)
-    if detector is DetectorKind.CYCLE_FEATURE:
-        window = make_window(WindowKind(args.window), args.smoothing_len)
-        piece = scd_slice(dft(buffer), 2.0 * args.fc_hz, window,
-                          1.0 / buffer.sample_rate_hz)
-        metric = cycle_metric(piece)
-    else:
-        metric = energy_metric(buffer)
+        threshold = _calibrate(args, config, detector)
+    metric = measure(config, detector, buffer)
     decision = decide(metric, threshold)
     print(f"decision={decision.value} detector={detector.value} "
           f"metric={metric.value!r} threshold={threshold.value!r}")
@@ -214,12 +185,7 @@ def _cmd_detect(args) -> int:
 
 
 def _cmd_roc(args) -> int:
-    config = config_from_args(args)
-    points = run_roc(config, workers=args.workers)
-    if args.out is not None:
-        emit_roc_csv(points, args.out)
-    else:
-        write_roc_csv(points, sys.stdout)
+    write_roc_csv(run_roc(config_from_args(args), workers=args.workers), args.out)
     return 0
 
 
@@ -315,7 +281,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ConfigurationError, CalibrationError) as exc:
+    except (ConfigurationError, CalibrationError, ArithmeticError) as exc:
+        # ArithmeticError: a numeric input the checks above let through
+        # overflowed; it is still the input's fault, not the program's
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

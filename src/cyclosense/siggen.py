@@ -24,6 +24,7 @@ __all__ = [
     "ChannelSpec",
     "generate_am",
     "generate_bpsk",
+    "generate_signal",
     "add_awgn",
     "noise_only",
     "read_signal_file",
@@ -31,6 +32,10 @@ __all__ = [
 ]
 
 _SIGNAL_FILE_HEADER = "# sample_rate_hz="
+
+# Largest finite |SNR|: 10^(snr_db/10) stays well inside the float range,
+# so noise variances derived from it neither overflow nor underflow.
+SNR_DB_LIMIT = 3000.0
 
 
 class ModulationKind(Enum):
@@ -114,9 +119,15 @@ class ChannelSpec:
     seed: int
 
     def __post_init__(self):
-        if math.isnan(float(self.snr_db)):
-            raise ConfigurationError("snr_db must not be NaN")
+        check_snr_db(self.snr_db)
         _check_seed(self.seed)
+
+
+def check_snr_db(snr_db) -> None:
+    """Refuse NaN and finite SNRs beyond SNR_DB_LIMIT; +-inf stay legal."""
+    if not (abs(snr_db) <= SNR_DB_LIMIT or math.isinf(snr_db)):
+        raise ConfigurationError(
+            f"snr_db must be +-inf or within +-{SNR_DB_LIMIT} dB, got {snr_db!r}")
 
 
 def _check_seed(seed) -> None:
@@ -207,6 +218,14 @@ def generate_bpsk(spec: ModulationSpec, n_samples: int, sample_rate_hz: float,
     x = symbols[symbol_index] * np.cos(2.0 * np.pi * (spec.carrier_hz / sample_rate_hz) * k)
     x = x / math.sqrt(float(np.mean(np.square(x))))
     return SampleBuffer(x, sample_rate_hz)
+
+
+def generate_signal(spec: ModulationSpec, n_samples: int, sample_rate_hz: float,
+                    seed: int) -> SampleBuffer:
+    """The generator for spec.kind: generate_am or generate_bpsk."""
+    if spec.kind is ModulationKind.AM:
+        return generate_am(spec, n_samples, sample_rate_hz, seed)
+    return generate_bpsk(spec, n_samples, sample_rate_hz, seed)
 
 
 def add_awgn(signal: SampleBuffer, channel: ChannelSpec) -> SampleBuffer:

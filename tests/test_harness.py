@@ -9,8 +9,8 @@ import pytest
 from cyclosense import (CalibrationError, ConfigurationError, DetectorKind,
                         ModulationKind, ModulationSpec, RocPoint,
                         SensingConfig, Threshold, WindowKind, complexity_model,
-                        emit_roc_csv, read_threshold_file, run_roc,
-                        write_roc_csv, write_threshold_file)
+                        read_threshold_file, run_roc, write_roc_csv,
+                        write_threshold_file)
 from cyclosense.harness import ROC_CSV_HEADER, derive_seed
 
 
@@ -73,6 +73,10 @@ class TestSensingConfig:
         dict(master_seed=-1),
         dict(window_kind="hamming"),
         dict(modulation="am"),
+        dict(snr_db_list=(3000.5,)),
+        dict(snr_db_list=(-3e6,)),
+        dict(snr_db_list=(-22.0, -22.0004)),     # same seeds at 0.001 dB
+        dict(snr_db_list=(5.0, 5.0)),
     ])
     def test_invalid_fields_rejected(self, kwargs):
         with pytest.raises(ConfigurationError):
@@ -243,7 +247,7 @@ class TestRocCsv:
     def test_emit_matches_stream_writer(self, tmp_path):
         points = [self.make_point()]
         path = tmp_path / "roc.csv"
-        emit_roc_csv(points, path)
+        write_roc_csv(points, path)
         out = io.StringIO()
         write_roc_csv(points, out)
         assert path.read_text() == out.getvalue()

@@ -7,8 +7,8 @@ import pytest
 
 from cyclosense import (ChannelSpec, ConfigurationError, ModulationKind,
                         ModulationSpec, SampleBuffer, add_awgn, generate_am,
-                        generate_bpsk, noise_only, read_signal_file,
-                        write_signal_file)
+                        generate_bpsk, generate_signal, noise_only,
+                        read_signal_file, write_signal_file)
 
 
 def am_spec(**kwargs):
@@ -183,7 +183,26 @@ class TestGenerateBpsk:
             generate_bpsk(am_spec(), 4096, 3e6, seed=0)
 
 
+class TestGenerateSignal:
+    @pytest.mark.parametrize("spec, generator", [(am_spec(), generate_am),
+                                                 (bpsk_spec(), generate_bpsk)])
+    def test_dispatches_on_kind(self, spec, generator):
+        assert np.array_equal(generate_signal(spec, 1024, 3e6, seed=3).samples,
+                              generator(spec, 1024, 3e6, seed=3).samples)
+
+
 class TestAddAwgn:
+    @pytest.mark.parametrize("snr_db", [3000.0, -3000.0])
+    def test_snr_limit_keeps_noise_finite(self, snr_db):
+        buf = generate_am(am_spec(), 1024, 3e6, seed=1)
+        out = add_awgn(buf, ChannelSpec(snr_db=snr_db, seed=5))
+        assert np.all(np.isfinite(out.samples))
+
+    @pytest.mark.parametrize("snr_db", [3000.5, -3e6, math.nan])
+    def test_snr_beyond_limit_rejected(self, snr_db):
+        with pytest.raises(ConfigurationError):
+            ChannelSpec(snr_db=snr_db, seed=5)
+
     def test_zero_db_noise_variance(self):
         buf = generate_am(am_spec(), 4096, 3e6, seed=1)
         out = add_awgn(buf, ChannelSpec(snr_db=0.0, seed=77))
