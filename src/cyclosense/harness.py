@@ -21,7 +21,8 @@ import numpy as np
 from .detect import DetectorKind, SensingMetric, Threshold, calibrate_threshold, \
     cycle_metric, energy_metric, required_calibration_trials
 from .errors import CalibrationError, ConfigurationError
-from .scd import WindowKind, dft, make_window, scd_slice
+from .scd import BLOCK_ROWS, SliceWork, WindowKind, dft, make_window, scd_slice, \
+    smoothed_slices
 from .siggen import ChannelSpec, ModulationKind, ModulationSpec, SampleBuffer, \
     add_awgn, check_snr_db, generate_signal, noise_only
 
@@ -223,7 +224,8 @@ def _noise_variance(snr_db: float) -> float:
 
 
 def _cycle_window(config: SensingConfig, detectors):
-    """The cycle detector's smoothing window, or None when it is not scored.
+    """The cycle detector's smoothing window and bin shift, or None when it
+    is not scored.
 
     Built once per call.  Also refuses a cycle frequency whose bin shift
     exceeds (N-1)/2: no two in-band bins are that far apart, so the slice
@@ -239,17 +241,24 @@ def _cycle_window(config: SensingConfig, detectors):
             f"of {shift:.6g} bins; {n} samples at {config.sample_rate_hz!r} Hz pair "
             f"no in-band bins more than {(n - 1) // 2} apart"
         )
-    return make_window(config.window_kind, config.smoothing_len)
+    return make_window(config.window_kind, config.smoothing_len), int(round(shift))
 
 
-def _metrics(buffer: SampleBuffer, spectrum, detectors, alpha_hz: float, window) -> list:
-    """Each detector's metric on one buffer, in the order of detectors.
-
-    spectrum is dft(buffer), or None when the cycle detector is not scored.
-    """
-    return [cycle_metric(scd_slice(spectrum, alpha_hz, window, 1.0 / buffer.sample_rate_hz))
-            if detector is DetectorKind.CYCLE_FEATURE else energy_metric(buffer)
-            for detector in detectors]
+def _trial_buffer(config: SensingConfig, phase: int, snr_db: float | None, token: int,
+                  variance: float, trial: int) -> SampleBuffer:
+    """The received buffer of one trial, seeded by its coordinates alone."""
+    if phase == PHASE_H1:
+        signal = generate_signal(
+            config.modulation, config.n_samples, config.sample_rate_hz,
+            derive_seed(config.master_seed, phase, token, trial, 0))
+        return add_awgn(signal, ChannelSpec(
+            snr_db, derive_seed(config.master_seed, phase, token, trial, 1)))
+    if variance == 0.0:
+        # noise disabled: the H0 waveform is identically zero
+        return SampleBuffer(np.zeros(config.n_samples), config.sample_rate_hz)
+    return noise_only(config.n_samples, variance,
+                      derive_seed(config.master_seed, phase, token, trial, 0),
+                      config.sample_rate_hz)
 
 
 def _compute_phase_range(config: SensingConfig, phase: int, snr_db: float | None,
@@ -259,34 +268,38 @@ def _compute_phase_range(config: SensingConfig, phase: int, snr_db: float | None
 
     Runs in workers.  noise_variance replaces the noise level derived from
     snr_db; one-shot calibration has no SNR, passes snr_db=None and seeds
-    its trials with SNR token 0.
+    its trials with SNR token 0.  Trials go through the slice kernel
+    BLOCK_ROWS at a time; no metric depends on how trials are split into
+    blocks or ranges.
     """
     values = np.empty((len(detectors), stop - start))
-    window = _cycle_window(config, detectors)
+    row_of = {detector: d for d, detector in enumerate(detectors)}
+    cycle = _cycle_window(config, detectors)
     token = 0 if snr_db is None else _snr_token(snr_db)
     variance = _noise_variance(snr_db) if noise_variance is None else noise_variance
-    for i, trial in enumerate(range(start, stop)):
-        if phase == PHASE_H1:
-            signal = generate_signal(
-                config.modulation, config.n_samples, config.sample_rate_hz,
-                derive_seed(config.master_seed, phase, token, trial, 0))
-            buffer = add_awgn(signal, ChannelSpec(
-                snr_db, derive_seed(config.master_seed, phase, token, trial, 1)))
-        elif variance == 0.0:
-            # noise disabled: the H0 waveform is identically zero
-            buffer = SampleBuffer(np.zeros(config.n_samples), config.sample_rate_hz)
-        else:
-            buffer = noise_only(
-                config.n_samples, variance,
-                derive_seed(config.master_seed, phase, token, trial, 0),
-                config.sample_rate_hz)
-        # spectrum stays bound until the next trial's transform replaces it.
-        # Freeing every per-trial array lets glibc trim the heap top after
-        # each trial, and faulting those pages back in made L = 1 trials
-        # about 7 % slower (2-vCPU Xeon, numpy 2.4).
-        spectrum = None if window is None else dft(buffer)
-        values[:, i] = [metric.value for metric in
-                        _metrics(buffer, spectrum, detectors, config.alpha0_hz, window)]
+    n = config.n_samples
+    samples = np.empty((BLOCK_ROWS, n))
+    if cycle is not None:
+        window, shift = cycle
+        work = SliceWork(BLOCK_ROWS, n, window, 1.0 / config.sample_rate_hz)
+        spectra = np.empty((BLOCK_ROWS, n), dtype=np.complex128)
+    for first in range(start, stop, BLOCK_ROWS):
+        trials = range(first, min(first + BLOCK_ROWS, stop))
+        columns = slice(first - start, trials.stop - start)
+        block = samples[:len(trials)]
+        for row, trial in zip(block, trials):
+            buffer = _trial_buffer(config, phase, snr_db, token, variance, trial)
+            row[:] = buffer.samples
+            if DetectorKind.ENERGY in row_of:
+                values[row_of[DetectorKind.ENERGY], trial - start] = energy_metric(buffer).value
+        if cycle is not None:
+            bins = np.fft.fft(block, axis=-1, out=spectra[:len(trials)])
+            values[row_of[DetectorKind.CYCLE_FEATURE], columns] = work.peaks(
+                smoothed_slices(bins, [shift] * len(trials), work))
+        if not np.all(np.isfinite(values[:, columns])):
+            raise ConfigurationError(
+                "a metric overflowed to a non-finite value; the noise or signal "
+                "level is beyond what the estimator can represent")
     return values
 
 
@@ -367,9 +380,11 @@ def measure(config: SensingConfig, detector: DetectorKind,
     """One detector's metric on a buffer of config's length and rate."""
     if len(buffer) != config.n_samples or buffer.sample_rate_hz != config.sample_rate_hz:
         raise ConfigurationError("buffer length and rate must match the config")
-    window = _cycle_window(config, (detector,))
-    spectrum = None if window is None else dft(buffer)
-    return _metrics(buffer, spectrum, (detector,), config.alpha0_hz, window)[0]
+    cycle = _cycle_window(config, (detector,))
+    if cycle is None:
+        return energy_metric(buffer)
+    return cycle_metric(scd_slice(dft(buffer), config.alpha0_hz, cycle[0],
+                                  1.0 / buffer.sample_rate_hz))
 
 
 def profile_seed(master_seed: int, snr_db: float | None, slot: int) -> int:

@@ -31,14 +31,21 @@ import numpy as np
 from .errors import ConfigurationError
 from .siggen import SampleBuffer
 
+# Rows per smoothed_slices call in cycle_profile and the trial engine.  At
+# N = 4096 and L = 1301 the engine's block buffers take about 1.2 MB; more
+# rows buy little speed and cost peak memory.
+BLOCK_ROWS = 4
+
 __all__ = [
     "WindowKind",
     "Spectrum",
     "SmoothingWindow",
     "ScdSlice",
     "CycleProfile",
+    "SliceWork",
     "dft",
     "make_window",
+    "smoothed_slices",
     "scd_slice",
     "cycle_profile",
     "write_profile_csv",
@@ -138,8 +145,10 @@ class CycleProfile:
             raise ConfigurationError("profile arrays must be 1-D and equally long")
         if alphas.size == 0:
             raise ConfigurationError("profile must contain at least one point")
-        if np.any(mags < 0.0):
-            raise ConfigurationError("profile magnitudes must be nonnegative")
+        if not np.all(np.isfinite(mags) & (mags >= 0.0)):
+            raise ConfigurationError(
+                "profile magnitudes must be finite and nonnegative; "
+                "the spectral correlation overflowed")
         alphas.flags.writeable = False
         mags.flags.writeable = False
         object.__setattr__(self, "alphas_hz", alphas)
@@ -189,30 +198,82 @@ def _window_transform(weights_bytes: bytes, nfft: int) -> np.ndarray:
     return out
 
 
-def _smoothed_correlation(bins: np.ndarray, shift: int, weights: np.ndarray) -> np.ndarray:
-    """Core kernel: (1/L) sum_v X<i+shift+v> conj(X<i-shift+v>) W(v).
+class SliceWork:
+    """Settings and preallocated buffers of smoothed_slices: blocks of up to
+    `rows` slices of n bins, smoothed by window and scaled by
+    scale = 1 / ((n-1) * sample_period_s).
 
-    Works in signed-bin (fftshifted) order with zero padding outside the
-    band, evaluates the smoothing sum as a linear convolution via FFT
-    (valid because the window is symmetric), and returns values back in
-    DFT bin order.
+    Reusing one across calls spares each slice its ~100 KB temporaries,
+    which glibc would otherwise map, fault in and unmap every time.
     """
-    n = bins.shape[0]
-    centered = np.fft.fftshift(bins)
-    pad = abs(shift)
-    padded = np.zeros(n + 2 * pad, dtype=np.complex128)
-    padded[pad:pad + n] = centered
-    products = (padded[pad + shift:pad + shift + n]
-                * np.conj(padded[pad - shift:pad - shift + n]))
-    length = weights.shape[0]
-    if length == 1:
-        smoothed = products * weights[0]
-    else:
-        half = (length - 1) // 2
-        nfft = _next_pow2(n + length - 1)
-        wf = _window_transform(weights.tobytes(), nfft)
-        smoothed = np.fft.ifft(np.fft.fft(products, nfft) * wf)[half:half + n]
-    return np.fft.ifftshift(smoothed) / length
+
+    def __init__(self, rows: int, n: int, window: SmoothingWindow, sample_period_s: float):
+        if not window.length < n:
+            raise ConfigurationError(
+                f"window length {window.length} must be below the transform size {n}"
+            )
+        if not sample_period_s > 0.0:
+            raise ConfigurationError("sample_period_s must be positive")
+        self.n = n
+        self.window = window
+        self.scale = 1.0 / ((n - 1) * sample_period_s)
+        nfft = n if window.length == 1 else _next_pow2(n + window.length - 1)
+        self.transform = (None if window.length == 1
+                          else _window_transform(window.weights.tobytes(), nfft))
+        self.centered = np.empty(n, dtype=np.complex128)
+        self.conj = np.empty(n, dtype=np.complex128)
+        self.products = np.empty((rows, nfft), dtype=np.complex128)
+        self.magnitudes = np.empty((rows, n))
+
+    def peaks(self, values: np.ndarray) -> np.ndarray:
+        """Max |value| of each row of a block smoothed_slices returned."""
+        with np.errstate(over="ignore"):
+            return np.abs(values, out=self.magnitudes[:values.shape[0]]).max(axis=1)
+
+
+def smoothed_slices(spectra: np.ndarray, shifts, work: SliceWork) -> np.ndarray:
+    """Core kernel: scale * (1/L) sum_v X<i+a+v> conj(X<i-a+v>) W(v), a block at a time.
+
+    spectra holds DFT-order bins, one row per shift, or one spectrum that
+    every row shares; shifts gives each row's bin shift a.  Each row is
+    formed in signed-bin (fftshifted) order with zero padding outside the
+    band; the smoothing sum is a linear convolution evaluated by one
+    batched FFT pair (valid because the window is symmetric).  Returns a
+    (len(shifts), n) view of work's buffers in signed-bin order, valid
+    until work is used again.  Overflow yields inf or nan, not a warning;
+    callers check finiteness where they need it.
+    """
+    rows = len(shifts)
+    n = work.n
+    low = n // 2
+    centered, conj = work.centered, work.conj
+    block = work.products[:rows]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for row, bins, shift in zip(block, np.broadcast_to(spectra, (rows, n)), shifts):
+            a = abs(shift)
+            if 2 * a >= n:
+                row.fill(0.0)
+                continue
+            centered[low:] = bins[:n - low]
+            centered[:low] = bins[n - low:]
+            row[:a] = 0.0
+            row[n - a:] = 0.0
+            # explicit out= buffers: numpy's temporary elision would change
+            # the last bit of a large `x * np.conj(y)`
+            np.conj(centered[a - shift:n - a - shift], out=conj[:n - 2 * a])
+            np.multiply(centered[a + shift:n - a + shift], conj[:n - 2 * a], out=row[a:n - a])
+        if work.transform is None:
+            # the single weight is 1 only to within SmoothingWindow's tolerance
+            values = block
+            np.multiply(values, work.window.weights[0], out=values)
+        else:
+            np.fft.fft(block, axis=-1, out=block)
+            np.multiply(block, work.transform, out=block)
+            np.fft.ifft(block, axis=-1, out=block)
+            values = block[:, work.window.half:work.window.half + n]
+        np.divide(values, work.window.length, out=values)
+        np.multiply(values, work.scale, out=values)
+    return values
 
 
 def scd_slice(spectrum: Spectrum, alpha_hz: float, window: SmoothingWindow,
@@ -226,22 +287,15 @@ def scd_slice(spectrum: Spectrum, alpha_hz: float, window: SmoothingWindow,
     and scale = 1 / ((N-1) * Ts).  The quantized cycle frequency 2*a*Fs is
     reported as alpha_effective_hz.
     """
-    n = spectrum.n
-    if not window.length < n:
-        raise ConfigurationError(
-            f"window length {window.length} must be below the transform size {n}"
-        )
-    if not sample_period_s > 0.0:
-        raise ConfigurationError("sample_period_s must be positive")
+    work = SliceWork(1, spectrum.n, window, sample_period_s)
     fres = spectrum.freq_resolution_hz
     shift = int(round(alpha_hz / (2.0 * fres)))
-    scale = 1.0 / ((n - 1) * sample_period_s)
-    values = _smoothed_correlation(spectrum.bins, shift, window.weights) * scale
+    values = smoothed_slices(spectrum.bins, [shift], work)[0]
     return ScdSlice(
-        values=values,
+        values=np.fft.ifftshift(values),
         alpha_requested_hz=float(alpha_hz),
         alpha_effective_hz=2.0 * shift * fres,
-        scale=scale,
+        scale=work.scale,
     )
 
 
@@ -256,11 +310,14 @@ def cycle_profile(signal: SampleBuffer, alphas_hz, window: SmoothingWindow) -> C
             f"cycle frequencies must lie within (-{rate}, {rate}) Hz"
         )
     spectrum = dft(signal)
-    ts = 1.0 / rate
+    work = SliceWork(BLOCK_ROWS, spectrum.n, window, 1.0 / rate)
+    shifts = [int(round(float(alpha) / (2.0 * spectrum.freq_resolution_hz)))
+              for alpha in alphas]
     magnitudes = np.empty(alphas.size)
-    for i, alpha in enumerate(alphas):
-        piece = scd_slice(spectrum, float(alpha), window, ts)
-        magnitudes[i] = np.abs(piece.values).max()
+    for first in range(0, alphas.size, BLOCK_ROWS):
+        block = shifts[first:first + BLOCK_ROWS]
+        magnitudes[first:first + len(block)] = work.peaks(
+            smoothed_slices(spectrum.bins, block, work))
     return CycleProfile(alphas, magnitudes)
 
 

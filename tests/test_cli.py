@@ -7,6 +7,9 @@ emitted files.  Small buffer sizes keep each invocation fast.
 
 import contextlib
 import io
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -401,6 +404,7 @@ class TestEnergyCalibration:
             raise AssertionError("energy calibration computed a spectrum")
         monkeypatch.setattr(harness, "dft", refuse)
         monkeypatch.setattr(harness, "scd_slice", refuse)
+        monkeypatch.setattr(harness, "smoothed_slices", refuse)
         assert main(GOLDEN_CASES["calibrate_energy.txt"]) == 0
         assert capsys.readouterr().out == (GOLDEN_DIR / "calibrate_energy.txt").read_text()
 
@@ -428,6 +432,30 @@ class TestNumericInputs:
     def test_exits_2(self, argv, capsys):
         assert main(argv) == 2
         assert "error:" in capsys.readouterr().err
+
+
+class TestOverflow:
+    """A noise level whose spectral correlation overflows: refused with exit
+    2 and one error line, in a fresh interpreter so that numpy's warnings
+    would reach stderr."""
+
+    @pytest.mark.parametrize("argv", [
+        ["profile", "--n", "8192", "--smoothing-len", "31", "--snr-db", "-3000",
+         "--alpha-max-hz", "3e5"],
+        ["roc", "--n", "8192", "--smoothing-len", "31", "--trials", "20",
+         "--calibration-trials", "40", "--target-pf", "0.25", "--snr-db", "-3000"],
+    ])
+    def test_exits_2_without_warnings(self, argv):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+        proc = subprocess.run([sys.executable, "-m", "cyclosense.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error:")
+        assert "Traceback" not in proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
 
 
 FLOAT_EDGES = ["0", "-1", "1e-300", "1e308", "nan", "inf", "-inf", "3e6", "-3e6"]

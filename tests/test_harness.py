@@ -2,6 +2,7 @@
 
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,10 @@ from cyclosense import (CalibrationError, ConfigurationError, DetectorKind,
                         SensingConfig, Threshold, WindowKind, complexity_model,
                         read_threshold_file, run_roc, write_roc_csv,
                         write_threshold_file)
-from cyclosense.harness import ROC_CSV_HEADER, derive_seed
+from cyclosense.harness import (DETECTORS, PHASE_CALIBRATION, PHASE_H0, PHASE_H1,
+                                PHASE_ONESHOT, ROC_CSV_HEADER, _compute_phase_range,
+                                derive_seed)
+from oracles import reference_phase_range
 
 
 def tiny_config(**kwargs):
@@ -205,6 +209,61 @@ class TestRunRoc:
     def test_config_type_checked(self):
         with pytest.raises(ConfigurationError):
             run_roc({"n_samples": 64})
+
+
+CYCLE, ENERGY = DetectorKind.CYCLE_FEATURE, DetectorKind.ENERGY
+# (phase, snr_db, noise_variance): the ROC phases, and one-shot calibration,
+# which has no SNR and a given noise level
+PHASES = [(PHASE_CALIBRATION, 10.0, None), (PHASE_H0, 10.0, None),
+          (PHASE_H1, 10.0, None), (PHASE_ONESHOT, None, 2.0)]
+
+
+class TestBlockedEngine:
+    """The blocked engine against the per-trial loop it replaced, bit for bit."""
+
+    @pytest.mark.parametrize("start, stop", [(0, 3), (5, 37)])
+    @pytest.mark.parametrize("detectors", [DETECTORS, (ENERGY, CYCLE), (CYCLE,), (ENERGY,)])
+    @pytest.mark.parametrize("phase, snr_db, variance", PHASES)
+    @pytest.mark.parametrize("length", [1, 5, 31])
+    def test_matches_per_trial_engine(self, length, phase, snr_db, variance, detectors,
+                                      start, stop):
+        config = tiny_config(smoothing_len=length)
+        args = (config, phase, snr_db, start, stop, detectors, variance)
+        assert np.array_equal(_compute_phase_range(*args), reference_phase_range(*args))
+
+    @pytest.mark.parametrize("phase", [PHASE_H0, PHASE_H1])
+    def test_reference_scenario_matches_per_trial_engine(self, phase):
+        args = (SensingConfig(), phase, -22.0, 3, 10)
+        assert np.array_equal(_compute_phase_range(*args), reference_phase_range(*args))
+
+    @pytest.mark.parametrize("phase, snr_db, variance", PHASES)
+    def test_split_ranges_concatenate(self, phase, snr_db, variance):
+        config = tiny_config(smoothing_len=5)
+        whole = _compute_phase_range(config, phase, snr_db, 0, 37, DETECTORS, variance)
+        parts = [_compute_phase_range(config, phase, snr_db, a, b, DETECTORS, variance)
+                 for a, b in [(0, 5), (5, 21), (21, 37)]]
+        assert np.array_equal(whole, np.concatenate(parts, axis=1))
+
+    @pytest.mark.parametrize("phase", [PHASE_CALIBRATION, PHASE_H0, PHASE_H1])
+    def test_overflowing_metric_refused(self, phase):
+        # at -3000 dB the noise is ~1e150 per sample: energy stays finite,
+        # the smoothed correlation overflows to nan
+        config = SensingConfig(n_samples=8192, smoothing_len=31)
+        with pytest.raises(ConfigurationError, match="non-finite"):
+            _compute_phase_range(config, phase, -3000.0, 0, 4)
+
+    def test_memory_stays_within_budget(self):
+        # The kernel's block buffers dominate: about 1.4 MiB at 4 rows of
+        # N = 4096, L = 1301, and 0.3 MiB more per extra row.
+        config = SensingConfig()
+        _compute_phase_range(config, PHASE_H1, -22.0, 0, 1)   # caches and lazy imports
+        tracemalloc.start()
+        try:
+            _compute_phase_range(config, PHASE_H1, -22.0, 0, 64)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2 ** 20
 
 
 class TestRocCsv:

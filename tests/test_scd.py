@@ -18,6 +18,7 @@ from cyclosense import (ConfigurationError, CycleProfile, SampleBuffer,
                         ScdSlice, SmoothingWindow, Spectrum, WindowKind,
                         cycle_profile, dft, make_window, scd_slice,
                         write_profile_csv)
+from cyclosense.scd import BLOCK_ROWS, SliceWork, smoothed_slices
 from oracles import dft_naive, scd_slice_naive
 
 
@@ -166,6 +167,34 @@ class TestSliceAgainstReference:
             assert fast.alpha_effective_hz == effective
             assert slow.alpha_effective_hz == effective
             assert fast.alpha_requested_hz == alpha
+
+
+class TestBlockKernel:
+    @pytest.mark.parametrize("n", [64, 65])
+    def test_mixed_shift_block_matches_reference(self, n):
+        # every row its own spectrum and shift: negative, zero and the
+        # largest in-band shifts either way
+        shifts = [-(n - 1) // 2, -5, 0, 3, (n - 1) // 2]
+        window = make_window(WindowKind.HAMMING, 7)
+        buffers = [white_buffer(n, seed=40 + i, rate=float(n)) for i in range(len(shifts))]
+        spectra = np.array([dft(buf).bins for buf in buffers])
+        work = SliceWork(len(shifts), n, window, 1.0 / n)
+        values = smoothed_slices(spectra, shifts, work)
+        for row, buf, shift in zip(values, buffers, shifts):
+            slow = scd_slice_naive(buf, 2.0 * shift, window)
+            assert rel_err(np.fft.ifftshift(row), slow.values) < 1e-9
+
+    def test_profile_equals_per_alpha_slices(self):
+        # unsorted, with repeats, and not a whole number of blocks
+        buf = white_buffer(96, seed=5, rate=96.0)
+        window = make_window(WindowKind.HAMMING, 9)
+        alphas = [30.0, -2.0, 0.0, 30.0, 94.0, -94.0, 12.0, -2.0, 4.0, 62.0, -30.0]
+        assert len(alphas) % BLOCK_ROWS
+        profile = cycle_profile(buf, alphas, window)
+        spectrum = dft(buf)
+        expected = [np.abs(scd_slice(spectrum, alpha, window, 1.0 / 96.0).values).max()
+                    for alpha in alphas]
+        assert np.array_equal(profile.magnitudes, expected)
 
 
 class TestSliceValues:
@@ -348,3 +377,8 @@ class TestCycleProfileType:
     def test_negative_magnitude_rejected(self):
         with pytest.raises(ConfigurationError):
             CycleProfile(np.zeros(2), np.array([1.0, -0.5]))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_magnitude_rejected(self, value):
+        with pytest.raises(ConfigurationError):
+            CycleProfile(np.zeros(2), np.array([1.0, value]))
