@@ -214,8 +214,8 @@ def build_parser() -> argparse.ArgumentParser:
     roc.add_argument("--h1-trials", type=int, default=None,
                      help="signal-present trials (default: same as --trials)")
     roc.add_argument("--workers", type=int, default=1,
-                     help="worker processes; results are byte-identical for "
-                          "any value (default: 1)")
+                     help="worker processes, at most the CPU count; results are "
+                          "byte-identical for any value (default: 1)")
     roc.add_argument("--out", default=None, help="CSV path (default: stdout)")
     roc.set_defaults(func=_cmd_roc)
 

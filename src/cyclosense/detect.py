@@ -79,8 +79,10 @@ def cycle_metric(slice_: ScdSlice) -> SensingMetric:
 def energy_metric(signal: SampleBuffer) -> SensingMetric:
     # fsum gives the correctly rounded sum, so the metric does not depend
     # on accumulation order and concatenation is exactly additive whenever
-    # the partial sums are representable
-    value = math.fsum(np.square(signal.samples).tolist())
+    # the partial sums are representable; a square that overflows to inf
+    # is refused by SensingMetric, so numpy need not warn of it
+    with np.errstate(over="ignore"):
+        value = math.fsum(np.square(signal.samples).tolist())
     return SensingMetric(value, DetectorKind.ENERGY)
 
 

@@ -1,7 +1,8 @@
 """Monte Carlo trial engine, complexity model, and CSV/threshold-file formats.
 
-One engine, _compute_phase_range, seeds, generates and scores every trial:
-the ROC sweep's phases and the noise-only calibration of one-shot decisions.
+One engine, _compute_phase_range, seeds and generates every trial: the ROC
+sweep's phases and the noise-only calibration of one-shot decisions.  One
+scorer, _score, turns every buffer into metrics, one-shot decisions too.
 
 Determinism contract: every trial derives its RNG seed from
 (master_seed, phase, snr, trial index) alone, and per-phase results are
@@ -10,6 +11,7 @@ and is byte-identical across worker counts and schedulers.
 """
 
 import math
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
@@ -19,10 +21,9 @@ from functools import partial
 import numpy as np
 
 from .detect import DetectorKind, SensingMetric, Threshold, calibrate_threshold, \
-    cycle_metric, energy_metric, required_calibration_trials
+    energy_metric, required_calibration_trials
 from .errors import CalibrationError, ConfigurationError
-from .scd import BLOCK_ROWS, SliceWork, WindowKind, dft, make_window, scd_slice, \
-    smoothed_slices
+from .scd import BLOCK_ROWS, SliceWork, WindowKind, make_window, smoothed_slices
 from .siggen import ChannelSpec, ModulationKind, ModulationSpec, SampleBuffer, \
     add_awgn, check_snr_db, generate_signal, noise_only
 
@@ -261,6 +262,41 @@ def _trial_buffer(config: SensingConfig, phase: int, snr_db: float | None, token
                       config.sample_rate_hz)
 
 
+def _score(config: SensingConfig, detectors, count: int, buffers) -> np.ndarray:
+    """Metrics of `count` buffers, one row per detector: the one scorer of ROC
+    trials, calibrations and one-shot decisions.  Buffers go through the slice
+    kernel BLOCK_ROWS at a time; no metric depends on the block boundaries."""
+    values = np.empty((len(detectors), count))
+    row_of = {detector: d for d, detector in enumerate(detectors)}
+    cycle = _cycle_window(config, detectors)
+    # Rows hold samples, then their spectra: the transform runs in place, with
+    # no complex copy of a real block.  A one-shot decision gets one row:
+    # freeing four rows at once would let glibc trim the heap, and every next
+    # decision would fault ~120 pages back in.
+    rows = min(BLOCK_ROWS, count)
+    if cycle is not None:
+        window, shift = cycle
+        work = SliceWork(rows, config.n_samples, window, 1.0 / config.sample_rate_hz)
+    spectra = np.empty((rows, config.n_samples), dtype=np.complex128)
+    buffers = iter(buffers)
+    for first in range(0, count, BLOCK_ROWS):
+        columns = slice(first, min(first + BLOCK_ROWS, count))
+        block = spectra[:columns.stop - first]
+        for column, (row, buffer) in enumerate(zip(block, buffers), first):
+            row[:] = buffer.samples
+            if DetectorKind.ENERGY in row_of:
+                values[row_of[DetectorKind.ENERGY], column] = energy_metric(buffer).value
+        if cycle is not None:
+            np.fft.fft(block, axis=-1, out=block)
+            values[row_of[DetectorKind.CYCLE_FEATURE], columns] = work.peaks(
+                smoothed_slices(block, [shift] * len(block), work))
+        if not np.all(np.isfinite(values[:, columns])):
+            raise ConfigurationError(
+                "a metric overflowed to a non-finite value; the noise or signal "
+                "level is beyond what the estimator can represent")
+    return values
+
+
 def _compute_phase_range(config: SensingConfig, phase: int, snr_db: float | None,
                          start: int, stop: int, detectors=DETECTORS,
                          noise_variance: float | None = None) -> np.ndarray:
@@ -268,39 +304,12 @@ def _compute_phase_range(config: SensingConfig, phase: int, snr_db: float | None
 
     Runs in workers.  noise_variance replaces the noise level derived from
     snr_db; one-shot calibration has no SNR, passes snr_db=None and seeds
-    its trials with SNR token 0.  Trials go through the slice kernel
-    BLOCK_ROWS at a time; no metric depends on how trials are split into
-    blocks or ranges.
+    its trials with SNR token 0.
     """
-    values = np.empty((len(detectors), stop - start))
-    row_of = {detector: d for d, detector in enumerate(detectors)}
-    cycle = _cycle_window(config, detectors)
     token = 0 if snr_db is None else _snr_token(snr_db)
     variance = _noise_variance(snr_db) if noise_variance is None else noise_variance
-    n = config.n_samples
-    samples = np.empty((BLOCK_ROWS, n))
-    if cycle is not None:
-        window, shift = cycle
-        work = SliceWork(BLOCK_ROWS, n, window, 1.0 / config.sample_rate_hz)
-        spectra = np.empty((BLOCK_ROWS, n), dtype=np.complex128)
-    for first in range(start, stop, BLOCK_ROWS):
-        trials = range(first, min(first + BLOCK_ROWS, stop))
-        columns = slice(first - start, trials.stop - start)
-        block = samples[:len(trials)]
-        for row, trial in zip(block, trials):
-            buffer = _trial_buffer(config, phase, snr_db, token, variance, trial)
-            row[:] = buffer.samples
-            if DetectorKind.ENERGY in row_of:
-                values[row_of[DetectorKind.ENERGY], trial - start] = energy_metric(buffer).value
-        if cycle is not None:
-            bins = np.fft.fft(block, axis=-1, out=spectra[:len(trials)])
-            values[row_of[DetectorKind.CYCLE_FEATURE], columns] = work.peaks(
-                smoothed_slices(bins, [shift] * len(trials), work))
-        if not np.all(np.isfinite(values[:, columns])):
-            raise ConfigurationError(
-                "a metric overflowed to a non-finite value; the noise or signal "
-                "level is beyond what the estimator can represent")
-    return values
+    return _score(config, detectors, stop - start, (
+        _trial_buffer(config, phase, snr_db, token, variance, t) for t in range(start, stop)))
 
 
 def _phase_metrics(config, phase, snr_db, count, workers, executor):
@@ -330,6 +339,9 @@ def run_roc(config: SensingConfig, workers: int = 1):
             f"requested target_pf values; need at least {needed}"
         )
 
+    # a fork pool starts all its workers at the first task, and the output
+    # does not depend on their number: more than the CPUs only costs processes
+    workers = min(workers, os.cpu_count() or 1)
     executor = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     points = []
     try:
@@ -380,11 +392,7 @@ def measure(config: SensingConfig, detector: DetectorKind,
     """One detector's metric on a buffer of config's length and rate."""
     if len(buffer) != config.n_samples or buffer.sample_rate_hz != config.sample_rate_hz:
         raise ConfigurationError("buffer length and rate must match the config")
-    cycle = _cycle_window(config, (detector,))
-    if cycle is None:
-        return energy_metric(buffer)
-    return cycle_metric(scd_slice(dft(buffer), config.alpha0_hz, cycle[0],
-                                  1.0 / buffer.sample_rate_hz))
+    return SensingMetric(float(_score(config, (detector,), 1, [buffer])[0, 0]), detector)
 
 
 def profile_seed(master_seed: int, snr_db: float | None, slot: int) -> int:

@@ -221,7 +221,6 @@ class SliceWork:
         self.transform = (None if window.length == 1
                           else _window_transform(window.weights.tobytes(), nfft))
         self.centered = np.empty(n, dtype=np.complex128)
-        self.conj = np.empty(n, dtype=np.complex128)
         self.products = np.empty((rows, nfft), dtype=np.complex128)
         self.magnitudes = np.empty((rows, n))
 
@@ -246,7 +245,7 @@ def smoothed_slices(spectra: np.ndarray, shifts, work: SliceWork) -> np.ndarray:
     rows = len(shifts)
     n = work.n
     low = n // 2
-    centered, conj = work.centered, work.conj
+    centered = work.centered
     block = work.products[:rows]
     with np.errstate(over="ignore", invalid="ignore"):
         for row, bins, shift in zip(block, np.broadcast_to(spectra, (rows, n)), shifts):
@@ -260,8 +259,8 @@ def smoothed_slices(spectra: np.ndarray, shifts, work: SliceWork) -> np.ndarray:
             row[n - a:] = 0.0
             # explicit out= buffers: numpy's temporary elision would change
             # the last bit of a large `x * np.conj(y)`
-            np.conj(centered[a - shift:n - a - shift], out=conj[:n - 2 * a])
-            np.multiply(centered[a + shift:n - a + shift], conj[:n - 2 * a], out=row[a:n - a])
+            np.conj(centered[a - shift:n - a - shift], out=row[a:n - a])
+            np.multiply(centered[a + shift:n - a + shift], row[a:n - a], out=row[a:n - a])
         if work.transform is None:
             # the single weight is 1 only to within SmoothingWindow's tolerance
             values = block

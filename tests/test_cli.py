@@ -402,9 +402,9 @@ class TestEnergyCalibration:
     def test_runs_no_transform(self, monkeypatch, capsys):
         def refuse(*args, **kwargs):
             raise AssertionError("energy calibration computed a spectrum")
-        monkeypatch.setattr(harness, "dft", refuse)
-        monkeypatch.setattr(harness, "scd_slice", refuse)
         monkeypatch.setattr(harness, "smoothed_slices", refuse)
+        monkeypatch.setattr(harness, "SliceWork", refuse)
+        monkeypatch.setattr(np.fft, "fft", refuse)
         assert main(GOLDEN_CASES["calibrate_energy.txt"]) == 0
         assert capsys.readouterr().out == (GOLDEN_DIR / "calibrate_energy.txt").read_text()
 
@@ -435,8 +435,8 @@ class TestNumericInputs:
 
 
 class TestOverflow:
-    """A noise level whose spectral correlation overflows: refused with exit
-    2 and one error line, in a fresh interpreter so that numpy's warnings
+    """A noise or signal level whose metric overflows: refused with exit 2
+    and one error line, in a fresh interpreter so that numpy's warnings
     would reach stderr."""
 
     @pytest.mark.parametrize("argv", [
@@ -444,8 +444,16 @@ class TestOverflow:
          "--alpha-max-hz", "3e5"],
         ["roc", "--n", "8192", "--smoothing-len", "31", "--trials", "20",
          "--calibration-trials", "40", "--target-pf", "0.25", "--snr-db", "-3000"],
+        # every sample squares to inf
+        ["detect", "--detector", "energy", "--input", "{huge}",
+         "--threshold-file", "{threshold}"],
     ])
-    def test_exits_2_without_warnings(self, argv):
+    def test_exits_2_without_warnings(self, argv, tmp_path):
+        huge = tmp_path / "huge.txt"
+        write_signal_file(SampleBuffer(np.full(64, 1e300), 64.0), huge)
+        threshold = tmp_path / "threshold.txt"
+        write_threshold_file(Threshold(1.0, 0.1, 1, DetectorKind.ENERGY), threshold)
+        argv = [arg.format(huge=huge, threshold=threshold) for arg in argv]
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [src, *filter(None, [os.environ.get("PYTHONPATH")])]))

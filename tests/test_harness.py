@@ -7,14 +7,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cyclosense import (CalibrationError, ConfigurationError, DetectorKind,
+from cyclosense import (CalibrationError, ChannelSpec, ConfigurationError, DetectorKind,
                         ModulationKind, ModulationSpec, RocPoint,
-                        SensingConfig, Threshold, WindowKind, complexity_model,
-                        read_threshold_file, run_roc, write_roc_csv,
-                        write_threshold_file)
+                        SensingConfig, Threshold, WindowKind, add_awgn, complexity_model,
+                        cycle_metric, dft, generate_signal, harness, make_window,
+                        noise_only, read_threshold_file, run_roc, scd_slice,
+                        write_roc_csv, write_threshold_file)
 from cyclosense.harness import (DETECTORS, PHASE_CALIBRATION, PHASE_H0, PHASE_H1,
                                 PHASE_ONESHOT, ROC_CSV_HEADER, _compute_phase_range,
-                                derive_seed)
+                                derive_seed, measure)
 from oracles import reference_phase_range
 
 
@@ -202,6 +203,31 @@ class TestRunRoc:
         with pytest.raises(CalibrationError, match="1000"):
             run_roc(config)
 
+    def test_pool_capped_at_cpu_count(self, monkeypatch):
+        # a fork pool starts all its workers at the first task, so a pool the
+        # size of --workers 100000 would fork that many; this one forks none
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+            def shutdown(self):
+                pass
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+        config = tiny_config(trials=21, calibration_trials=20, h1_trials=9)
+        serial = run_roc(config)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+        assert run_roc(config, workers=100000) == serial
+        assert sizes == [2]
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: None)
+        assert run_roc(config, workers=3) == serial
+        assert sizes == [2]
+
     def test_bad_workers_rejected(self):
         with pytest.raises(ConfigurationError):
             run_roc(tiny_config(), workers=0)
@@ -253,8 +279,8 @@ class TestBlockedEngine:
             _compute_phase_range(config, phase, -3000.0, 0, 4)
 
     def test_memory_stays_within_budget(self):
-        # The kernel's block buffers dominate: about 1.4 MiB at 4 rows of
-        # N = 4096, L = 1301, and 0.3 MiB more per extra row.
+        # The kernel's block buffers dominate: about 1.2 MiB at 4 rows of
+        # N = 4096, L = 1301, and 0.22 MiB more per extra row.
         config = SensingConfig()
         _compute_phase_range(config, PHASE_H1, -22.0, 0, 1)   # caches and lazy imports
         tracemalloc.start()
@@ -264,6 +290,52 @@ class TestBlockedEngine:
         finally:
             tracemalloc.stop()
         assert peak < 2 * 2 ** 20
+
+
+class TestOneScorer:
+    """One-shot decisions are scored by the trial engine's own scorer."""
+
+    @pytest.mark.parametrize("detector", DETECTORS)
+    @pytest.mark.parametrize("config", [tiny_config(), SensingConfig()],
+                             ids=["tiny", "reference"])
+    def test_measure_equals_engine(self, config, detector):
+        count = 6
+        engine = _compute_phase_range(config, PHASE_ONESHOT, None, 0, count, (detector,), 2.0)
+        for k in range(count):
+            buffer = noise_only(config.n_samples, 2.0,
+                                derive_seed(config.master_seed, PHASE_ONESHOT, 0, k, 0),
+                                config.sample_rate_hz)
+            metric = measure(config, detector, buffer)
+            assert metric.detector is detector
+            assert metric.value == engine[0, k]
+
+    def test_decision_memory_stays_within_budget(self):
+        # One row of block buffers, transformed in place: 0.29 MiB at
+        # N = 4096, L = 1301.  Four rows would take 1.2 MiB.
+        config = SensingConfig()
+        buffer = noise_only(config.n_samples, 1.0, 5, config.sample_rate_hz)
+        measure(config, CYCLE, buffer)   # caches and lazy imports
+        tracemalloc.start()
+        try:
+            measure(config, CYCLE, buffer)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.35 * 2 ** 20
+
+    @pytest.mark.parametrize("kind", list(WindowKind))
+    @pytest.mark.parametrize("n, length", [(64, 1), (64, 5), (65, 1), (65, 5), (4096, 1301)])
+    def test_measure_equals_library_slice(self, n, length, kind):
+        if n == 4096:
+            config = SensingConfig(window_kind=kind)
+        else:
+            config = tiny_config(n_samples=n, smoothing_len=length, window_kind=kind)
+        rate = config.sample_rate_hz
+        buffer = add_awgn(generate_signal(config.modulation, n, rate, 11),
+                          ChannelSpec(0.0, 12))
+        window = make_window(kind, length)
+        library = cycle_metric(scd_slice(dft(buffer), config.alpha0_hz, window, 1.0 / rate))
+        assert measure(config, CYCLE, buffer).value == library.value
 
 
 class TestRocCsv:
