@@ -25,7 +25,8 @@ from .detect import DetectorKind, SensingMetric, Threshold, calibrate_threshold,
 from .errors import CalibrationError, ConfigurationError
 from .scd import BLOCK_ROWS, SliceWork, WindowKind, make_window, smoothed_slices
 from .siggen import ChannelSpec, ModulationKind, ModulationSpec, SampleBuffer, \
-    add_awgn, check_snr_db, generate_signal, noise_only
+    add_awgn, check_length_and_rate, check_seed, check_snr_db, check_waveform, \
+    generate_signal, noise_only
 
 __all__ = [
     "SensingConfig",
@@ -88,15 +89,12 @@ class SensingConfig:
             object.__setattr__(self, "modulation", _default_modulation())
         if not isinstance(self.modulation, ModulationSpec):
             raise ConfigurationError("modulation must be a ModulationSpec")
-        if not isinstance(self.n_samples, (int, np.integer)) or self.n_samples < 2:
-            raise ConfigurationError("n_samples must be an integer >= 2")
+        check_length_and_rate(self.n_samples, self.sample_rate_hz)
         if (not isinstance(self.smoothing_len, (int, np.integer))
                 or self.smoothing_len < 1 or self.smoothing_len % 2 == 0):
             raise ConfigurationError("smoothing_len must be a positive odd integer")
         if not self.smoothing_len < self.n_samples:
             raise ConfigurationError("smoothing_len must be below n_samples")
-        if not self.sample_rate_hz > 0.0:
-            raise ConfigurationError("sample_rate_hz must be positive")
         snrs = tuple(float(s) for s in self.snr_db_list)
         if not snrs:
             raise ConfigurationError("snr_db_list must be nonempty")
@@ -113,7 +111,7 @@ class SensingConfig:
         if self.h1_trials is not None and (
                 not isinstance(self.h1_trials, (int, np.integer)) or self.h1_trials < 1):
             raise ConfigurationError("h1_trials must be a positive integer or None")
-        _check_master_seed(self.master_seed)
+        check_seed(self.master_seed)
         if not isinstance(self.window_kind, WindowKind):
             raise ConfigurationError("window_kind must be a WindowKind")
         object.__setattr__(self, "snr_db_list", snrs)
@@ -198,11 +196,6 @@ def complexity_model(n: int, l: int) -> ComplexityReport:
     )
 
 
-def _check_master_seed(master_seed) -> None:
-    if not isinstance(master_seed, (int, np.integer)) or master_seed < 0:
-        raise ConfigurationError("master_seed must be a nonnegative integer")
-
-
 def _snr_token(snr_db: float) -> int:
     """Nonnegative integer identifying an SNR, to 0.001 dB, in seed derivations."""
     check_snr_db(snr_db)
@@ -224,16 +217,12 @@ def _noise_variance(snr_db: float) -> float:
     return 10.0 ** (-snr_db / 10.0)
 
 
-def _cycle_window(config: SensingConfig, detectors):
-    """The cycle detector's smoothing window and bin shift, or None when it
-    is not scored.
+def _cycle_shift(config: SensingConfig) -> int:
+    """The bin shift of the monitored cycle frequency.
 
-    Built once per call.  Also refuses a cycle frequency whose bin shift
-    exceeds (N-1)/2: no two in-band bins are that far apart, so the slice
-    would be all zeros and every metric and threshold 0.
+    Refuses a shift beyond (N-1)/2: no two in-band bins are that far apart,
+    so the slice would be all zeros and every metric and threshold 0.
     """
-    if DetectorKind.CYCLE_FEATURE not in detectors:
-        return None
     n = config.n_samples
     shift = config.alpha0_hz / (2.0 * (config.sample_rate_hz / n))
     if not (math.isfinite(shift) and abs(round(shift)) <= (n - 1) // 2):
@@ -242,7 +231,15 @@ def _cycle_window(config: SensingConfig, detectors):
             f"of {shift:.6g} bins; {n} samples at {config.sample_rate_hz!r} Hz pair "
             f"no in-band bins more than {(n - 1) // 2} apart"
         )
-    return make_window(config.window_kind, config.smoothing_len), int(round(shift))
+    return int(round(shift))
+
+
+def _cycle_window(config: SensingConfig, detectors):
+    """The cycle detector's smoothing window and bin shift, or None when it
+    is not scored."""
+    if DetectorKind.CYCLE_FEATURE not in detectors:
+        return None
+    return make_window(config.window_kind, config.smoothing_len), _cycle_shift(config)
 
 
 def _trial_buffer(config: SensingConfig, phase: int, snr_db: float | None, token: int,
@@ -338,6 +335,9 @@ def run_roc(config: SensingConfig, workers: int = 1):
             f"calibration_trials={config.calibration_trials} is too small for the "
             f"requested target_pf values; need at least {needed}"
         )
+    # refused before the first trial, not at the first H1 trial
+    _cycle_shift(config)
+    check_waveform(config.modulation, config.n_samples, config.sample_rate_hz)
 
     # a fork pool starts all its workers at the first task, and the output
     # does not depend on their number: more than the CPUs only costs processes
@@ -400,7 +400,7 @@ def profile_seed(master_seed: int, snr_db: float | None, slot: int) -> int:
 
     The SNR token is 0 when no SNR is given.
     """
-    _check_master_seed(master_seed)
+    check_seed(master_seed)
     token = 0 if snr_db is None else _snr_token(snr_db)
     return derive_seed(master_seed, PHASE_PROFILE, token, 0, slot)
 

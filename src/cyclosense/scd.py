@@ -162,10 +162,11 @@ def dft(signal: SampleBuffer) -> Spectrum:
 
 
 def make_window(kind: WindowKind, length: int) -> SmoothingWindow:
-    """Build a smoothing window normalized to unit mean.
+    """The smoothing window of kind and length, normalized to unit mean.
 
-    Hamming weights are mirrored about the center before normalization so
-    the symmetry invariant holds exactly in floating point.
+    Windows are immutable, so equal requests share one instance.  Hamming
+    weights are mirrored about the center before normalization so the
+    symmetry invariant holds exactly in floating point.
     """
     if not isinstance(length, (int, np.integer)) or length < 1:
         raise ConfigurationError("window length must be a positive integer")
@@ -173,16 +174,20 @@ def make_window(kind: WindowKind, length: int) -> SmoothingWindow:
         raise ConfigurationError(
             f"window length must be odd; use {length - 1} or {length + 1}"
         )
-    if kind is WindowKind.RECTANGULAR or length == 1:
-        weights = np.ones(length)
-    elif kind is WindowKind.HAMMING:
-        j = np.arange(length, dtype=np.float64)
-        weights = 0.54 - 0.46 * np.cos(2.0 * np.pi * j / (length - 1))
-        half = (length - 1) // 2
-        weights[half + 1:] = weights[half - 1::-1]
-        weights *= length / weights.sum()
-    else:
+    if not isinstance(kind, WindowKind):
         raise ConfigurationError(f"unknown window kind: {kind!r}")
+    return _window(kind, int(length))
+
+
+@lru_cache(maxsize=16)
+def _window(kind: WindowKind, length: int) -> SmoothingWindow:
+    if kind is WindowKind.RECTANGULAR or length == 1:
+        return SmoothingWindow(np.ones(length), kind)
+    j = np.arange(length, dtype=np.float64)
+    weights = 0.54 - 0.46 * np.cos(2.0 * np.pi * j / (length - 1))
+    half = (length - 1) // 2
+    weights[half + 1:] = weights[half - 1::-1]
+    weights *= length / weights.sum()
     return SmoothingWindow(weights, kind)
 
 

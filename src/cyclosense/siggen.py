@@ -56,13 +56,12 @@ class SampleBuffer:
 
     def __post_init__(self):
         arr = np.array(self.samples, dtype=np.float64)
-        if arr.ndim != 1 or arr.size == 0:
-            raise ConfigurationError("sample buffer must be a nonempty 1-D sequence")
+        if arr.ndim != 1:
+            raise ConfigurationError("sample buffer must be a 1-D sequence")
+        rate = float(self.sample_rate_hz)
+        check_length_and_rate(arr.size, rate)
         if not np.all(np.isfinite(arr)):
             raise ConfigurationError("sample buffer contains non-finite values")
-        rate = float(self.sample_rate_hz)
-        if not rate > 0.0 or not math.isfinite(rate):
-            raise ConfigurationError("sample_rate_hz must be positive and finite")
         arr.flags.writeable = False
         object.__setattr__(self, "samples", arr)
         object.__setattr__(self, "sample_rate_hz", rate)
@@ -120,7 +119,7 @@ class ChannelSpec:
 
     def __post_init__(self):
         check_snr_db(self.snr_db)
-        _check_seed(self.seed)
+        check_seed(self.seed)
 
 
 def check_snr_db(snr_db) -> None:
@@ -130,70 +129,76 @@ def check_snr_db(snr_db) -> None:
             f"snr_db must be +-inf or within +-{SNR_DB_LIMIT} dB, got {snr_db!r}")
 
 
-def _check_seed(seed) -> None:
+def check_seed(seed) -> None:
+    """The one seed rule, for trial and master seeds alike: a nonnegative integer."""
     if not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ConfigurationError("seed must be a nonnegative integer")
+        raise ConfigurationError(f"seed must be a nonnegative integer, got {seed!r}")
 
 
-def _check_generator_args(spec, expected_kind, n_samples, sample_rate_hz, seed) -> None:
-    if spec.kind is not expected_kind:
-        raise ConfigurationError(
-            f"modulation spec is {spec.kind.value}, expected {expected_kind.value}"
-        )
+def check_length_and_rate(n_samples, sample_rate_hz) -> None:
+    """The rule every buffer meets: a positive integer length, a positive finite rate."""
     if not isinstance(n_samples, (int, np.integer)) or n_samples < 1:
         raise ConfigurationError("n_samples must be a positive integer")
-    if not sample_rate_hz > 0.0:
-        raise ConfigurationError("sample_rate_hz must be positive")
+    if not (sample_rate_hz > 0.0 and math.isfinite(sample_rate_hz)):
+        raise ConfigurationError("sample_rate_hz must be positive and finite")
+
+
+def check_waveform(spec: ModulationSpec, n_samples, sample_rate_hz) -> None:
+    """Every rule a buffer generated from spec needs.  An AM message is
+    brick-wall filtered on the rfft grid, whose first bin is 1 / (n Ts)."""
+    check_length_and_rate(n_samples, sample_rate_hz)
     if not spec.carrier_hz < sample_rate_hz / 2.0:
+        raise ConfigurationError(f"carrier_hz={spec.carrier_hz} is at or above Nyquist "
+                                 f"({sample_rate_hz / 2.0} Hz)")
+    if spec.kind is ModulationKind.BPSK and not spec.symbol_rate_hz < sample_rate_hz:
+        raise ConfigurationError(f"symbol_rate_hz={spec.symbol_rate_hz} must be below "
+                                 f"sample_rate_hz={sample_rate_hz}")
+    if (spec.kind is ModulationKind.AM and spec.am_mod_index > 0.0
+            and not 1.0 / (n_samples * (1.0 / sample_rate_hz)) <= spec.bandwidth_hz):
         raise ConfigurationError(
-            f"carrier_hz={spec.carrier_hz} is at or above Nyquist "
-            f"({sample_rate_hz / 2.0} Hz)"
-        )
-    _check_seed(seed)
+            f"bandwidth_hz={spec.bandwidth_hz} is below the frequency resolution of "
+            f"{n_samples} samples at {sample_rate_hz} Hz; no message content survives")
 
 
-def _bandlimited_message(bandwidth_hz, n_samples, sample_rate_hz, seed):
-    """Zero-mean, unit-RMS Gaussian message, brick-wall lowpassed.
+def _modulated(spec, kind, envelope, n_samples, sample_rate_hz, seed) -> SampleBuffer:
+    """The one synthesis body: envelope(spec, k, rate, seed) times the cosine
+    carrier, rescaled to unit average power."""
+    if spec.kind is not kind:
+        raise ConfigurationError(f"modulation spec is {spec.kind.value}, expected {kind.value}")
+    check_waveform(spec, n_samples, sample_rate_hz)
+    check_seed(seed)
+    k = np.arange(n_samples)
+    x = (envelope(spec, k, sample_rate_hz, seed)
+         * np.cos(2.0 * np.pi * (spec.carrier_hz / sample_rate_hz) * k))
+    return SampleBuffer(x / math.sqrt(float(np.mean(np.square(x)))), sample_rate_hz)
 
-    White Gaussian noise is filtered in the frequency domain: bins above
-    bandwidth_hz and the DC bin are zeroed, which makes the mean exactly
-    zero and the spectral support exact.
-    """
-    rng = np.random.default_rng(seed)
-    raw = rng.normal(size=n_samples)
-    spectrum = np.fft.rfft(raw)
-    freqs = np.fft.rfftfreq(n_samples, 1.0 / sample_rate_hz)
-    spectrum[freqs > bandwidth_hz] = 0.0
+
+def _am_envelope(spec, k, sample_rate_hz, seed):
+    if spec.am_mod_index == 0.0:
+        return 1.0
+    spectrum = np.fft.rfft(np.random.default_rng(seed).normal(size=k.size))
+    spectrum[np.fft.rfftfreq(k.size, 1.0 / sample_rate_hz) > spec.bandwidth_hz] = 0.0
     spectrum[0] = 0.0
-    message = np.fft.irfft(spectrum, n_samples)
-    rms = math.sqrt(float(np.mean(np.square(message))))
-    if rms == 0.0:
-        raise ConfigurationError(
-            "bandwidth_hz is below the frequency resolution; "
-            "no message content survives the brick-wall filter"
-        )
-    return message / rms
+    message = np.fft.irfft(spectrum, k.size)
+    return 1.0 + spec.am_mod_index * (message / math.sqrt(float(np.mean(np.square(message)))))
+
+
+def _bpsk_envelope(spec, k, sample_rate_hz, seed):
+    symbol_index = (k * (spec.symbol_rate_hz / sample_rate_hz)).astype(np.int64)
+    symbols = np.random.default_rng(seed).integers(0, 2, int(symbol_index[-1]) + 1) * 2 - 1
+    return symbols[symbol_index]
 
 
 def generate_am(spec: ModulationSpec, n_samples: int, sample_rate_hz: float,
                 seed: int) -> SampleBuffer:
-    """Real passband AM: (1 + mu * m[k]) * cos(2 pi fc k Ts).
+    """Real passband AM: (1 + mu * m[k]) * cos(2 pi fc k Ts), at unit average power.
 
-    The message m is zero-mean unit-RMS Gaussian noise brick-wall filtered
-    to spec.bandwidth_hz (see _bandlimited_message).  With mod index 0 the
-    output degenerates to a pure carrier and no message is drawn.  The
-    buffer is rescaled to unit average power.
+    The message m is zero-mean, unit-RMS Gaussian noise, brick-wall filtered
+    in the frequency domain: bins above spec.bandwidth_hz and the DC bin are
+    zeroed, which makes the mean exactly zero and the spectral support exact.
+    With mod index 0 no message is drawn and the output is a pure carrier.
     """
-    _check_generator_args(spec, ModulationKind.AM, n_samples, sample_rate_hz, seed)
-    k = np.arange(n_samples)
-    carrier = np.cos(2.0 * np.pi * (spec.carrier_hz / sample_rate_hz) * k)
-    if spec.am_mod_index > 0.0:
-        message = _bandlimited_message(spec.bandwidth_hz, n_samples, sample_rate_hz, seed)
-        x = (1.0 + spec.am_mod_index * message) * carrier
-    else:
-        x = carrier
-    x = x / math.sqrt(float(np.mean(np.square(x))))
-    return SampleBuffer(x, sample_rate_hz)
+    return _modulated(spec, ModulationKind.AM, _am_envelope, n_samples, sample_rate_hz, seed)
 
 
 def generate_bpsk(spec: ModulationSpec, n_samples: int, sample_rate_hz: float,
@@ -205,19 +210,8 @@ def generate_bpsk(spec: ModulationSpec, n_samples: int, sample_rate_hz: float,
     in which case the output is a pure carrier up to sign.  Unit average
     power, deterministic given seed.
     """
-    _check_generator_args(spec, ModulationKind.BPSK, n_samples, sample_rate_hz, seed)
-    if not spec.symbol_rate_hz < sample_rate_hz:
-        raise ConfigurationError(
-            f"symbol_rate_hz={spec.symbol_rate_hz} must be below "
-            f"sample_rate_hz={sample_rate_hz}"
-        )
-    rng = np.random.default_rng(seed)
-    k = np.arange(n_samples)
-    symbol_index = (k * (spec.symbol_rate_hz / sample_rate_hz)).astype(np.int64)
-    symbols = rng.integers(0, 2, int(symbol_index[-1]) + 1) * 2 - 1
-    x = symbols[symbol_index] * np.cos(2.0 * np.pi * (spec.carrier_hz / sample_rate_hz) * k)
-    x = x / math.sqrt(float(np.mean(np.square(x))))
-    return SampleBuffer(x, sample_rate_hz)
+    return _modulated(spec, ModulationKind.BPSK, _bpsk_envelope, n_samples, sample_rate_hz,
+                      seed)
 
 
 def generate_signal(spec: ModulationSpec, n_samples: int, sample_rate_hz: float,
@@ -251,11 +245,10 @@ def noise_only(n_samples: int, variance: float, seed: int,
     sample_rate_hz defaults to 1.0 (dimensionless buffer); pass the real
     rate when the buffer feeds frequency-domain processing.
     """
-    if not isinstance(n_samples, (int, np.integer)) or n_samples < 1:
-        raise ConfigurationError("n_samples must be a positive integer")
+    check_length_and_rate(n_samples, sample_rate_hz)
     if not variance > 0.0:
         raise ConfigurationError("variance must be positive")
-    _check_seed(seed)
+    check_seed(seed)
     rng = np.random.default_rng(seed)
     return SampleBuffer(rng.normal(0.0, math.sqrt(variance), n_samples), sample_rate_hz)
 

@@ -293,6 +293,26 @@ class TestRocCommand:
         assert "share seeds" in capsys.readouterr().err
 
 
+class TestRocRefusedBeforeTrials:
+    """A request no trial could run is refused before the first one, at the
+    default trial counts, so no noise or signal buffer is ever drawn."""
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--modulation", "bpsk", "--symbol-rate-hz", "4e6"], "symbol_rate_hz"),
+        (["--bandwidth-hz", "100"], "bandwidth_hz"),
+        (["--fs-hz", "inf"], "sample_rate_hz"),
+    ])
+    def test_exits_2_without_a_trial(self, flags, message, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("roc ran a trial")
+        monkeypatch.setattr(harness, "noise_only", refuse)
+        monkeypatch.setattr(harness, "generate_signal", refuse)
+        assert main(["roc", *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert message in err
+
+
 # Exact outputs of the small configurations, recorded at the commit before
 # roc, calibrate and detect were moved onto one trial engine.  "{signal}"
 # is a 64-sample tone-plus-noise file at 64 Hz and "{golden}" this

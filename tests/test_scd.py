@@ -118,6 +118,20 @@ class TestMakeWindow:
             with pytest.raises(ConfigurationError):
                 make_window(WindowKind.HAMMING, bad)
 
+    def test_equal_requests_share_one_read_only_window(self):
+        w = make_window(WindowKind.HAMMING, 31)
+        assert make_window(WindowKind.HAMMING, np.int64(31)) is w
+        assert not w.weights.flags.writeable
+        with pytest.raises(ValueError):
+            w.weights[0] = 2.0
+        assert make_window(WindowKind.RECTANGULAR, 31) is not w
+
+    @pytest.mark.parametrize("kind, length", [
+        (WindowKind.HAMMING, [5]), ("hamming", 5), (None, 1)])
+    def test_bad_request_refused_before_the_cache(self, kind, length):
+        with pytest.raises(ConfigurationError):
+            make_window(kind, length)
+
 
 class TestSmoothingWindowType:
     def test_asymmetric_rejected(self):

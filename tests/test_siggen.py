@@ -4,11 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cyclosense import (ChannelSpec, ConfigurationError, ModulationKind,
-                        ModulationSpec, SampleBuffer, add_awgn, generate_am,
-                        generate_bpsk, generate_signal, noise_only,
+                        ModulationSpec, SampleBuffer, SensingConfig, add_awgn,
+                        generate_am, generate_bpsk, generate_signal, noise_only,
                         read_signal_file, write_signal_file)
+from cyclosense.siggen import check_waveform
 
 
 def am_spec(**kwargs):
@@ -123,6 +126,57 @@ class TestGenerateAm:
         # brick wall at 10 Hz on a 732 Hz grid leaves no message bins
         with pytest.raises(ConfigurationError):
             generate_am(am_spec(bandwidth_hz=10.0), 4096, 3e6, seed=0)
+
+
+class TestWaveformCheck:
+    @settings(max_examples=300)
+    @given(n=st.integers(1, 5000), rate=st.floats(1.0, 1e9),
+           bins=st.just(1.0) | st.sampled_from([0.5, 2.0]) | st.floats(1e-3, 3.0),
+           nudge=st.integers(-2, 2))
+    def test_am_band_refused_exactly_when_the_filter_keeps_no_bin(
+            self, n, rate, bins, nudge):
+        # bandwidths near rate / n, which differs from the rfft grid's first
+        # bin in its last bits for about a third of (n, rate), a few ulps
+        # either side
+        bandwidth = float(rate / n * bins)
+        for _ in range(abs(nudge)):
+            bandwidth = float(np.nextafter(bandwidth, math.copysign(math.inf, nudge)))
+        carrier = (bandwidth + rate / 2.0) / 2.0
+        assume(bandwidth < carrier < rate / 2.0)
+        spec = am_spec(carrier_hz=carrier, bandwidth_hz=bandwidth)
+        kept = np.fft.rfftfreq(n, 1.0 / rate)[1:] <= bandwidth
+        if kept.any():
+            check_waveform(spec, n, rate)
+            assert abs(generate_am(spec, n, rate, seed=n).average_power - 1.0) < 1e-12
+        else:
+            with pytest.raises(ConfigurationError, match="bandwidth_hz"):
+                check_waveform(spec, n, rate)
+
+    def test_pure_carrier_is_not_held_to_the_message_band(self):
+        spec = am_spec(bandwidth_hz=10.0, am_mod_index=0.0)
+        check_waveform(spec, 4096, 3e6)
+        assert abs(generate_am(spec, 4096, 3e6, seed=0).average_power - 1.0) < 1e-12
+
+
+class TestLengthAndRate:
+    """SampleBuffer, noise_only, the generators and SensingConfig share one rule."""
+
+    @pytest.mark.parametrize("rate", [0.0, -1.0, math.inf, math.nan])
+    def test_bad_rate_refused_everywhere(self, rate):
+        for build in (lambda: SampleBuffer(np.ones(4), rate),
+                      lambda: noise_only(16, 1.0, seed=0, sample_rate_hz=rate),
+                      lambda: generate_am(am_spec(), 16, rate, seed=0),
+                      lambda: SensingConfig(sample_rate_hz=rate)):
+            with pytest.raises(ConfigurationError, match="sample_rate_hz"):
+                build()
+
+    @pytest.mark.parametrize("n", [0, -1, 2.0])
+    def test_bad_length_refused_everywhere(self, n):
+        for build in (lambda: noise_only(n, 1.0, seed=0),
+                      lambda: generate_bpsk(bpsk_spec(), n, 3e6, seed=0),
+                      lambda: SensingConfig(n_samples=n)):
+            with pytest.raises(ConfigurationError, match="n_samples"):
+                build()
 
 
 class TestModulationSpec:
