@@ -24,7 +24,7 @@ from .errors import CalibrationError, ConfigurationError
 from .harness import (SensingConfig, calibrate_at_noise, complexity_model, measure,
                       output_stream, profile_seed, read_threshold_file, run_roc,
                       write_roc_csv, write_threshold_file)
-from .scd import WindowKind, cycle_profile, make_window, write_profile_csv
+from .scd import WindowKind, cycle_profile, make_window, max_cycle_shift, write_profile_csv
 from .siggen import (ChannelSpec, ModulationKind, ModulationSpec, add_awgn,
                      generate_signal, read_signal_file)
 
@@ -57,10 +57,12 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
                         default="hamming", help="smoothing window kind")
     parser.add_argument("--snr-db", type=float, action="append", default=None,
                         help="SNR in dB over the full sampling band; repeatable "
-                             "for roc (default: -22)")
+                             "for roc (default: -22 for roc; profile adds no "
+                             "noise; calibrate and detect ignore it)")
     parser.add_argument("--target-pf", type=float, action="append", default=None,
                         help="target false-alarm probability; repeatable for roc "
-                             "(default: 0.01 and 0.1)")
+                             "(default: 0.01 and 0.1 for roc, 0.1 for calibrate "
+                             "and detect; profile ignores it)")
     parser.add_argument("--trials", type=int, default=2000,
                         help="measurement trials per hypothesis (default: 2000)")
     parser.add_argument("--calibration-trials", type=int, default=2000,
@@ -148,7 +150,7 @@ def _cmd_profile(args) -> int:
     window = make_window(WindowKind(args.window), args.smoothing_len)
     fres = buffer.sample_rate_hz / n
     step = 2.0 * fres
-    max_shift = (n - 1) // 2
+    max_shift = max_cycle_shift(n)
     if args.alpha_max_hz is not None:
         max_shift = min(max_shift, int(args.alpha_max_hz // step))
     stride = 1

@@ -45,7 +45,6 @@ class SensingMetric:
 
     value: float
     detector: DetectorKind
-    alpha_effective_hz: float | None = None
 
     def __post_init__(self):
         if not (math.isfinite(self.value) and self.value >= 0.0):
@@ -73,7 +72,7 @@ class Threshold:
 def cycle_metric(slice_: ScdSlice) -> SensingMetric:
     """Max magnitude of the slice over frequency."""
     value = float(np.abs(slice_.values).max())
-    return SensingMetric(value, DetectorKind.CYCLE_FEATURE, slice_.alpha_effective_hz)
+    return SensingMetric(value, DetectorKind.CYCLE_FEATURE)
 
 
 def energy_metric(signal: SampleBuffer) -> SensingMetric:

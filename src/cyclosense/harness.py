@@ -23,7 +23,8 @@ import numpy as np
 from .detect import DetectorKind, SensingMetric, Threshold, calibrate_threshold, \
     energy_metric, required_calibration_trials
 from .errors import CalibrationError, ConfigurationError
-from .scd import BLOCK_ROWS, SliceWork, WindowKind, make_window, smoothed_slices
+from .scd import BLOCK_ROWS, SliceWork, WindowKind, cycle_shift, make_window, \
+    smoothed_slices
 from .siggen import ChannelSpec, ModulationKind, ModulationSpec, SampleBuffer, \
     add_awgn, check_length_and_rate, check_seed, check_snr_db, check_waveform, \
     generate_signal, noise_only
@@ -217,29 +218,14 @@ def _noise_variance(snr_db: float) -> float:
     return 10.0 ** (-snr_db / 10.0)
 
 
-def _cycle_shift(config: SensingConfig) -> int:
-    """The bin shift of the monitored cycle frequency.
-
-    Refuses a shift beyond (N-1)/2: no two in-band bins are that far apart,
-    so the slice would be all zeros and every metric and threshold 0.
-    """
-    n = config.n_samples
-    shift = config.alpha0_hz / (2.0 * (config.sample_rate_hz / n))
-    if not (math.isfinite(shift) and abs(round(shift)) <= (n - 1) // 2):
-        raise ConfigurationError(
-            f"cycle frequency {config.alpha0_hz!r} Hz (twice the carrier) is a shift "
-            f"of {shift:.6g} bins; {n} samples at {config.sample_rate_hz!r} Hz pair "
-            f"no in-band bins more than {(n - 1) // 2} apart"
-        )
-    return int(round(shift))
-
-
 def _cycle_window(config: SensingConfig, detectors):
     """The cycle detector's smoothing window and bin shift, or None when it
     is not scored."""
     if DetectorKind.CYCLE_FEATURE not in detectors:
         return None
-    return make_window(config.window_kind, config.smoothing_len), _cycle_shift(config)
+    n = config.n_samples
+    return (make_window(config.window_kind, config.smoothing_len),
+            cycle_shift(config.alpha0_hz, n, config.sample_rate_hz / n))
 
 
 def _trial_buffer(config: SensingConfig, phase: int, snr_db: float | None, token: int,
@@ -336,7 +322,7 @@ def run_roc(config: SensingConfig, workers: int = 1):
             f"requested target_pf values; need at least {needed}"
         )
     # refused before the first trial, not at the first H1 trial
-    _cycle_shift(config)
+    _cycle_window(config, DETECTORS)
     check_waveform(config.modulation, config.n_samples, config.sample_rate_hz)
 
     # a fork pool starts all its workers at the first task, and the output

@@ -12,12 +12,12 @@ bins -N/2 .. N/2-1 and smoothing terms whose shifted index falls outside
 contribute zero.  Wrapping mod N instead would alias every genuine
 feature at alpha into a second, equal-magnitude feature at
 alpha -/+ sample_rate (the wrapped pairing picks up the negative-frequency
-image), leaving profile maxima ambiguous; bounded indexing keeps the
-cycle-frequency axis unambiguous on (-fs, fs).  The cost is that slice
-values within L/2 bins of the band edges are averaged over fewer terms.
+image), leaving profile maxima ambiguous.  The cost is that slice values
+within L/2 bins of the band edges are averaged over fewer terms.
 
-Cycle frequencies are quantized to the representable grid: the bin shift
-a = round(alpha / (2 Fs)) (ties to even), and the quantized value
+cycle_shift alone maps a cycle frequency onto the grid: the bin shift
+a = round(alpha / (2 Fs)) (ties to even), refused when |a| > (N-1)/2,
+since no two in-band bins are further apart.  The quantized value
 2 * a * Fs is reported as alpha_effective_hz.
 """
 
@@ -45,6 +45,8 @@ __all__ = [
     "SliceWork",
     "dft",
     "make_window",
+    "max_cycle_shift",
+    "cycle_shift",
     "smoothed_slices",
     "scd_slice",
     "cycle_profile",
@@ -235,6 +237,22 @@ class SliceWork:
             return np.abs(values, out=self.magnitudes[:values.shape[0]]).max(axis=1)
 
 
+def max_cycle_shift(n: int) -> int:
+    """The largest |bin shift| that pairs two in-band bins of an n-bin grid."""
+    return (n - 1) // 2
+
+
+def cycle_shift(alpha_hz: float, n: int, freq_resolution_hz: float) -> int:
+    """The bin shift round(alpha_hz / (2 Fs)), ties to even, on an n-bin grid;
+    refused beyond max_cycle_shift(n), where no two in-band bins pair up."""
+    shift = float(alpha_hz) / (2.0 * freq_resolution_hz)
+    if not (math.isfinite(shift) and abs(round(shift)) <= max_cycle_shift(n)):
+        raise ConfigurationError(
+            f"cycle frequency {float(alpha_hz)!r} Hz is a shift of {shift:.6g} bins; "
+            f"no two of {n} in-band bins are more than {max_cycle_shift(n)} apart")
+    return int(round(shift))
+
+
 def smoothed_slices(spectra: np.ndarray, shifts, work: SliceWork) -> np.ndarray:
     """Core kernel: scale * (1/L) sum_v X<i+a+v> conj(X<i-a+v>) W(v), a block at a time.
 
@@ -245,7 +263,8 @@ def smoothed_slices(spectra: np.ndarray, shifts, work: SliceWork) -> np.ndarray:
     batched FFT pair (valid because the window is symmetric).  Returns a
     (len(shifts), n) view of work's buffers in signed-bin order, valid
     until work is used again.  Overflow yields inf or nan, not a warning;
-    callers check finiteness where they need it.
+    callers check finiteness where they need it.  Requires every
+    |a| <= (n-1)/2, which cycle_shift guarantees.
     """
     rows = len(shifts)
     n = work.n
@@ -255,9 +274,6 @@ def smoothed_slices(spectra: np.ndarray, shifts, work: SliceWork) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         for row, bins, shift in zip(block, np.broadcast_to(spectra, (rows, n)), shifts):
             a = abs(shift)
-            if 2 * a >= n:
-                row.fill(0.0)
-                continue
             centered[low:] = bins[:n - low]
             centered[:low] = bins[n - low:]
             row[:a] = 0.0
@@ -286,14 +302,14 @@ def scd_slice(spectrum: Spectrum, alpha_hz: float, window: SmoothingWindow,
 
     values[l] = scale * (1/L) * sum_v X<s(l)+a+v> * conj(X<s(l)-a+v>) * W(v)
 
-    where a = round(alpha_hz / (2 Fs)), s(l) is the signed interpretation
-    of bin l, X<i> is the spectrum on signed bins (zero outside the band),
-    and scale = 1 / ((N-1) * Ts).  The quantized cycle frequency 2*a*Fs is
-    reported as alpha_effective_hz.
+    where a = cycle_shift(alpha_hz, N, Fs), s(l) is the signed
+    interpretation of bin l, X<i> is the spectrum on signed bins (zero
+    outside the band), and scale = 1 / ((N-1) * Ts).  The quantized cycle
+    frequency 2*a*Fs is reported as alpha_effective_hz.
     """
     work = SliceWork(1, spectrum.n, window, sample_period_s)
     fres = spectrum.freq_resolution_hz
-    shift = int(round(alpha_hz / (2.0 * fres)))
+    shift = cycle_shift(alpha_hz, spectrum.n, fres)
     values = smoothed_slices(spectrum.bins, [shift], work)[0]
     return ScdSlice(
         values=np.fft.ifftshift(values),
@@ -305,18 +321,12 @@ def scd_slice(spectrum: Spectrum, alpha_hz: float, window: SmoothingWindow,
 
 def cycle_profile(signal: SampleBuffer, alphas_hz, window: SmoothingWindow) -> CycleProfile:
     """Max slice magnitude over frequency for each requested cycle frequency."""
-    rate = signal.sample_rate_hz
     alphas = np.asarray(alphas_hz, dtype=np.float64)
     if alphas.ndim != 1 or alphas.size == 0:
         raise ConfigurationError("alphas_hz must be a nonempty 1-D sequence")
-    if np.any(np.abs(alphas) >= rate):
-        raise ConfigurationError(
-            f"cycle frequencies must lie within (-{rate}, {rate}) Hz"
-        )
     spectrum = dft(signal)
-    work = SliceWork(BLOCK_ROWS, spectrum.n, window, 1.0 / rate)
-    shifts = [int(round(float(alpha) / (2.0 * spectrum.freq_resolution_hz)))
-              for alpha in alphas]
+    work = SliceWork(BLOCK_ROWS, spectrum.n, window, 1.0 / signal.sample_rate_hz)
+    shifts = [cycle_shift(alpha, spectrum.n, spectrum.freq_resolution_hz) for alpha in alphas]
     magnitudes = np.empty(alphas.size)
     for first in range(0, alphas.size, BLOCK_ROWS):
         block = shifts[first:first + BLOCK_ROWS]

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from cyclosense import (CalibrationError, ConfigurationError, Decision,
                         DetectorKind, SampleBuffer, SensingMetric, Threshold,
                         WindowKind, calibrate_threshold, cycle_metric, decide,
-                        dft, energy_metric, make_window,
+                        dft, energy_metric, make_window, noise_only,
                         required_calibration_trials, scd_slice)
 
 
@@ -31,7 +31,6 @@ class TestCycleMetric:
         metric = cycle_metric(piece)
         assert metric.value == float(np.abs(piece.values).max())
         assert metric.detector is DetectorKind.CYCLE_FEATURE
-        assert metric.alpha_effective_hz == piece.alpha_effective_hz
 
     def test_amplitude_scaling_is_exactly_quadratic(self):
         one = cycle_metric(tone_slice(amplitude=1.0))
@@ -55,7 +54,6 @@ class TestEnergyMetric:
         exact = sum(Fraction(float(v)) ** 2 for v in buf.samples)
         assert metric.value == float(exact)
         assert metric.detector is DetectorKind.ENERGY
-        assert metric.alpha_effective_hz is None
 
     def test_order_independent(self):
         rng = np.random.default_rng(4)
@@ -219,3 +217,17 @@ class TestEndToEnd:
         threshold = calibrate_threshold(noise_metrics, 0.1)
         loud = cycle_metric(tone_slice(n=n, cycles=8, amplitude=10.0, seed=1))
         assert decide(loud, threshold) is Decision.H1_ACTIVE
+
+    def test_out_of_band_cycle_frequency_refused_before_calibration(self):
+        # alpha = 30 Hz at n = fs = 16 is a shift of 15 bins, past (16 - 1) // 2:
+        # every slice there would be zero, and so would the calibrated
+        # threshold that near-silent noise then meets
+        n = 16
+        window = make_window(WindowKind.HAMMING, 5)
+        metrics = []
+        with pytest.raises(ConfigurationError, match="cycle frequency"):
+            for seed in range(100):
+                noise = noise_only(n, 1.0, seed=seed, sample_rate_hz=float(n))
+                metrics.append(cycle_metric(scd_slice(dft(noise), 30.0, window, 1.0 / n)).value)
+            calibrate_threshold(metrics, 0.1)
+        assert metrics == []

@@ -183,6 +183,47 @@ class TestSliceAgainstReference:
             assert fast.alpha_requested_hz == alpha
 
 
+@st.composite
+def grid_cases(draw):
+    """Shifts up to +-n on an n-bin grid, on bins and on half-bin ties."""
+    n = draw(st.integers(min_value=2, max_value=40))
+    length = draw(st.sampled_from([1, 3]).filter(lambda length: length < n))
+    half_shifts = draw(st.integers(min_value=-2 * n, max_value=2 * n))
+    rate = draw(st.sampled_from([float(n), 3e6]))
+    seed = draw(st.integers(min_value=0, max_value=2**31 - 1))
+    kind = draw(st.sampled_from(list(WindowKind)))
+    return n, length, half_shifts * (rate / n), rate, seed, kind
+
+
+class TestCycleShiftRule:
+    @settings(max_examples=300, deadline=None)
+    @given(grid_cases())
+    def test_refused_exactly_where_the_oracle_is_zero(self, case):
+        n, length, alpha, rate, seed, kind = case
+        buf = white_buffer(n, seed=seed, rate=rate)
+        window = make_window(kind, length)
+        slow = scd_slice_naive(buf, alpha, window)
+        if np.all(slow.values == 0.0):
+            with pytest.raises(ConfigurationError, match="cycle frequency"):
+                scd_slice(dft(buf), alpha, window, 1.0 / rate)
+            with pytest.raises(ConfigurationError, match="cycle frequency"):
+                cycle_profile(buf, [alpha], window)
+        else:
+            fast = scd_slice(dft(buf), alpha, window, 1.0 / rate)
+            assert rel_err(fast.values, slow.values) < 1e-9
+            assert fast.alpha_effective_hz == slow.alpha_effective_hz
+            cycle_profile(buf, [alpha], window)
+
+    @pytest.mark.parametrize("alpha", [math.inf, -math.inf, math.nan])
+    def test_non_finite_shift_refused(self, alpha):
+        buf = white_buffer(16, seed=0, rate=16.0)
+        window = make_window(WindowKind.RECTANGULAR, 3)
+        with pytest.raises(ConfigurationError, match="cycle frequency"):
+            scd_slice(dft(buf), alpha, window, 1.0 / 16.0)
+        with pytest.raises(ConfigurationError, match="cycle frequency"):
+            cycle_profile(buf, [alpha], window)
+
+
 class TestBlockKernel:
     @pytest.mark.parametrize("n", [64, 65])
     def test_mixed_shift_block_matches_reference(self, n):
@@ -259,11 +300,13 @@ class TestSliceValues:
 
     def test_shift_beyond_band_overlap_gives_zeros(self):
         # bins +-shift only overlap the band for |shift| <= (n-1)/2;
-        # beyond that every product term is out of band
+        # beyond that every product term is out of band: the oracle still
+        # returns zeros there, and the fast path refuses the shift
         buf = white_buffer(16, seed=4, rate=16.0)
         window = make_window(WindowKind.RECTANGULAR, 3)
-        piece = scd_slice(dft(buf), 30.0, window, 1.0 / 16.0)
-        assert np.all(piece.values == 0.0)
+        assert np.all(scd_slice_naive(buf, 30.0, window).values == 0.0)
+        with pytest.raises(ConfigurationError, match="cycle frequency"):
+            scd_slice(dft(buf), 30.0, window, 1.0 / 16.0)
 
     def test_window_kind_changes_values(self):
         buf = white_buffer(64, seed=2, rate=64.0)
@@ -324,11 +367,13 @@ class TestCycleProfile:
         assert profile.magnitudes[3] == pytest.approx(profile.magnitudes[0], rel=1e-12)
 
     def test_alpha_must_stay_inside_twice_nyquist(self):
+        # at n = fs = 32, 31.9 Hz is a shift of 16 = n/2 bins, one past (n-1)//2
         buf = white_buffer(32, seed=0, rate=32.0)
         window = make_window(WindowKind.RECTANGULAR, 3)
-        with pytest.raises(ConfigurationError):
-            cycle_profile(buf, [32.0], window)
-        cycle_profile(buf, [31.9], window)
+        for alpha in (32.0, 31.9, -31.9):
+            with pytest.raises(ConfigurationError, match="cycle frequency"):
+                cycle_profile(buf, [0.0, alpha], window)
+        cycle_profile(buf, [29.9, -29.9], window)
 
     def test_empty_grid_rejected(self):
         buf = white_buffer(32, seed=0, rate=32.0)
