@@ -28,49 +28,62 @@ from .scd import WindowKind, cycle_profile, make_window, max_cycle_shift, write_
 from .siggen import (ChannelSpec, ModulationKind, ModulationSpec, add_awgn,
                      generate_signal, read_signal_file)
 
-_DEFAULT_SNR_DB = (-22.0,)
-_DEFAULT_TARGET_PF = (0.01, 0.1)
+# read by roc, profile, calibrate and detect alike
+_SHARED_FLAGS = ("--modulation", "--fc-hz", "--fs-hz", "--bandwidth-hz", "--am-mod-index",
+                 "--symbol-rate-hz", "--n", "--smoothing-len", "--window", "--seed")
 
 
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--modulation", choices=["am", "bpsk"], default="am",
-                        help="primary-user modulation (default: am)")
-    parser.add_argument("--fc-hz", type=float, default=1e6,
-                        help="carrier frequency; the cycle detector monitors "
-                             "alpha = 2*fc (default: 1e6)")
-    parser.add_argument("--fs-hz", type=float, default=3e6,
-                        help="sampling rate (default: 3e6)")
-    parser.add_argument("--bandwidth-hz", type=float, default=10e3,
-                        help="one-sided AM message bandwidth (default: 1e4)")
-    parser.add_argument("--am-mod-index", type=float, default=0.5,
-                        help="AM modulation index in [0, 1]; the message is "
-                             "brick-wall lowpassed unit-RMS Gaussian noise "
-                             "(default: 0.5)")
-    parser.add_argument("--symbol-rate-hz", type=float, default=10e3,
-                        help="BPSK symbol rate (default: 1e4)")
-    parser.add_argument("--n", type=int, default=4096,
-                        help="samples per sensing buffer (default: 4096)")
-    parser.add_argument("--smoothing-len", type=int, default=1301,
-                        help="frequency-smoothing window length, odd "
-                             "(default: 1301)")
-    parser.add_argument("--window", choices=["hamming", "rectangular"],
-                        default="hamming", help="smoothing window kind")
-    parser.add_argument("--snr-db", type=float, action="append", default=None,
-                        help="SNR in dB over the full sampling band; repeatable "
-                             "for roc (default: -22 for roc; profile adds no "
-                             "noise; calibrate and detect ignore it)")
-    parser.add_argument("--target-pf", type=float, action="append", default=None,
-                        help="target false-alarm probability; repeatable for roc "
-                             "(default: 0.01 and 0.1 for roc, 0.1 for calibrate "
-                             "and detect; profile ignores it)")
-    parser.add_argument("--trials", type=int, default=2000,
-                        help="measurement trials per hypothesis (default: 2000)")
-    parser.add_argument("--calibration-trials", type=int, default=2000,
-                        help="noise-only trials used to set thresholds "
-                             "(default: 2000)")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="master seed; every trial seed derives from it "
-                             "(default: 0)")
+def _add_flags(parser: argparse.ArgumentParser, *names) -> None:
+    """Register the named flags.  Each subcommand names only the flags that
+    one of its modes reads, so a flag it would ignore exits 2 as unknown."""
+    def add(name, **kwargs):
+        if name in names:
+            parser.add_argument(name, **kwargs)
+
+    add("--modulation", choices=["am", "bpsk"], default="am",
+        help="primary-user modulation (default: am)")
+    add("--fc-hz", type=float, default=1e6,
+        help="carrier frequency; the cycle detector monitors alpha = 2*fc (default: 1e6)")
+    add("--fs-hz", type=float, default=3e6,
+        help="sampling rate (default: 3e6; detect: the file's, and another value exits 2)")
+    add("--bandwidth-hz", type=float, default=10e3,
+        help="one-sided AM message bandwidth (default: 1e4)")
+    add("--am-mod-index", type=float, default=0.5, help="AM modulation index in [0, 1]; "
+        "the message is brick-wall lowpassed unit-RMS Gaussian noise (default: 0.5)")
+    add("--symbol-rate-hz", type=float, default=1e4, help="BPSK symbol rate (default: 1e4)")
+    add("--n", type=int, default=4096, help="samples per sensing buffer (default: 4096; "
+        "detect: the file's, and another value exits 2)")
+    add("--smoothing-len", type=int, default=1301,
+        help="frequency-smoothing window length, odd (default: 1301)")
+    add("--window", choices=["hamming", "rectangular"], default="hamming",
+        help="smoothing window kind")
+    add("--snr-db", type=float, action="append", default=None,
+        help="SNR in dB over the full sampling band; repeatable for roc "
+             "(default: -22 for roc; profile adds no noise)")
+    add("--target-pf", type=float, action="append", default=None,
+        help="target false-alarm probability; repeatable for roc "
+             "(default: 0.01 and 0.1 for roc, 0.1 for calibrate and detect)")
+    add("--trials", type=int, default=2000,
+        help="measurement trials per hypothesis (default: 2000)")
+    add("--h1-trials", type=int, default=None,
+        help="signal-present trials (default: same as --trials)")
+    add("--calibration-trials", type=int, default=2000,
+        help="noise-only trials used to set thresholds (default: 2000)")
+    add("--seed", type=int, default=0,
+        help="master seed; every trial seed derives from it (default: 0)")
+    add("--workers", type=int, default=1, help="worker processes, at most the CPU count; "
+        "results are byte-identical for any value (default: 1)")
+    add("--alpha-max-hz", type=float, default=None,
+        help="largest |alpha| in the grid (default: just under the sampling rate)")
+    add("--alpha-step-hz", type=float, default=None, help="grid step, rounded to a "
+        "multiple of the representable 2*Fs step (default: 2*Fs)")
+    add("--detector", choices=[d.value for d in DetectorKind],
+        default=DetectorKind.CYCLE_FEATURE.value)
+    add("--threshold-file", default=None,
+        help="stored threshold; otherwise calibrate now from --noise-variance")
+    add("--noise-variance", type=float, default=None,
+        help="noise variance of the H0 calibration buffers")
+    add("--out", default=None, help="output path (default: stdout)")
 
 
 def _modulation_from_args(args) -> ModulationSpec:
@@ -90,13 +103,13 @@ def config_from_args(args) -> SensingConfig:
         n_samples=args.n,
         smoothing_len=args.smoothing_len,
         sample_rate_hz=args.fs_hz,
-        snr_db_list=tuple(args.snr_db) if args.snr_db else _DEFAULT_SNR_DB,
-        target_pf_list=tuple(args.target_pf) if args.target_pf else _DEFAULT_TARGET_PF,
+        snr_db_list=tuple(args.snr_db or SensingConfig.snr_db_list),
+        target_pf_list=tuple(args.target_pf or SensingConfig.target_pf_list),
         trials=args.trials,
         calibration_trials=args.calibration_trials,
         master_seed=args.seed,
         window_kind=WindowKind(args.window),
-        h1_trials=getattr(args, "h1_trials", None),
+        h1_trials=args.h1_trials,
     )
 
 
@@ -174,12 +187,15 @@ def _cmd_calibrate(args) -> int:
 def _cmd_detect(args) -> int:
     buffer = read_signal_file(args.input)
     detector = DetectorKind(args.detector)
-    config = _oneshot_config(args, detector, len(buffer), buffer.sample_rate_hz)
+    config = _oneshot_config(args, detector,
+                             len(buffer) if args.n is None else args.n,
+                             buffer.sample_rate_hz if args.fs_hz is None else args.fs_hz)
+    # scored first: measure refuses a --n or --fs-hz unlike the file's before any trial
+    metric = measure(config, detector, buffer)
     if args.threshold_file is not None:
         threshold = read_threshold_file(args.threshold_file)
     else:
         threshold = _calibrate(args, config, detector)
-    metric = measure(config, detector, buffer)
     decision = decide(metric, threshold)
     print(f"decision={decision.value} detector={detector.value} "
           f"metric={metric.value!r} threshold={threshold.value!r}")
@@ -212,49 +228,27 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     roc = sub.add_parser("roc", help="Monte Carlo ROC sweep -> CSV")
-    _add_common_flags(roc)
-    roc.add_argument("--h1-trials", type=int, default=None,
-                     help="signal-present trials (default: same as --trials)")
-    roc.add_argument("--workers", type=int, default=1,
-                     help="worker processes, at most the CPU count; results are "
-                          "byte-identical for any value (default: 1)")
-    roc.add_argument("--out", default=None, help="CSV path (default: stdout)")
+    _add_flags(roc, *_SHARED_FLAGS, "--snr-db", "--target-pf", "--trials", "--h1-trials",
+               "--calibration-trials", "--workers", "--out")
     roc.set_defaults(func=_cmd_roc)
 
     profile = sub.add_parser("profile", help="cycle-frequency profile -> CSV")
-    _add_common_flags(profile)
+    _add_flags(profile, *_SHARED_FLAGS, "--snr-db", "--alpha-max-hz", "--alpha-step-hz",
+               "--out")
     profile.add_argument("--input", default=None,
                          help="signal file to analyze instead of generating")
-    profile.add_argument("--alpha-max-hz", type=float, default=None,
-                         help="largest |alpha| in the grid (default: just "
-                              "under the sampling rate)")
-    profile.add_argument("--alpha-step-hz", type=float, default=None,
-                         help="grid step, rounded to a multiple of the "
-                              "representable 2*Fs step (default: 2*Fs)")
-    profile.add_argument("--out", default=None, help="CSV path (default: stdout)")
     profile.set_defaults(func=_cmd_profile)
 
     detect = sub.add_parser("detect", help="one-shot decision on a signal file")
-    _add_common_flags(detect)
+    _add_flags(detect, *_SHARED_FLAGS, "--target-pf", "--calibration-trials",
+               "--detector", "--threshold-file", "--noise-variance")
     detect.add_argument("--input", required=True, help="signal file to sense")
-    detect.add_argument("--detector", choices=[d.value for d in DetectorKind],
-                        default=DetectorKind.CYCLE_FEATURE.value)
-    detect.add_argument("--threshold-file", default=None,
-                        help="stored threshold; otherwise calibrate now from "
-                             "--noise-variance")
-    detect.add_argument("--noise-variance", type=float, default=None,
-                        help="noise variance for on-the-spot calibration")
-    detect.set_defaults(func=_cmd_detect)
+    detect.set_defaults(func=_cmd_detect, n=None, fs_hz=None)
 
     calibrate = sub.add_parser("calibrate",
                                help="calibrate a threshold -> threshold file")
-    _add_common_flags(calibrate)
-    calibrate.add_argument("--detector", choices=[d.value for d in DetectorKind],
-                           default=DetectorKind.CYCLE_FEATURE.value)
-    calibrate.add_argument("--noise-variance", type=float, default=None,
-                           help="noise variance of the H0 calibration buffers")
-    calibrate.add_argument("--out", default=None,
-                           help="threshold file path (default: stdout)")
+    _add_flags(calibrate, *_SHARED_FLAGS, "--target-pf", "--calibration-trials",
+               "--detector", "--noise-variance", "--out")
     calibrate.set_defaults(func=_cmd_calibrate)
 
     complexity = sub.add_parser(

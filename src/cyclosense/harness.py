@@ -377,7 +377,9 @@ def measure(config: SensingConfig, detector: DetectorKind,
             buffer: SampleBuffer) -> SensingMetric:
     """One detector's metric on a buffer of config's length and rate."""
     if len(buffer) != config.n_samples or buffer.sample_rate_hz != config.sample_rate_hz:
-        raise ConfigurationError("buffer length and rate must match the config")
+        raise ConfigurationError(
+            f"buffer of {len(buffer)} samples at {buffer.sample_rate_hz!r} Hz does not "
+            f"match the config's {config.n_samples} samples at {config.sample_rate_hz!r} Hz")
     return SensingMetric(float(_score(config, (detector,), 1, [buffer])[0, 0]), detector)
 
 

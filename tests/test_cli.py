@@ -5,6 +5,7 @@ codes (0 success, 2 configuration error, 3 I/O error), stdout text, and
 emitted files.  Small buffer sizes keep each invocation fast.
 """
 
+import argparse
 import contextlib
 import io
 import os
@@ -75,6 +76,56 @@ class TestArgumentMapping:
 
     def test_missing_subcommand_exits_2(self, capsys):
         assert main([]) == 2
+
+
+def subcommand_options():
+    """Each subcommand's long option strings, from build_parser()."""
+    parser = build_parser()
+    subparsers = next(action for action in parser._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    return {name: {option for action in sub._actions for option in action.option_strings
+                   if option != "--help" and option.startswith("--")}
+            for name, sub in subparsers.choices.items()}
+
+
+SHARED = {"--modulation", "--fc-hz", "--fs-hz", "--bandwidth-hz", "--am-mod-index",
+          "--symbol-rate-hz", "--n", "--smoothing-len", "--window", "--seed"}
+
+
+class TestFlagsPerSubcommand:
+    """Each subcommand takes only the flags that one of its modes reads."""
+
+    def test_option_strings(self):
+        assert subcommand_options() == {
+            "roc": SHARED | {"--snr-db", "--target-pf", "--trials", "--h1-trials",
+                             "--calibration-trials", "--workers", "--out"},
+            "profile": SHARED | {"--snr-db", "--input", "--alpha-max-hz", "--alpha-step-hz",
+                                 "--out"},
+            "calibrate": SHARED | {"--target-pf", "--calibration-trials", "--detector",
+                                   "--noise-variance", "--out"},
+            "detect": SHARED | {"--target-pf", "--calibration-trials", "--input",
+                                "--detector", "--threshold-file", "--noise-variance"},
+            "complexity": {"--n", "--smoothing-len"},
+        }
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("profile", "--target-pf", "0.1"),
+        ("profile", "--trials", "1"),
+        ("profile", "--calibration-trials", "20"),
+        ("calibrate", "--snr-db", "0"),
+        ("calibrate", "--trials", "1"),
+        ("detect", "--snr-db", "0"),
+        ("detect", "--trials", "1"),
+    ])
+    def test_flag_a_subcommand_ignored_exits_2(self, command, flag, value, tmp_path, capsys):
+        argv = [command, *TINY, flag, value]
+        if command == "detect":
+            argv += ["--input", tone_file(tmp_path / "tone.txt")]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: cyclosense")
+        assert f"unrecognized arguments: {flag} {value}" in captured.err
 
 
 class TestComplexityCommand:
@@ -246,6 +297,46 @@ class TestDetectCommand:
         code = main(["detect", *TINY, "--input", signal, "--detector",
                      "energy", "--threshold-file", str(threshold)])
         assert code == 2
+
+
+class TestDetectFileShape:
+    """detect's --n and --fs-hz default to the signal file's; a value that
+    differs is refused when the buffer is scored, before any calibration
+    trial is drawn."""
+
+    WAVEFORM = ["--fc-hz", "16", "--bandwidth-hz", "4", "--smoothing-len", "5"]
+    ON_THE_SPOT = ["--noise-variance", "1.0", "--calibration-trials", "20",
+                   "--target-pf", "0.5"]
+
+    @pytest.mark.parametrize("flags, config", [
+        (["--n", "128", *WAVEFORM, *ON_THE_SPOT], "128 samples at 64.0 Hz"),
+        (["--fs-hz", "32", *WAVEFORM, *ON_THE_SPOT], "64 samples at 32.0 Hz"),
+        # a valid config on its own: only the file's length and rate refuse it
+        (["--n", "8192", "--fs-hz", "1e6", "--fc-hz", "8", "--bandwidth-hz", "2",
+          "--smoothing-len", "5", "--noise-variance", "1", "--calibration-trials", "200"],
+         "8192 samples at 1000000.0 Hz"),
+    ], ids=["n", "fs_hz", "both"])
+    def test_mismatch_exits_2_without_a_trial(self, flags, config, tmp_path, monkeypatch,
+                                              capsys):
+        signal = tone_file(tmp_path / "tone.txt")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("detect ran a calibration trial")
+        monkeypatch.setattr(harness, "noise_only", refuse)
+        assert main(["detect", "--input", signal, *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: buffer of 64 samples at 64.0 Hz does not match "
+                                f"the config's {config}\n")
+
+    def test_matching_flags_change_nothing(self, tmp_path, capsys):
+        signal = golden_signal(tmp_path / "signal.txt")
+        argv = ["detect", *self.WAVEFORM, "--input", signal, *CALIBRATION]
+        assert main(argv) == 0
+        bare = capsys.readouterr().out
+        assert main([*argv, "--n", "64", "--fs-hz", "64"]) == 0
+        assert capsys.readouterr().out == bare
+        assert bare == (GOLDEN_DIR / "detect_cycle_calibrated.txt").read_text()
 
 
 class TestRocCommand:
@@ -429,9 +520,9 @@ class TestEnergyCalibration:
         assert capsys.readouterr().out == (GOLDEN_DIR / "calibrate_energy.txt").read_text()
 
     def test_unused_flags_not_validated(self, capsys):
-        argv = [*GOLDEN_CASES["calibrate_energy.txt"], "--trials", "0",
+        argv = [*GOLDEN_CASES["calibrate_energy.txt"],
                 "--bandwidth-hz", "1e9", "--fc-hz", "-1", "--am-mod-index", "7",
-                "--symbol-rate-hz", "0", "--snr-db", "nan"]
+                "--symbol-rate-hz", "0"]
         assert main(argv) == 0
         assert capsys.readouterr().out == (GOLDEN_DIR / "calibrate_energy.txt").read_text()
 
@@ -502,7 +593,7 @@ def floats(low, high):
 
 # Valid ranges fit 64-sample buffers at 64 Hz, so most draws run to a
 # decision or a CSV and the edge cases hit every stage, not only parsing.
-COMMON_FLAGS = {
+FLAG_VALUES = {
     "--modulation": st.sampled_from(["am", "bpsk"]),
     "--fc-hz": flag_value(floats(10.0, 34.0)),
     "--fs-hz": flag_value(st.just(64.0)),
@@ -517,22 +608,24 @@ COMMON_FLAGS = {
     # the pool forks one process per worker, so trial counts stay small and
     # --workers is never drawn
     "--trials": flag_value(st.integers(1, 40), INT_EDGES),
+    "--h1-trials": flag_value(st.integers(1, 40), INT_EDGES),
     "--calibration-trials": flag_value(st.integers(30, 40), INT_EDGES),
     "--seed": flag_value(st.integers(0, 5), INT_EDGES),
+    "--alpha-max-hz": flag_value(floats(1.0, 80.0)),
+    "--alpha-step-hz": flag_value(floats(1.0, 20.0)),
+    "--input": st.sampled_from(["{signal}", "{missing}"]),
+    "--detector": st.sampled_from(["cycle_feature", "energy"]),
+    "--threshold-file": st.sampled_from(["{threshold}", "{missing}"]),
+    "--noise-variance": flag_value(floats(0.1, 4.0)),
 }
-COMMAND_FLAGS = {
-    "roc": {"--h1-trials": COMMON_FLAGS["--trials"]},
-    "profile": {"--alpha-max-hz": flag_value(floats(1.0, 80.0)),
-                "--alpha-step-hz": flag_value(floats(1.0, 20.0)),
-                "--input": st.sampled_from(["{signal}", "{missing}"])},
+# detect reads a 64-sample, 64 Hz file, so its --n and --fs-hz mostly match
+# the file, and they are drawn only now and then, since they default to the
+# file's; complexity refuses an --n that is not a power of two
+COMMAND_VALUES = {
     "detect": {"--input": st.sampled_from(["{signal}", "{signal}", "{missing}"]),
-               "--detector": st.sampled_from(["cycle_feature", "energy"]),
-               "--threshold-file": st.sampled_from(["{threshold}", "{missing}"]),
-               "--noise-variance": flag_value(floats(0.1, 4.0))},
-    "calibrate": {"--detector": st.sampled_from(["cycle_feature", "energy"]),
-                  "--noise-variance": flag_value(floats(0.1, 4.0))},
-    "complexity": {"--n": COMMON_FLAGS["--n"],
-                   "--smoothing-len": COMMON_FLAGS["--smoothing-len"]},
+               "--n": flag_value(st.just(64), INT_EDGES),
+               "--fs-hz": flag_value(st.just(64.0))},
+    "complexity": {"--n": flag_value(st.sampled_from([32, 48, 64, 4096]), INT_EDGES)},
 }
 # drawn on every call: the defaults of --n and the trial counts cost 4096
 # samples or 2000 trials, and the others' defaults fit no 64-sample buffer or
@@ -540,16 +633,18 @@ COMMAND_FLAGS = {
 ALWAYS_DRAWN = {"--n", "--smoothing-len", "--trials", "--calibration-trials",
                 "--h1-trials", "--fc-hz", "--fs-hz", "--bandwidth-hz", "--target-pf",
                 "--noise-variance"}
+# every flag a command takes and the fuzz can draw (not --workers or --out)
+COMMAND_FLAGS = {command: {flag: COMMAND_VALUES.get(command, {}).get(flag, FLAG_VALUES[flag])
+                           for flag in sorted(options) if flag in FLAG_VALUES}
+                 for command, options in subcommand_options().items()}
 
 
 @st.composite
-def cli_argv(draw):
-    command = draw(st.sampled_from(sorted(COMMAND_FLAGS)))
-    flags = dict(COMMAND_FLAGS[command])
-    if command != "complexity":
-        flags = {**COMMON_FLAGS, **flags}
-    chosen = [flag for flag in flags if flag in ALWAYS_DRAWN]
-    optional = sorted(set(flags) - ALWAYS_DRAWN)
+def cli_argv(draw, command):
+    flags = COMMAND_FLAGS[command]
+    always = ALWAYS_DRAWN - {"--n", "--fs-hz"} if command == "detect" else ALWAYS_DRAWN
+    chosen = [flag for flag in flags if flag in always]
+    optional = sorted(set(flags) - always)
     if optional:
         chosen += draw(st.lists(st.sampled_from(optional), max_size=6, unique=True))
     argv = [command]
@@ -571,12 +666,15 @@ def fuzz_files(tmp_path_factory):
             "missing": str(root / "absent.txt")}
 
 
+# each example runs one argv of every command, so every command is drawn
+# max_examples times rather than as often as a drawn command name lands on it
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(argv=cli_argv())
-def test_fuzzed_flags_exit_cleanly(fuzz_files, argv):
-    argv = [arg.format(**fuzz_files) for arg in argv]
-    stdout, stderr = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-        code = main(argv)
-    assert code in (0, 2, 3), argv
-    assert "Traceback" not in stderr.getvalue(), argv
+@given(argvs=st.tuples(*(cli_argv(command) for command in sorted(COMMAND_FLAGS))))
+def test_fuzzed_flags_exit_cleanly(fuzz_files, argvs):
+    for argv in argvs:
+        argv = [arg.format(**fuzz_files) for arg in argv]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(argv)
+        assert code in (0, 2, 3), argv
+        assert "Traceback" not in stderr.getvalue(), argv
