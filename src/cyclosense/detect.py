@@ -63,8 +63,7 @@ class Threshold:
     def __post_init__(self):
         if not (math.isfinite(self.value) and self.value >= 0.0):
             raise ConfigurationError("threshold value must be finite and nonnegative")
-        if not 0.0 < self.target_pf < 1.0:
-            raise ConfigurationError("target_pf must lie in (0, 1)")
+        check_target_pf(self.target_pf)
         if self.calibration_trials < 1:
             raise ConfigurationError("calibration_trials must be positive")
 
@@ -85,9 +84,23 @@ def energy_metric(signal: SampleBuffer) -> SensingMetric:
     return SensingMetric(value, DetectorKind.ENERGY)
 
 
+def check_target_pf(target_pf) -> None:
+    """The one target-Pf rule: a false-alarm rate strictly inside (0, 1)."""
+    if not 0.0 < target_pf < 1.0:
+        raise ConfigurationError(f"target_pf must lie in (0, 1), got {target_pf!r}")
+
+
 def required_calibration_trials(target_pf: float) -> int:
     """Minimum sample size so the tail above the quantile holds ~10 points."""
     return math.ceil(10 / Fraction(target_pf))
+
+
+def check_calibration(target_pf, calibration_trials) -> None:
+    """A calibration request's rules: a valid target Pf and enough trials for it."""
+    check_target_pf(target_pf)
+    if calibration_trials < (required := required_calibration_trials(target_pf)):
+        raise CalibrationError(f"calibration sample of {calibration_trials} is too small for "
+                               f"target_pf={target_pf}; need at least {required}")
 
 
 def calibrate_threshold(metric_sample, target_pf: float,
@@ -98,16 +111,9 @@ def calibrate_threshold(metric_sample, target_pf: float,
     done in exact rationals: float rounding of (1 - pf) * K can land just
     above an integer and ceil would then skip one order statistic.
     """
-    if not 0.0 < target_pf < 1.0:
-        raise ConfigurationError("target_pf must lie in (0, 1)")
     values = [float(v) for v in metric_sample]
     k = len(values)
-    required = required_calibration_trials(target_pf)
-    if k < required:
-        raise CalibrationError(
-            f"calibration sample of {k} is too small for target_pf={target_pf}; "
-            f"need at least {required}"
-        )
+    check_calibration(target_pf, k)
     if any(not (math.isfinite(v) and v >= 0.0) for v in values):
         raise CalibrationError("calibration metrics must be finite and nonnegative")
     values.sort()
@@ -120,8 +126,7 @@ def decide(metric: SensingMetric, threshold: Threshold) -> Decision:
     if metric.detector is not threshold.detector:
         raise ConfigurationError(
             f"metric from {metric.detector.value} cannot be compared against a "
-            f"{threshold.detector.value} threshold"
-        )
+            f"{threshold.detector.value} threshold")
     if metric.value >= threshold.value:
         return Decision.H1_ACTIVE
     return Decision.H0_INACTIVE

@@ -21,13 +21,13 @@ from functools import partial
 import numpy as np
 
 from .detect import DetectorKind, SensingMetric, Threshold, calibrate_threshold, \
-    energy_metric, required_calibration_trials
-from .errors import CalibrationError, ConfigurationError
+    check_calibration, check_target_pf, energy_metric
+from .errors import ConfigurationError
 from .scd import BLOCK_ROWS, SliceWork, WindowKind, cycle_shift, make_window, \
     smoothed_slices
 from .siggen import ChannelSpec, ModulationKind, ModulationSpec, SampleBuffer, \
-    add_awgn, check_length_and_rate, check_seed, check_snr_db, check_waveform, \
-    generate_signal, noise_only
+    add_awgn, check_buffer_shape, check_length_and_rate, check_seed, check_snr_db, \
+    check_waveform, generate_signal, noise_only, read_text_lines
 
 __all__ = [
     "SensingConfig",
@@ -59,10 +59,6 @@ DETECTORS = (DetectorKind.CYCLE_FEATURE, DetectorKind.ENERGY)
 _SNR_TOKEN_OFFSET = 2 ** 31
 
 
-def _default_modulation() -> ModulationSpec:
-    return ModulationSpec(kind=ModulationKind.AM, carrier_hz=1e6, bandwidth_hz=10e3)
-
-
 @dataclass(frozen=True)
 class SensingConfig:
     """Full description of one sensing simulation.
@@ -87,25 +83,24 @@ class SensingConfig:
 
     def __post_init__(self):
         if self.modulation is None:
-            object.__setattr__(self, "modulation", _default_modulation())
+            object.__setattr__(self, "modulation", ModulationSpec(
+                kind=ModulationKind.AM, carrier_hz=1e6, bandwidth_hz=10e3))
         if not isinstance(self.modulation, ModulationSpec):
             raise ConfigurationError("modulation must be a ModulationSpec")
         check_length_and_rate(self.n_samples, self.sample_rate_hz)
-        if (not isinstance(self.smoothing_len, (int, np.integer))
-                or self.smoothing_len < 1 or self.smoothing_len % 2 == 0):
-            raise ConfigurationError("smoothing_len must be a positive odd integer")
+        make_window(self.window_kind, self.smoothing_len)
         if not self.smoothing_len < self.n_samples:
             raise ConfigurationError("smoothing_len must be below n_samples")
         snrs = tuple(float(s) for s in self.snr_db_list)
-        if not snrs:
-            raise ConfigurationError("snr_db_list must be nonempty")
+        pfs = tuple(float(p) for p in self.target_pf_list)
+        if not (snrs and pfs):
+            raise ConfigurationError("snr_db_list and target_pf_list must be nonempty")
         tokens = [_snr_token(s) for s in snrs]
         if len(set(tokens)) < len(tokens):
             raise ConfigurationError(
                 "snr_db_list entries must differ to 0.001 dB, or their trials share seeds")
-        pfs = tuple(float(p) for p in self.target_pf_list)
-        if not pfs or any(not 0.0 < p < 1.0 for p in pfs):
-            raise ConfigurationError("target_pf_list entries must lie in (0, 1)")
+        for pf in pfs:
+            check_target_pf(pf)
         for name in ("trials", "calibration_trials"):
             if not isinstance(getattr(self, name), (int, np.integer)) or getattr(self, name) < 1:
                 raise ConfigurationError(f"{name} must be a positive integer")
@@ -113,8 +108,6 @@ class SensingConfig:
                 not isinstance(self.h1_trials, (int, np.integer)) or self.h1_trials < 1):
             raise ConfigurationError("h1_trials must be a positive integer or None")
         check_seed(self.master_seed)
-        if not isinstance(self.window_kind, WindowKind):
-            raise ConfigurationError("window_kind must be a WindowKind")
         object.__setattr__(self, "snr_db_list", snrs)
         object.__setattr__(self, "target_pf_list", pfs)
 
@@ -142,8 +135,7 @@ class RocPoint:
     h1_trials: int
 
     def __post_init__(self):
-        if not 0.0 < self.target_pf < 1.0:
-            raise ConfigurationError("target_pf must lie in (0, 1)")
+        check_target_pf(self.target_pf)
         for name in ("measured_pf", "measured_pd"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ConfigurationError(f"{name} must lie in [0, 1]")
@@ -315,12 +307,8 @@ def run_roc(config: SensingConfig, workers: int = 1):
         raise ConfigurationError("config must be a SensingConfig")
     if not isinstance(workers, (int, np.integer)) or workers < 1:
         raise ConfigurationError("workers must be a positive integer")
-    needed = max(required_calibration_trials(pf) for pf in config.target_pf_list)
-    if config.calibration_trials < needed:
-        raise CalibrationError(
-            f"calibration_trials={config.calibration_trials} is too small for the "
-            f"requested target_pf values; need at least {needed}"
-        )
+    for target_pf in config.target_pf_list:
+        check_calibration(target_pf, config.calibration_trials)
     # refused before the first trial, not at the first H1 trial
     _cycle_window(config, DETECTORS)
     check_waveform(config.modulation, config.n_samples, config.sample_rate_hz)
@@ -368,6 +356,7 @@ def calibrate_at_noise(config: SensingConfig, detector: DetectorKind, target_pf:
     """
     if not noise_variance > 0.0:
         raise ConfigurationError(f"noise variance must be positive, got {noise_variance!r}")
+    check_calibration(target_pf, config.calibration_trials)
     values = _compute_phase_range(config, PHASE_ONESHOT, None, 0, config.calibration_trials,
                                   (detector,), noise_variance)
     return calibrate_threshold(values[0], target_pf, detector)
@@ -376,10 +365,7 @@ def calibrate_at_noise(config: SensingConfig, detector: DetectorKind, target_pf:
 def measure(config: SensingConfig, detector: DetectorKind,
             buffer: SampleBuffer) -> SensingMetric:
     """One detector's metric on a buffer of config's length and rate."""
-    if len(buffer) != config.n_samples or buffer.sample_rate_hz != config.sample_rate_hz:
-        raise ConfigurationError(
-            f"buffer of {len(buffer)} samples at {buffer.sample_rate_hz!r} Hz does not "
-            f"match the config's {config.n_samples} samples at {config.sample_rate_hz!r} Hz")
+    check_buffer_shape(buffer, config.n_samples, config.sample_rate_hz)
     return SensingMetric(float(_score(config, (detector,), 1, [buffer])[0, 0]), detector)
 
 
@@ -432,13 +418,9 @@ def read_threshold_file(path):
     The format does not carry the calibration sample size, so the returned
     Threshold records calibration_trials=1 as a placeholder.
     """
-    with open(path, "r") as fh:
-        line = fh.readline().strip()
-    parts = line.split(",")
+    parts = read_text_lines(path)[0].split(",")
     if len(parts) != 3:
-        raise ConfigurationError(
-            f"{path}: expected 'detector,target_pf,threshold' on one line"
-        )
+        raise ConfigurationError(f"{path}: expected 'detector,target_pf,threshold' on one line")
     try:
         detector = DetectorKind(parts[0])
         target_pf = float(parts[1])

@@ -173,9 +173,7 @@ def make_window(kind: WindowKind, length: int) -> SmoothingWindow:
     if not isinstance(length, (int, np.integer)) or length < 1:
         raise ConfigurationError("window length must be a positive integer")
     if length % 2 == 0:
-        raise ConfigurationError(
-            f"window length must be odd; use {length - 1} or {length + 1}"
-        )
+        raise ConfigurationError(f"window length must be odd; use {length - 1} or {length + 1}")
     if not isinstance(kind, WindowKind):
         raise ConfigurationError(f"unknown window kind: {kind!r}")
     return _window(kind, int(length))
@@ -217,13 +215,14 @@ class SliceWork:
     def __init__(self, rows: int, n: int, window: SmoothingWindow, sample_period_s: float):
         if not window.length < n:
             raise ConfigurationError(
-                f"window length {window.length} must be below the transform size {n}"
-            )
-        if not sample_period_s > 0.0:
-            raise ConfigurationError("sample_period_s must be positive")
+                f"window length {window.length} must be below the transform size {n}")
+        period = (n - 1) * sample_period_s
+        self.scale = 1.0 / period if period else math.inf
+        if not 0.0 < self.scale < math.inf:
+            raise ConfigurationError(f"slice scale 1/((n-1) Ts) = {self.scale!r} is not "
+                                     "positive and finite")
         self.n = n
         self.window = window
-        self.scale = 1.0 / ((n - 1) * sample_period_s)
         nfft = n if window.length == 1 else _next_pow2(n + window.length - 1)
         self.transform = (None if window.length == 1
                           else _window_transform(window.weights.tobytes(), nfft))

@@ -12,6 +12,7 @@ controlled by the noise variance alone.
 import math
 from dataclasses import dataclass
 from enum import Enum
+from pathlib import Path
 
 import numpy as np
 
@@ -143,6 +144,14 @@ def check_length_and_rate(n_samples, sample_rate_hz) -> None:
         raise ConfigurationError("sample_rate_hz must be positive and finite")
 
 
+def check_buffer_shape(buffer: SampleBuffer, n_samples, sample_rate_hz) -> None:
+    """The rule a buffer fed to a config meets: the config's length and rate."""
+    if len(buffer) != n_samples or buffer.sample_rate_hz != sample_rate_hz:
+        raise ConfigurationError(
+            f"buffer of {len(buffer)} samples at {buffer.sample_rate_hz!r} Hz does not "
+            f"match the config's {n_samples} samples at {sample_rate_hz!r} Hz")
+
+
 def check_waveform(spec: ModulationSpec, n_samples, sample_rate_hz) -> None:
     """Every rule a buffer generated from spec needs.  An AM message is
     brick-wall filtered on the rfft grid, whose first bin is 1 / (n Ts)."""
@@ -261,29 +270,32 @@ def write_signal_file(buffer: SampleBuffer, path) -> None:
             fh.write(f"{float(value)!r}\n")
 
 
+def read_text_lines(path) -> list:
+    """The stripped lines of a text file; a file that does not decode is refused."""
+    try:
+        return [line.strip() for line in Path(path).read_text(encoding="utf-8").split("\n")]
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"{path}: not a text file: {exc}") from exc
+
+
 def read_signal_file(path) -> SampleBuffer:
     """Inverse of write_signal_file. Raises ConfigurationError on bad format."""
-    with open(path, "r") as fh:
-        header = fh.readline().strip()
-        if not header.startswith(_SIGNAL_FILE_HEADER):
-            raise ConfigurationError(
-                f"{path}: missing '{_SIGNAL_FILE_HEADER}<value>' header line"
-            )
+    header, *lines = read_text_lines(path)
+    if not header.startswith(_SIGNAL_FILE_HEADER):
+        raise ConfigurationError(f"{path}: missing '{_SIGNAL_FILE_HEADER}<value>' header line")
+    try:
+        rate = float(header[len(_SIGNAL_FILE_HEADER):])
+    except ValueError as exc:
+        raise ConfigurationError(f"{path}: unparseable sample rate in header") from exc
+    samples = []
+    for lineno, text in enumerate(lines, start=2):
+        if not text:
+            continue
         try:
-            rate = float(header[len(_SIGNAL_FILE_HEADER):])
+            samples.append(float(text))
         except ValueError as exc:
-            raise ConfigurationError(f"{path}: unparseable sample rate in header") from exc
-        samples = []
-        for lineno, line in enumerate(fh, start=2):
-            text = line.strip()
-            if not text:
-                continue
-            try:
-                samples.append(float(text))
-            except ValueError as exc:
-                raise ConfigurationError(
-                    f"{path}:{lineno}: unparseable sample value {text!r}"
-                ) from exc
+            raise ConfigurationError(
+                f"{path}:{lineno}: unparseable sample value {text!r}") from exc
     if not samples:
         raise ConfigurationError(f"{path}: no samples in file")
     return SampleBuffer(np.asarray(samples), rate)

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from cyclosense import (DetectorKind, SampleBuffer, SensingConfig, Threshold, harness,
+from cyclosense import (DetectorKind, SampleBuffer, SensingConfig, Threshold, cli, harness,
                         noise_only, write_signal_file, write_threshold_file)
 from cyclosense.cli import build_parser, config_from_args, main
 
@@ -339,6 +339,57 @@ class TestDetectFileShape:
         assert bare == (GOLDEN_DIR / "detect_cycle_calibrated.txt").read_text()
 
 
+class TestProfileFileShape:
+    """profile --input holds --n and --fs-hz to the file as detect does: they
+    default to its length and rate, and a value that differs exits 2 before
+    any profile is computed."""
+
+    @pytest.mark.parametrize("flags, config", [
+        (["--n", "8192", "--fs-hz", "1e6", "--modulation", "bpsk"],
+         "8192 samples at 1000000.0 Hz"),
+        (["--n", "128"], "128 samples at 64.0 Hz"),
+        (["--fs-hz", "32"], "64 samples at 32.0 Hz"),
+    ], ids=["both", "n", "fs_hz"])
+    def test_mismatch_exits_2_without_a_profile(self, flags, config, tmp_path,
+                                                monkeypatch, capsys):
+        signal = tone_file(tmp_path / "tone.txt")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("profile computed a profile")
+        monkeypatch.setattr(cli, "cycle_profile", refuse)
+        assert main(["profile", "--input", signal, "--smoothing-len", "5", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: buffer of 64 samples at 64.0 Hz does not match "
+                                f"the config's {config}\n")
+
+    @pytest.mark.parametrize("flags", [[], ["--n", "64", "--fs-hz", "64"]],
+                             ids=["defaults", "matching"])
+    def test_file_shape_gives_the_recording(self, flags, tmp_path, capsys):
+        signal = golden_signal(tmp_path / "signal.txt")
+        assert main(["profile", "--smoothing-len", "5", "--input", signal, *flags]) == 0
+        assert capsys.readouterr().out == (GOLDEN_DIR / "profile_input.csv").read_text()
+
+
+class TestZeroSliceScale:
+    """At f_s = 1e-305 Hz a 4096-sample buffer spans (N-1) Ts = inf seconds,
+    so the slice scale 1 / ((N-1) Ts) is 0 and every cycle metric would read
+    0: the request exits 2 instead of deciding from no evidence."""
+
+    @pytest.mark.parametrize("argv", [
+        ["detect", "--input", "{slow}", "--fc-hz", "2.5e-306", "--bandwidth-hz", "1e-308",
+         "--smoothing-len", "31", "--noise-variance", "1", "--calibration-trials", "200"],
+        ["profile", "--input", "{slow}", "--smoothing-len", "31"],
+    ], ids=["detect", "profile"])
+    def test_exits_2(self, argv, tmp_path, capsys):
+        slow = tmp_path / "slow.txt"
+        write_signal_file(noise_only(4096, 1.0, seed=1, sample_rate_hz=1e-305), slow)
+        assert main([arg.format(slow=slow) for arg in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: slice scale 1/((n-1) Ts) = 0.0 is not positive and finite\n"
+
+
 class TestRocCommand:
     ROC_ARGS = ["roc", *TINY, "--trials", "20", "--calibration-trials", "20",
                 "--h1-trials", "10", "--target-pf", "0.5", "--snr-db", "60"]
@@ -402,6 +453,37 @@ class TestRocRefusedBeforeTrials:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert message in err
+
+
+class TestCalibrationRefusedBeforeTrials:
+    """calibrate and on-the-spot detect check the target Pf and the
+    calibration size before their first noise-only trial."""
+
+    REQUESTS = {
+        "pf_above_1": ["--target-pf", "7"],
+        "pf_nan": ["--target-pf", "nan"],
+        # 2000 default trials, 10000 needed
+        "pf_needs_more_trials": ["--target-pf", "0.001"],
+        "one_trial_short": ["--calibration-trials", "999", "--target-pf", "0.01"],
+    }
+
+    @pytest.mark.parametrize("request_flags", REQUESTS.values(), ids=REQUESTS.keys())
+    @pytest.mark.parametrize("command", ["calibrate", "detect"])
+    @pytest.mark.parametrize("detector", ["cycle_feature", "energy"])
+    def test_exits_2_without_a_trial(self, command, detector, request_flags, tmp_path,
+                                     monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"{command} ran a calibration trial")
+        monkeypatch.setattr(harness, "noise_only", refuse)
+        argv = [command, *TINY, "--detector", detector, "--noise-variance", "1",
+                *request_flags]
+        if command == "detect":
+            argv += ["--input", tone_file(tmp_path / "tone.txt")]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "target_pf" in captured.err
 
 
 # Exact outputs of the small configurations, recorded at the commit before
@@ -545,6 +627,23 @@ class TestNumericInputs:
         assert "error:" in capsys.readouterr().err
 
 
+def run_fresh(argv):
+    """Run the CLI in a fresh interpreter, so that warnings and tracebacks
+    reach its stderr; returns the finished process."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    return subprocess.run([sys.executable, "-m", "cyclosense.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+def assert_one_error_line(proc):
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+
+
 class TestOverflow:
     """A noise or signal level whose metric overflows: refused with exit 2
     and one error line, in a fresh interpreter so that numpy's warnings
@@ -564,18 +663,32 @@ class TestOverflow:
         write_signal_file(SampleBuffer(np.full(64, 1e300), 64.0), huge)
         threshold = tmp_path / "threshold.txt"
         write_threshold_file(Threshold(1.0, 0.1, 1, DetectorKind.ENERGY), threshold)
-        argv = [arg.format(huge=huge, threshold=threshold) for arg in argv]
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
-        proc = subprocess.run([sys.executable, "-m", "cyclosense.cli", *argv],
-                              capture_output=True, text=True, env=env, timeout=120)
-        assert proc.returncode == 2
-        assert proc.stdout == ""
-        assert proc.stderr.startswith("error:")
-        assert "Traceback" not in proc.stderr
+        proc = run_fresh([arg.format(huge=huge, threshold=threshold) for arg in argv])
+        assert_one_error_line(proc)
         assert "RuntimeWarning" not in proc.stderr
 
+
+class TestUndecodableFile:
+    """A file that is not UTF-8 text, read as a signal or a threshold: exit 2
+    with one error line naming it, not a UnicodeDecodeError traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ["detect", "--input", "{binary}", "--noise-variance", "1"],
+        ["detect", "--detector", "energy", "--input", "{signal}",
+         "--threshold-file", "{binary}"],
+        ["profile", "--input", "{binary}"],
+    ], ids=["detect_input", "detect_threshold_file", "profile_input"])
+    def test_exits_2_naming_the_file(self, argv, tmp_path):
+        binary = tmp_path / "binary.txt"
+        binary.write_bytes(BINARY_BYTES)
+        signal = golden_signal(tmp_path / "signal.txt")
+        proc = run_fresh([arg.format(binary=binary, signal=signal) for arg in argv])
+        assert_one_error_line(proc)
+        assert f"{binary}: not a text file" in proc.stderr
+
+
+# a UTF-16 byte-order mark: not UTF-8
+BINARY_BYTES = b"\xff\xfe# sample_rate_hz=64\n"
 
 FLOAT_EDGES = ["0", "-1", "1e-300", "1e308", "nan", "inf", "-inf", "3e6", "-3e6"]
 INT_EDGES = ["0", "-1", "1", "x"]
@@ -613,18 +726,18 @@ FLAG_VALUES = {
     "--seed": flag_value(st.integers(0, 5), INT_EDGES),
     "--alpha-max-hz": flag_value(floats(1.0, 80.0)),
     "--alpha-step-hz": flag_value(floats(1.0, 20.0)),
-    "--input": st.sampled_from(["{signal}", "{missing}"]),
+    "--input": st.sampled_from(["{signal}"] * 4 + ["{missing}", "{binary}"]),
     "--detector": st.sampled_from(["cycle_feature", "energy"]),
-    "--threshold-file": st.sampled_from(["{threshold}", "{missing}"]),
+    "--threshold-file": st.sampled_from(["{threshold}"] * 2 + ["{missing}", "{binary}"]),
     "--noise-variance": flag_value(floats(0.1, 4.0)),
 }
-# detect reads a 64-sample, 64 Hz file, so its --n and --fs-hz mostly match
-# the file, and they are drawn only now and then, since they default to the
-# file's; complexity refuses an --n that is not a power of two
+# detect and profile --input read a 64-sample, 64 Hz file, so their --n and
+# --fs-hz mostly match the file; complexity refuses an --n that is not a power
+# of two
 COMMAND_VALUES = {
-    "detect": {"--input": st.sampled_from(["{signal}", "{signal}", "{missing}"]),
-               "--n": flag_value(st.just(64), INT_EDGES),
+    "detect": {"--n": flag_value(st.just(64), INT_EDGES),
                "--fs-hz": flag_value(st.just(64.0))},
+    "profile": {"--n": flag_value(st.just(64), INT_EDGES)},
     "complexity": {"--n": flag_value(st.sampled_from([32, 48, 64, 4096]), INT_EDGES)},
 }
 # drawn on every call: the defaults of --n and the trial counts cost 4096
@@ -642,15 +755,19 @@ COMMAND_FLAGS = {command: {flag: COMMAND_VALUES.get(command, {}).get(flag, FLAG_
 @st.composite
 def cli_argv(draw, command):
     flags = COMMAND_FLAGS[command]
-    always = ALWAYS_DRAWN - {"--n", "--fs-hz"} if command == "detect" else ALWAYS_DRAWN
+    # a file-fed run defaults --n and --fs-hz to its --input file's, so it
+    # draws them only now and then, and reads the signal file unless it draws
+    # another
+    file_fed = command == "detect" or (command == "profile" and draw(st.booleans()))
+    always = ALWAYS_DRAWN - {"--n", "--fs-hz"} if file_fed else ALWAYS_DRAWN
     chosen = [flag for flag in flags if flag in always]
-    optional = sorted(set(flags) - always)
+    optional = sorted(set(flags) - always - (set() if file_fed else {"--input"}))
     if optional:
         chosen += draw(st.lists(st.sampled_from(optional), max_size=6, unique=True))
     argv = [command]
     # --flag=value, so that argparse reads "-1" as a value, not a flag
     argv += [f"{flag}={draw(flags[flag])}" for flag in chosen]
-    if command == "detect" and "--input" not in chosen:
+    if file_fed and "--input" not in chosen:
         argv += ["--input", "{signal}"]
     if command == "roc":
         argv += ["--workers", "1"]
@@ -662,8 +779,10 @@ def fuzz_files(tmp_path_factory):
     root = tmp_path_factory.mktemp("fuzz")
     threshold = root / "threshold.txt"
     write_threshold_file(Threshold(50.0, 0.5, 20, DetectorKind.ENERGY), threshold)
+    binary = root / "binary.txt"
+    binary.write_bytes(BINARY_BYTES)
     return {"signal": golden_signal(root / "signal.txt"), "threshold": str(threshold),
-            "missing": str(root / "absent.txt")}
+            "missing": str(root / "absent.txt"), "binary": str(binary)}
 
 
 # each example runs one argv of every command, so every command is drawn

@@ -136,6 +136,13 @@ class TestCalibrateThreshold:
             with pytest.raises(ConfigurationError):
                 calibrate_threshold([1.0] * 100, bad)
 
+    def test_pf_refusal_names_the_value(self):
+        for call in (lambda: calibrate_threshold([1.0] * 100, math.nan),
+                     lambda: Threshold(1.0, math.nan, 100, DetectorKind.ENERGY)):
+            with pytest.raises(ConfigurationError,
+                               match=r"^target_pf must lie in \(0, 1\), got nan$"):
+                call()
+
     def test_scaling_by_power_of_two_is_exact(self):
         rng = np.random.default_rng(9)
         sample = list(rng.normal(size=150) ** 2)

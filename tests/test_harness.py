@@ -2,6 +2,7 @@
 
 import io
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -15,7 +16,7 @@ from cyclosense import (CalibrationError, ChannelSpec, ConfigurationError, Detec
                         write_roc_csv, write_threshold_file)
 from cyclosense.harness import (DETECTORS, PHASE_CALIBRATION, PHASE_H0, PHASE_H1,
                                 PHASE_ONESHOT, ROC_CSV_HEADER, _compute_phase_range,
-                                derive_seed, measure)
+                                calibrate_at_noise, derive_seed, measure)
 from oracles import reference_phase_range
 
 
@@ -86,6 +87,20 @@ class TestSensingConfig:
     def test_invalid_fields_rejected(self, kwargs):
         with pytest.raises(ConfigurationError):
             tiny_config(**kwargs)
+
+    @pytest.mark.parametrize("kind, length", [
+        (WindowKind.HAMMING, 4), (WindowKind.HAMMING, 0), (WindowKind.HAMMING, 5.0),
+        ("hamming", 5),
+    ])
+    def test_window_refused_by_make_windows_rule(self, kind, length):
+        with pytest.raises(ConfigurationError) as want:
+            make_window(kind, length)
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(str(want.value))}$"):
+            tiny_config(window_kind=kind, smoothing_len=length)
+
+    def test_target_pf_refusal_names_the_value(self):
+        with pytest.raises(ConfigurationError, match=r"got 1\.5$"):
+            tiny_config(target_pf_list=(0.5, 1.5))
 
 
 class TestComplexityModel:
@@ -197,6 +212,12 @@ class TestRunRoc:
             assert len(curve) == 3
             assert curve[1] >= curve[0] - 0.15
             assert curve[2] >= curve[1] - 0.15
+
+    def test_each_target_pf_checked_against_the_calibration_size(self):
+        # 20 trials serve pf = 0.5 but not pf = 0.25, which needs 40
+        config = tiny_config(target_pf_list=(0.5, 0.25), calibration_trials=20)
+        with pytest.raises(CalibrationError, match="target_pf=0.25; need at least 40"):
+            run_roc(config)
 
     def test_insufficient_calibration_refused_upfront(self):
         config = tiny_config(target_pf_list=(0.01,), calibration_trials=100)
@@ -412,6 +433,38 @@ class TestThresholdFile:
     def test_missing_file_is_oserror(self, tmp_path):
         with pytest.raises(OSError):
             read_threshold_file(tmp_path / "nope.txt")
+
+    def test_empty_file_rejected(self, tmp_path):
+        path = tmp_path / "threshold.txt"
+        path.write_text("")
+        with pytest.raises(ConfigurationError, match="on one line"):
+            read_threshold_file(path)
+
+    def test_undecodable_file_rejected_by_name(self, tmp_path):
+        path = tmp_path / "threshold.txt"
+        path.write_bytes(b"\xff\xfeenergy,0.1,1.5\n")
+        with pytest.raises(ConfigurationError) as info:
+            read_threshold_file(path)
+        assert str(info.value).startswith(f"{path}: not a text file")
+
+
+class TestCalibrateAtNoise:
+    """One-shot calibration checks its target Pf and its size before the
+    first noise-only trial."""
+
+    @pytest.mark.parametrize("target_pf, trials, error", [
+        (7.0, 20, ConfigurationError),
+        (math.nan, 20, ConfigurationError),
+        (0.01, 999, CalibrationError),
+    ])
+    @pytest.mark.parametrize("detector", DETECTORS)
+    def test_refused_before_a_trial(self, detector, target_pf, trials, error, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("calibrate_at_noise ran a trial")
+        monkeypatch.setattr(harness, "noise_only", refuse)
+        with pytest.raises(error, match="target_pf"):
+            calibrate_at_noise(tiny_config(calibration_trials=trials), detector,
+                               target_pf, 1.0)
 
 
 class TestRocPointType:

@@ -380,6 +380,27 @@ class TestCycleProfile:
         with pytest.raises(ConfigurationError):
             cycle_profile(buf, [], make_window(WindowKind.RECTANGULAR, 3))
 
+    def test_zero_scale_rejected(self):
+        # at 1e-305 Hz, (n-1) Ts overflows to inf and 1 / ((n-1) Ts) is 0:
+        # every magnitude would read 0
+        buf = white_buffer(4096, seed=0, rate=1e-305)
+        with pytest.raises(ConfigurationError, match="scale"):
+            cycle_profile(buf, [0.0], make_window(WindowKind.RECTANGULAR, 31))
+
+
+class TestSliceScale:
+    """SliceWork refuses a scale 1 / ((n-1) Ts) that is not positive and finite."""
+
+    @pytest.mark.parametrize("period", [0.0, -1.0, math.nan, math.inf, 1e305, 5e-324])
+    def test_refused(self, period):
+        with pytest.raises(ConfigurationError, match="slice scale"):
+            SliceWork(1, 4096, make_window(WindowKind.RECTANGULAR, 1), period)
+
+    @pytest.mark.parametrize("period", [1.0 / 3e6, 1e300, 1e-300])
+    def test_representable_scale_kept(self, period):
+        work = SliceWork(1, 4096, make_window(WindowKind.RECTANGULAR, 1), period)
+        assert work.scale == 1.0 / (4095 * period)
+
 
 class TestProfileCsv:
     def test_format_and_full_precision(self):

@@ -11,7 +11,7 @@ from cyclosense import (ChannelSpec, ConfigurationError, ModulationKind,
                         ModulationSpec, SampleBuffer, SensingConfig, add_awgn,
                         generate_am, generate_bpsk, generate_signal, noise_only,
                         read_signal_file, write_signal_file)
-from cyclosense.siggen import check_waveform
+from cyclosense.siggen import check_buffer_shape, check_waveform
 
 
 def am_spec(**kwargs):
@@ -355,3 +355,34 @@ class TestSignalFiles:
     def test_missing_file_is_oserror(self, tmp_path):
         with pytest.raises(OSError):
             read_signal_file(tmp_path / "absent.txt")
+
+    def test_bad_sample_names_its_line(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("# sample_rate_hz=1000.0\n1.0\n\npotato\n")
+        with pytest.raises(ConfigurationError, match=r"bad.txt:4: .*'potato'"):
+            read_signal_file(path)
+
+    def test_empty_file_rejected(self, tmp_path):
+        path = tmp_path / "empty.txt"
+        path.write_text("")
+        with pytest.raises(ConfigurationError, match="header"):
+            read_signal_file(path)
+
+    def test_undecodable_file_rejected_by_name(self, tmp_path):
+        path = tmp_path / "binary.txt"
+        path.write_bytes(b"\xff\xfe# sample_rate_hz=64\n1.0\n")
+        with pytest.raises(ConfigurationError) as info:
+            read_signal_file(path)
+        assert str(info.value).startswith(f"{path}: not a text file")
+
+
+class TestBufferShape:
+    def test_match_accepted(self):
+        check_buffer_shape(SampleBuffer(np.zeros(8), 4.0), 8, 4.0)
+
+    @pytest.mark.parametrize("n, rate", [(16, 4.0), (8, 2.0), (0, 4.0), (8, math.nan)])
+    def test_mismatch_names_both_shapes(self, n, rate):
+        with pytest.raises(ConfigurationError) as info:
+            check_buffer_shape(SampleBuffer(np.zeros(8), 4.0), n, rate)
+        assert str(info.value) == (f"buffer of 8 samples at 4.0 Hz does not match the "
+                                   f"config's {n} samples at {rate!r} Hz")
