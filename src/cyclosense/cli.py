@@ -44,14 +44,14 @@ def _add_flags(parser: argparse.ArgumentParser, *names) -> None:
         help="primary-user modulation (default: am)")
     add("--fc-hz", type=float, default=1e6,
         help="carrier frequency; the cycle detector monitors alpha = 2*fc (default: 1e6)")
-    add("--fs-hz", type=float, default=3e6, help="sampling rate (default: 3e6; "
+    add("--fs-hz", type=float, default=None, help="sampling rate (default: 3e6; "
         "with --input: the file's, and another value exits 2)")
     add("--bandwidth-hz", type=float, default=10e3,
         help="one-sided AM message bandwidth (default: 1e4)")
     add("--am-mod-index", type=float, default=0.5, help="AM modulation index in [0, 1]; "
         "the message is brick-wall lowpassed unit-RMS Gaussian noise (default: 0.5)")
     add("--symbol-rate-hz", type=float, default=1e4, help="BPSK symbol rate (default: 1e4)")
-    add("--n", type=int, default=4096, help="samples per sensing buffer (default: 4096; "
+    add("--n", type=int, default=None, help="samples per sensing buffer (default: 4096; "
         "with --input: the file's, and another value exits 2)")
     add("--smoothing-len", type=int, default=1301,
         help="frequency-smoothing window length, odd (default: 1301)")
@@ -98,11 +98,12 @@ def _modulation_from_args(args) -> ModulationSpec:
 
 def config_from_args(args) -> SensingConfig:
     """Map parsed flags onto a SensingConfig (defaults mirror the parser's)."""
+    n_samples, sample_rate_hz = _shape(args)
     return SensingConfig(
         modulation=_modulation_from_args(args),
-        n_samples=args.n,
+        n_samples=n_samples,
         smoothing_len=args.smoothing_len,
-        sample_rate_hz=args.fs_hz,
+        sample_rate_hz=sample_rate_hz,
         snr_db_list=tuple(args.snr_db or SensingConfig.snr_db_list),
         target_pf_list=tuple(args.target_pf or SensingConfig.target_pf_list),
         trials=args.trials,
@@ -121,23 +122,21 @@ def _single_value(values, default, flag):
     return values[0]
 
 
-def _read_input(args):
-    """The --input file, whose length and rate --n and --fs-hz default to and must match."""
-    buffer = read_signal_file(args.input)
-    args.n = len(buffer) if args.n is None else args.n
-    args.fs_hz = buffer.sample_rate_hz if args.fs_hz is None else args.fs_hz
-    check_buffer_shape(buffer, args.n, args.fs_hz)
-    return buffer
+def _shape(args, buffer=None):
+    """--n and --fs-hz, defaulting to buffer's (an --input file's) or SensingConfig's."""
+    n, rate = ((SensingConfig.n_samples, SensingConfig.sample_rate_hz) if buffer is None
+               else (len(buffer), buffer.sample_rate_hz))
+    return n if args.n is None else args.n, rate if args.fs_hz is None else args.fs_hz
 
 
-def _oneshot_config(args, detector) -> SensingConfig:
+def _oneshot_config(args, detector, n_samples, sample_rate_hz) -> SensingConfig:
     """Config for one-shot calibration and decisions, from the flags they read.
 
     The cycle detector monitors twice the carrier of the modulation the
     flags describe.  The energy detector reads no modulation or window
     flags, so those fields keep neutral values and cannot make it fail.
     """
-    common = dict(n_samples=args.n, sample_rate_hz=args.fs_hz,
+    common = dict(n_samples=n_samples, sample_rate_hz=sample_rate_hz,
                   calibration_trials=args.calibration_trials, master_seed=args.seed)
     if detector is DetectorKind.ENERGY:
         return SensingConfig(smoothing_len=1, **common)
@@ -148,8 +147,9 @@ def _oneshot_config(args, detector) -> SensingConfig:
 
 def _calibrate(args, config, detector):
     if args.noise_variance is None:
-        raise ConfigurationError("--noise-variance is required when no threshold file "
-                                 "is given")
+        raise ConfigurationError(
+            "--noise-variance is required when no threshold file is given"
+        )
     target_pf = _single_value(args.target_pf, 0.1, "--target-pf")
     return calibrate_at_noise(config, detector, target_pf, args.noise_variance)
 
@@ -161,22 +161,23 @@ def _cmd_profile(args) -> int:
         if value is not None and not (value > 0 and math.isfinite(value)):
             raise ConfigurationError(f"{flag} must be positive and finite")
     if args.input is not None:
-        buffer = _read_input(args)
+        buffer = read_signal_file(args.input)
+        check_buffer_shape(buffer, *_shape(args, buffer))
     else:
-        buffer = generate_signal(
-            _modulation_from_args(args), SensingConfig.n_samples if args.n is None else args.n,
-            SensingConfig.sample_rate_hz if args.fs_hz is None else args.fs_hz,
-            profile_seed(args.seed, snr_db, 0))
+        buffer = generate_signal(_modulation_from_args(args), *_shape(args),
+                                 profile_seed(args.seed, snr_db, 0))
     if snr_db is not None:
         buffer = add_awgn(buffer, ChannelSpec(snr_db, profile_seed(args.seed, snr_db, 1)))
     n = len(buffer)
-    window = make_window(WindowKind(args.window), args.smoothing_len)
+    window = make_window(WindowKind(args.window), args.smoothing_len, n)
     fres = buffer.sample_rate_hz / n
     step = 2.0 * fres
     max_shift = max_cycle_shift(n)
     if args.alpha_max_hz is not None:
         max_shift = min(max_shift, int(args.alpha_max_hz // step))
-    stride = 1 if args.alpha_step_hz is None else max(1, round(args.alpha_step_hz / step))
+    stride = 1
+    if args.alpha_step_hz is not None:
+        stride = max(1, round(args.alpha_step_hz / step))
     shifts = np.arange(-max_shift, max_shift + 1, stride)
     alphas = 2.0 * shifts * fres
     profile = cycle_profile(buffer, alphas, window)
@@ -187,15 +188,16 @@ def _cmd_profile(args) -> int:
 
 def _cmd_calibrate(args) -> int:
     detector = DetectorKind(args.detector)
-    config = _oneshot_config(args, detector)
+    config = _oneshot_config(args, detector, *_shape(args))
     write_threshold_file(_calibrate(args, config, detector), args.out)
     return 0
 
 
 def _cmd_detect(args) -> int:
-    buffer = _read_input(args)
+    buffer = read_signal_file(args.input)
     detector = DetectorKind(args.detector)
-    config = _oneshot_config(args, detector)
+    config = _oneshot_config(args, detector, *_shape(args, buffer))
+    # scored first: measure refuses a --n or --fs-hz unlike the file's before any trial
     metric = measure(config, detector, buffer)
     if args.threshold_file is not None:
         threshold = read_threshold_file(args.threshold_file)
@@ -215,9 +217,12 @@ def _cmd_roc(args) -> int:
 def _cmd_complexity(args) -> int:
     report = complexity_model(args.n, args.smoothing_len)
     print(f"n={report.n} smoothing_len={report.l}")
-    for name in ("proposed_real_mul", "proposed_real_add", "energy_real_mul",
-                 "energy_real_add", "mul_ratio", "add_ratio"):
-        print(f"{name}={getattr(report, name)!r}")
+    print(f"proposed_real_mul={report.proposed_real_mul}")
+    print(f"proposed_real_add={report.proposed_real_add}")
+    print(f"energy_real_mul={report.energy_real_mul}")
+    print(f"energy_real_add={report.energy_real_add}")
+    print(f"mul_ratio={report.mul_ratio!r}")
+    print(f"add_ratio={report.add_ratio!r}")
     return 0
 
 
@@ -239,13 +244,13 @@ def build_parser() -> argparse.ArgumentParser:
                "--out")
     profile.add_argument("--input", default=None,
                          help="signal file to analyze instead of generating")
-    profile.set_defaults(func=_cmd_profile, n=None, fs_hz=None)
+    profile.set_defaults(func=_cmd_profile)
 
     detect = sub.add_parser("detect", help="one-shot decision on a signal file")
     _add_flags(detect, *_SHARED_FLAGS, "--target-pf", "--calibration-trials",
                "--detector", "--threshold-file", "--noise-variance")
     detect.add_argument("--input", required=True, help="signal file to sense")
-    detect.set_defaults(func=_cmd_detect, n=None, fs_hz=None)
+    detect.set_defaults(func=_cmd_detect)
 
     calibrate = sub.add_parser("calibrate",
                                help="calibrate a threshold -> threshold file")

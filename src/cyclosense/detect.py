@@ -84,21 +84,17 @@ def energy_metric(signal: SampleBuffer) -> SensingMetric:
     return SensingMetric(value, DetectorKind.ENERGY)
 
 
-def check_target_pf(target_pf) -> None:
-    """The one target-Pf rule: a false-alarm rate strictly inside (0, 1)."""
-    if not 0.0 < target_pf < 1.0:
-        raise ConfigurationError(f"target_pf must lie in (0, 1), got {target_pf!r}")
-
-
 def required_calibration_trials(target_pf: float) -> int:
     """Minimum sample size so the tail above the quantile holds ~10 points."""
     return math.ceil(10 / Fraction(target_pf))
 
 
-def check_calibration(target_pf, calibration_trials) -> None:
-    """A calibration request's rules: a valid target Pf and enough trials for it."""
-    check_target_pf(target_pf)
-    if calibration_trials < (required := required_calibration_trials(target_pf)):
+def check_target_pf(target_pf, calibration_trials=None) -> None:
+    """The target-Pf rule, 0 < Pf < 1, and given a calibration size, the size rule."""
+    if not 0.0 < target_pf < 1.0:
+        raise ConfigurationError(f"target_pf must lie in (0, 1), got {target_pf!r}")
+    if calibration_trials is not None and calibration_trials < (
+            required := required_calibration_trials(target_pf)):
         raise CalibrationError(f"calibration sample of {calibration_trials} is too small for "
                                f"target_pf={target_pf}; need at least {required}")
 
@@ -113,7 +109,7 @@ def calibrate_threshold(metric_sample, target_pf: float,
     """
     values = [float(v) for v in metric_sample]
     k = len(values)
-    check_calibration(target_pf, k)
+    check_target_pf(target_pf, k)
     if any(not (math.isfinite(v) and v >= 0.0) for v in values):
         raise CalibrationError("calibration metrics must be finite and nonnegative")
     values.sort()
@@ -126,7 +122,8 @@ def decide(metric: SensingMetric, threshold: Threshold) -> Decision:
     if metric.detector is not threshold.detector:
         raise ConfigurationError(
             f"metric from {metric.detector.value} cannot be compared against a "
-            f"{threshold.detector.value} threshold")
+            f"{threshold.detector.value} threshold"
+        )
     if metric.value >= threshold.value:
         return Decision.H1_ACTIVE
     return Decision.H0_INACTIVE

@@ -21,13 +21,13 @@ from functools import partial
 import numpy as np
 
 from .detect import DetectorKind, SensingMetric, Threshold, calibrate_threshold, \
-    check_calibration, check_target_pf, energy_metric
+    check_target_pf, energy_metric
 from .errors import ConfigurationError
-from .scd import BLOCK_ROWS, SliceWork, WindowKind, cycle_shift, make_window, \
-    smoothed_slices
+from .scd import BLOCK_ROWS, SliceWork, WindowKind, check_window, cycle_shift, \
+    make_window, smoothed_slices
 from .siggen import ChannelSpec, ModulationKind, ModulationSpec, SampleBuffer, \
     add_awgn, check_buffer_shape, check_length_and_rate, check_seed, check_snr_db, \
-    check_waveform, generate_signal, noise_only, read_text_lines
+    check_waveform, generate_signal, noise_only
 
 __all__ = [
     "SensingConfig",
@@ -69,7 +69,7 @@ class SensingConfig:
     h1_trials defaults to trials when left None.
     """
 
-    modulation: ModulationSpec = None
+    modulation: ModulationSpec = ModulationSpec(ModulationKind.AM, 1e6, 10e3)
     n_samples: int = 4096
     smoothing_len: int = 1301
     sample_rate_hz: float = 3e6
@@ -82,15 +82,10 @@ class SensingConfig:
     h1_trials: int | None = None
 
     def __post_init__(self):
-        if self.modulation is None:
-            object.__setattr__(self, "modulation", ModulationSpec(
-                kind=ModulationKind.AM, carrier_hz=1e6, bandwidth_hz=10e3))
         if not isinstance(self.modulation, ModulationSpec):
             raise ConfigurationError("modulation must be a ModulationSpec")
         check_length_and_rate(self.n_samples, self.sample_rate_hz)
-        make_window(self.window_kind, self.smoothing_len)
-        if not self.smoothing_len < self.n_samples:
-            raise ConfigurationError("smoothing_len must be below n_samples")
+        check_window(self.window_kind, self.smoothing_len, self.n_samples)
         snrs = tuple(float(s) for s in self.snr_db_list)
         pfs = tuple(float(p) for p in self.target_pf_list)
         if not (snrs and pfs):
@@ -308,7 +303,7 @@ def run_roc(config: SensingConfig, workers: int = 1):
     if not isinstance(workers, (int, np.integer)) or workers < 1:
         raise ConfigurationError("workers must be a positive integer")
     for target_pf in config.target_pf_list:
-        check_calibration(target_pf, config.calibration_trials)
+        check_target_pf(target_pf, config.calibration_trials)
     # refused before the first trial, not at the first H1 trial
     _cycle_window(config, DETECTORS)
     check_waveform(config.modulation, config.n_samples, config.sample_rate_hz)
@@ -356,7 +351,7 @@ def calibrate_at_noise(config: SensingConfig, detector: DetectorKind, target_pf:
     """
     if not noise_variance > 0.0:
         raise ConfigurationError(f"noise variance must be positive, got {noise_variance!r}")
-    check_calibration(target_pf, config.calibration_trials)
+    check_target_pf(target_pf, config.calibration_trials)
     values = _compute_phase_range(config, PHASE_ONESHOT, None, 0, config.calibration_trials,
                                   (detector,), noise_variance)
     return calibrate_threshold(values[0], target_pf, detector)
@@ -418,9 +413,13 @@ def read_threshold_file(path):
     The format does not carry the calibration sample size, so the returned
     Threshold records calibration_trials=1 as a placeholder.
     """
-    parts = read_text_lines(path)[0].split(",")
+    with open(path, "r", encoding="utf-8", errors="replace") as fh:
+        line = fh.readline().strip()
+    parts = line.split(",")
     if len(parts) != 3:
-        raise ConfigurationError(f"{path}: expected 'detector,target_pf,threshold' on one line")
+        raise ConfigurationError(
+            f"{path}: expected 'detector,target_pf,threshold' on one line"
+        )
     try:
         detector = DetectorKind(parts[0])
         target_pf = float(parts[1])

@@ -163,19 +163,28 @@ def dft(signal: SampleBuffer) -> Spectrum:
     return Spectrum(np.fft.fft(signal.samples), n, signal.sample_rate_hz / n)
 
 
-def make_window(kind: WindowKind, length: int) -> SmoothingWindow:
-    """The smoothing window of kind and length, normalized to unit mean.
+def check_window(kind: WindowKind, length: int, n: int | None = None) -> None:
+    """The window rule, which builds nothing: a WindowKind, odd positive length, below n."""
+    if not isinstance(length, (int, np.integer)) or length < 1:
+        raise ConfigurationError("window length must be a positive integer")
+    if length % 2 == 0:
+        raise ConfigurationError(
+            f"window length must be odd; use {length - 1} or {length + 1}"
+        )
+    if not isinstance(kind, WindowKind):
+        raise ConfigurationError(f"unknown window kind: {kind!r}")
+    if n is not None and not length < n:
+        raise ConfigurationError(f"window length {length} must be below the transform size {n}")
+
+
+def make_window(kind: WindowKind, length: int, n: int | None = None) -> SmoothingWindow:
+    """The smoothing window of kind and length (below n if given), normalized to unit mean.
 
     Windows are immutable, so equal requests share one instance.  Hamming
     weights are mirrored about the center before normalization so the
     symmetry invariant holds exactly in floating point.
     """
-    if not isinstance(length, (int, np.integer)) or length < 1:
-        raise ConfigurationError("window length must be a positive integer")
-    if length % 2 == 0:
-        raise ConfigurationError(f"window length must be odd; use {length - 1} or {length + 1}")
-    if not isinstance(kind, WindowKind):
-        raise ConfigurationError(f"unknown window kind: {kind!r}")
+    check_window(kind, length, n)
     return _window(kind, int(length))
 
 
@@ -213,11 +222,9 @@ class SliceWork:
     """
 
     def __init__(self, rows: int, n: int, window: SmoothingWindow, sample_period_s: float):
-        if not window.length < n:
-            raise ConfigurationError(
-                f"window length {window.length} must be below the transform size {n}")
+        check_window(window.kind, window.length, n)
         period = (n - 1) * sample_period_s
-        self.scale = 1.0 / period if period else math.inf
+        self.scale = 1.0 / period if period else 0.0
         if not 0.0 < self.scale < math.inf:
             raise ConfigurationError(f"slice scale 1/((n-1) Ts) = {self.scale!r} is not "
                                      "positive and finite")

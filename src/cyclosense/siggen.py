@@ -12,7 +12,6 @@ controlled by the noise variance alone.
 import math
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
 
 import numpy as np
 
@@ -270,32 +269,30 @@ def write_signal_file(buffer: SampleBuffer, path) -> None:
             fh.write(f"{float(value)!r}\n")
 
 
-def read_text_lines(path) -> list:
-    """The stripped lines of a text file; a file that does not decode is refused."""
-    try:
-        return [line.strip() for line in Path(path).read_text(encoding="utf-8").split("\n")]
-    except UnicodeDecodeError as exc:
-        raise ConfigurationError(f"{path}: not a text file: {exc}") from exc
-
-
 def read_signal_file(path) -> SampleBuffer:
-    """Inverse of write_signal_file. Raises ConfigurationError on bad format."""
-    header, *lines = read_text_lines(path)
-    if not header.startswith(_SIGNAL_FILE_HEADER):
-        raise ConfigurationError(f"{path}: missing '{_SIGNAL_FILE_HEADER}<value>' header line")
-    try:
-        rate = float(header[len(_SIGNAL_FILE_HEADER):])
-    except ValueError as exc:
-        raise ConfigurationError(f"{path}: unparseable sample rate in header") from exc
-    samples = []
-    for lineno, text in enumerate(lines, start=2):
-        if not text:
-            continue
-        try:
-            samples.append(float(text))
-        except ValueError as exc:
+    """Inverse of write_signal_file. Raises ConfigurationError on bad format;
+    a byte that is not UTF-8 reads as U+FFFD, which no header or sample parses."""
+    with open(path, "r", encoding="utf-8", errors="replace") as fh:
+        header = fh.readline().strip()
+        if not header.startswith(_SIGNAL_FILE_HEADER):
             raise ConfigurationError(
-                f"{path}:{lineno}: unparseable sample value {text!r}") from exc
+                f"{path}: missing '{_SIGNAL_FILE_HEADER}<value>' header line"
+            )
+        try:
+            rate = float(header[len(_SIGNAL_FILE_HEADER):])
+        except ValueError as exc:
+            raise ConfigurationError(f"{path}: unparseable sample rate in header") from exc
+        samples = []
+        for lineno, line in enumerate(fh, start=2):
+            text = line.strip()
+            if not text:
+                continue
+            try:
+                samples.append(float(text))
+            except ValueError as exc:
+                raise ConfigurationError(
+                    f"{path}:{lineno}: unparseable sample value {text!r}"
+                ) from exc
     if not samples:
         raise ConfigurationError(f"{path}: no samples in file")
     return SampleBuffer(np.asarray(samples), rate)

@@ -19,7 +19,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from cyclosense import (DetectorKind, SampleBuffer, SensingConfig, Threshold, cli, harness,
-                        noise_only, write_signal_file, write_threshold_file)
+                        noise_only, scd, write_signal_file, write_threshold_file)
 from cyclosense.cli import build_parser, config_from_args, main
 
 TINY = ["--n", "64", "--fs-hz", "64", "--fc-hz", "16", "--bandwidth-hz", "4",
@@ -486,6 +486,31 @@ class TestCalibrationRefusedBeforeTrials:
         assert "target_pf" in captured.err
 
 
+class TestOversizedWindow:
+    """An odd --smoothing-len far beyond the buffer is refused by its length
+    before any window is built: building one first would allocate its
+    weights, or fail with a MemoryError."""
+
+    @pytest.mark.parametrize("argv, n", [
+        (["roc"], 4096),
+        (["calibrate", "--noise-variance", "1"], 4096),
+        (["detect", "--input", "{tone}", "--noise-variance", "1"], 64),
+        (["profile"], 4096),
+        (["profile", "--input", "{tone}"], 64),
+    ], ids=["roc", "calibrate", "detect", "profile", "profile_input"])
+    def test_exits_2_without_a_window(self, argv, n, tmp_path, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a window was built")
+        monkeypatch.setattr(scd, "_window", refuse)
+        tone = tone_file(tmp_path / "tone.txt")
+        argv = [arg.format(tone=tone) for arg in argv] + ["--smoothing-len", "99999999999"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: window length 99999999999 must be below the "
+                                f"transform size {n}\n")
+
+
 # Exact outputs of the small configurations, recorded at the commit before
 # roc, calibrate and detect were moved onto one trial engine.  "{signal}"
 # is a 64-sample tone-plus-noise file at 64 Hz and "{golden}" this
@@ -670,7 +695,8 @@ class TestOverflow:
 
 class TestUndecodableFile:
     """A file that is not UTF-8 text, read as a signal or a threshold: exit 2
-    with one error line naming it, not a UnicodeDecodeError traceback."""
+    with one error line naming it, not a UnicodeDecodeError traceback.  Its
+    bytes read as U+FFFD, which no header, sample or threshold field parses."""
 
     @pytest.mark.parametrize("argv", [
         ["detect", "--input", "{binary}", "--noise-variance", "1"],
@@ -684,7 +710,7 @@ class TestUndecodableFile:
         signal = golden_signal(tmp_path / "signal.txt")
         proc = run_fresh([arg.format(binary=binary, signal=signal) for arg in argv])
         assert_one_error_line(proc)
-        assert f"{binary}: not a text file" in proc.stderr
+        assert proc.stderr.startswith(f"error: {binary}: ")
 
 
 # a UTF-16 byte-order mark: not UTF-8
@@ -731,15 +757,13 @@ FLAG_VALUES = {
     "--threshold-file": st.sampled_from(["{threshold}"] * 2 + ["{missing}", "{binary}"]),
     "--noise-variance": flag_value(floats(0.1, 4.0)),
 }
-# detect and profile --input read a 64-sample, 64 Hz file, so their --n and
-# --fs-hz mostly match the file; complexity refuses an --n that is not a power
-# of two
+# complexity refuses an --n that is not a power of two
 COMMAND_VALUES = {
-    "detect": {"--n": flag_value(st.just(64), INT_EDGES),
-               "--fs-hz": flag_value(st.just(64.0))},
-    "profile": {"--n": flag_value(st.just(64), INT_EDGES)},
     "complexity": {"--n": flag_value(st.sampled_from([32, 48, 64, 4096]), INT_EDGES)},
 }
+# detect and profile --input read a 64-sample, 64 Hz file, so their --n mostly
+# matches the file (--fs-hz is drawn from 64 for every command)
+FILE_FED_VALUES = {"--n": flag_value(st.just(64), INT_EDGES)}
 # drawn on every call: the defaults of --n and the trial counts cost 4096
 # samples or 2000 trials, and the others' defaults fit no 64-sample buffer or
 # 40-trial calibration
@@ -754,11 +778,11 @@ COMMAND_FLAGS = {command: {flag: COMMAND_VALUES.get(command, {}).get(flag, FLAG_
 
 @st.composite
 def cli_argv(draw, command):
-    flags = COMMAND_FLAGS[command]
     # a file-fed run defaults --n and --fs-hz to its --input file's, so it
     # draws them only now and then, and reads the signal file unless it draws
     # another
     file_fed = command == "detect" or (command == "profile" and draw(st.booleans()))
+    flags = dict(COMMAND_FLAGS[command], **(FILE_FED_VALUES if file_fed else {}))
     always = ALWAYS_DRAWN - {"--n", "--fs-hz"} if file_fed else ALWAYS_DRAWN
     chosen = [flag for flag in flags if flag in always]
     optional = sorted(set(flags) - always - (set() if file_fed else {"--input"}))

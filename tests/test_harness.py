@@ -440,12 +440,15 @@ class TestThresholdFile:
         with pytest.raises(ConfigurationError, match="on one line"):
             read_threshold_file(path)
 
-    def test_undecodable_file_rejected_by_name(self, tmp_path):
+    # a byte that is not UTF-8 reads as U+FFFD, which no field parses
+    @pytest.mark.parametrize("data", [b"\xff\xfeenergy,0.1,1.5\n", b"energy,0.1,1.\xff5\n"],
+                             ids=["detector", "value"])
+    def test_undecodable_file_rejected_by_name(self, data, tmp_path):
         path = tmp_path / "threshold.txt"
-        path.write_bytes(b"\xff\xfeenergy,0.1,1.5\n")
+        path.write_bytes(data)
         with pytest.raises(ConfigurationError) as info:
             read_threshold_file(path)
-        assert str(info.value).startswith(f"{path}: not a text file")
+        assert str(info.value).startswith(f"{path}: unparseable threshold file")
 
 
 class TestCalibrateAtNoise:

@@ -368,12 +368,19 @@ class TestSignalFiles:
         with pytest.raises(ConfigurationError, match="header"):
             read_signal_file(path)
 
-    def test_undecodable_file_rejected_by_name(self, tmp_path):
+    # a byte that is not UTF-8 reads as U+FFFD, which no header or sample parses
+    @pytest.mark.parametrize("data, message", [
+        (b"\xff\xfe# sample_rate_hz=64\n1.0\n", "missing"),
+        (b"# sample_rate_hz=6\xff4\n1.0\n", "unparseable sample rate"),
+        (b"# sample_rate_hz=64\n1.0\n\xff\n", "3: unparseable sample value"),
+    ], ids=["header", "rate", "sample"])
+    def test_undecodable_file_rejected_by_name(self, data, message, tmp_path):
         path = tmp_path / "binary.txt"
-        path.write_bytes(b"\xff\xfe# sample_rate_hz=64\n1.0\n")
+        path.write_bytes(data)
         with pytest.raises(ConfigurationError) as info:
             read_signal_file(path)
-        assert str(info.value).startswith(f"{path}: not a text file")
+        assert str(info.value).startswith(f"{path}:")
+        assert message in str(info.value)
 
 
 class TestBufferShape:
