@@ -98,12 +98,10 @@ def _modulation_from_args(args) -> ModulationSpec:
 
 def config_from_args(args) -> SensingConfig:
     """Map parsed flags onto a SensingConfig (defaults mirror the parser's)."""
-    n_samples, sample_rate_hz = _shape(args)
     return SensingConfig(
+        **_shape(args),
         modulation=_modulation_from_args(args),
-        n_samples=n_samples,
         smoothing_len=args.smoothing_len,
-        sample_rate_hz=sample_rate_hz,
         snr_db_list=tuple(args.snr_db or SensingConfig.snr_db_list),
         target_pf_list=tuple(args.target_pf or SensingConfig.target_pf_list),
         trials=args.trials,
@@ -122,22 +120,23 @@ def _single_value(values, default, flag):
     return values[0]
 
 
-def _shape(args, buffer=None):
-    """--n and --fs-hz, defaulting to buffer's (an --input file's) or SensingConfig's."""
+def _shape(args, buffer=None) -> dict:
+    """n_samples and sample_rate_hz from --n and --fs-hz, else buffer's or SensingConfig's."""
     n, rate = ((SensingConfig.n_samples, SensingConfig.sample_rate_hz) if buffer is None
                else (len(buffer), buffer.sample_rate_hz))
-    return n if args.n is None else args.n, rate if args.fs_hz is None else args.fs_hz
+    return dict(n_samples=n if args.n is None else args.n,
+                sample_rate_hz=rate if args.fs_hz is None else args.fs_hz)
 
 
-def _oneshot_config(args, detector, n_samples, sample_rate_hz) -> SensingConfig:
+def _oneshot_config(args, detector, shape) -> SensingConfig:
     """Config for one-shot calibration and decisions, from the flags they read.
 
     The cycle detector monitors twice the carrier of the modulation the
     flags describe.  The energy detector reads no modulation or window
     flags, so those fields keep neutral values and cannot make it fail.
+    shape holds n_samples and sample_rate_hz.
     """
-    common = dict(n_samples=n_samples, sample_rate_hz=sample_rate_hz,
-                  calibration_trials=args.calibration_trials, master_seed=args.seed)
+    common = dict(shape, calibration_trials=args.calibration_trials, master_seed=args.seed)
     if detector is DetectorKind.ENERGY:
         return SensingConfig(smoothing_len=1, **common)
     return SensingConfig(modulation=_modulation_from_args(args),
@@ -162,10 +161,10 @@ def _cmd_profile(args) -> int:
             raise ConfigurationError(f"{flag} must be positive and finite")
     if args.input is not None:
         buffer = read_signal_file(args.input)
-        check_buffer_shape(buffer, *_shape(args, buffer))
+        check_buffer_shape(buffer, **_shape(args, buffer))
     else:
-        buffer = generate_signal(_modulation_from_args(args), *_shape(args),
-                                 profile_seed(args.seed, snr_db, 0))
+        buffer = generate_signal(_modulation_from_args(args), **_shape(args),
+                                 seed=profile_seed(args.seed, snr_db, 0))
     if snr_db is not None:
         buffer = add_awgn(buffer, ChannelSpec(snr_db, profile_seed(args.seed, snr_db, 1)))
     n = len(buffer)
@@ -188,7 +187,7 @@ def _cmd_profile(args) -> int:
 
 def _cmd_calibrate(args) -> int:
     detector = DetectorKind(args.detector)
-    config = _oneshot_config(args, detector, *_shape(args))
+    config = _oneshot_config(args, detector, _shape(args))
     write_threshold_file(_calibrate(args, config, detector), args.out)
     return 0
 
@@ -196,7 +195,7 @@ def _cmd_calibrate(args) -> int:
 def _cmd_detect(args) -> int:
     buffer = read_signal_file(args.input)
     detector = DetectorKind(args.detector)
-    config = _oneshot_config(args, detector, *_shape(args, buffer))
+    config = _oneshot_config(args, detector, _shape(args, buffer))
     # scored first: measure refuses a --n or --fs-hz unlike the file's before any trial
     metric = measure(config, detector, buffer)
     if args.threshold_file is not None:
