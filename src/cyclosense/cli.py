@@ -20,10 +20,10 @@ import sys
 import numpy as np
 
 from .detect import DetectorKind, decide
-from .errors import CalibrationError, ConfigurationError
+from .errors import ConfigurationError, CyclosenseError
 from .harness import (SensingConfig, calibrate_at_noise, complexity_model, measure,
-                      output_stream, profile_seed, read_threshold_file, run_roc,
-                      write_roc_csv, write_threshold_file)
+                      profile_seed, read_threshold_file, run_roc, write_roc_csv,
+                      write_threshold_file)
 from .scd import WindowKind, cycle_profile, make_window, max_cycle_shift, write_profile_csv
 from .siggen import (ChannelSpec, ModulationKind, ModulationSpec, add_awgn,
                      check_buffer_shape, generate_signal, read_signal_file)
@@ -180,8 +180,7 @@ def _cmd_profile(args) -> int:
     shifts = np.arange(-max_shift, max_shift + 1, stride)
     alphas = 2.0 * shifts * fres
     profile = cycle_profile(buffer, alphas, window)
-    with output_stream(args.out) as stream:
-        write_profile_csv(profile, stream)
+    write_profile_csv(profile, args.out)
     return 0
 
 
@@ -283,7 +282,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ConfigurationError, CalibrationError, ArithmeticError) as exc:
+    except (CyclosenseError, ArithmeticError) as exc:
         # ArithmeticError: a numeric input the checks above let through
         # overflowed; it is still the input's fault, not the program's
         print(f"error: {exc}", file=sys.stderr)

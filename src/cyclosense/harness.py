@@ -12,9 +12,7 @@ and is byte-identical across worker counts and schedulers.
 
 import math
 import os
-import sys
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
 
@@ -27,7 +25,7 @@ from .scd import BLOCK_ROWS, SliceWork, WindowKind, check_window, cycle_shift, \
     make_window, smoothed_slices
 from .siggen import ChannelSpec, ModulationKind, ModulationSpec, SampleBuffer, \
     add_awgn, check_buffer_shape, check_length_and_rate, check_seed, check_snr_db, \
-    check_waveform, generate_signal, noise_only
+    check_waveform, generate_signal, noise_only, open_text, write_lines
 
 __all__ = [
     "SensingConfig",
@@ -38,7 +36,6 @@ __all__ = [
     "measure",
     "profile_seed",
     "complexity_model",
-    "output_stream",
     "write_roc_csv",
     "write_threshold_file",
     "read_threshold_file",
@@ -374,37 +371,20 @@ def profile_seed(master_seed: int, snr_db: float | None, slot: int) -> int:
     return derive_seed(master_seed, PHASE_PROFILE, token, 0, slot)
 
 
-@contextmanager
-def output_stream(path_or_stream):
-    """A text stream: the file at a path, opened for writing, a stream
-    itself, or stdout for None."""
-    if path_or_stream is None:
-        yield sys.stdout
-    elif hasattr(path_or_stream, "write"):
-        yield path_or_stream
-    else:
-        with open(path_or_stream, "w", newline="\n") as fh:
-            yield fh
-
-
 def write_roc_csv(points, path_or_stream) -> None:
-    """Write the ROC CSV, rows sorted for reproducibility (see output_stream)."""
+    """Write the ROC CSV, rows sorted for reproducibility (see siggen.write_lines)."""
     ordered = sorted(points, key=lambda p: (p.detector.value, p.snr_db, p.target_pf))
-    with output_stream(path_or_stream) as stream:
-        stream.write(ROC_CSV_HEADER + "\n")
-        for p in ordered:
-            stream.write(
-                f"{p.detector.value},{p.snr_db!r},{p.target_pf!r},{p.threshold!r},"
-                f"{p.measured_pf!r},{p.measured_pd!r},{p.h0_trials},{p.h1_trials}\n"
-            )
+    write_lines([ROC_CSV_HEADER + "\n", *(
+        f"{p.detector.value},{p.snr_db!r},{p.target_pf!r},{p.threshold!r},"
+        f"{p.measured_pf!r},{p.measured_pd!r},{p.h0_trials},{p.h1_trials}\n"
+        for p in ordered)], path_or_stream)
 
 
 def write_threshold_file(threshold: Threshold, path_or_stream) -> None:
     """Single line `<detector>,<target_pf>,<value>` matching the CSV field
-    order (see output_stream)."""
-    with output_stream(path_or_stream) as stream:
-        stream.write(f"{threshold.detector.value},{threshold.target_pf!r},"
-                     f"{threshold.value!r}\n")
+    order (see siggen.write_lines)."""
+    write_lines([f"{threshold.detector.value},{threshold.target_pf!r},{threshold.value!r}\n"],
+                path_or_stream)
 
 
 def read_threshold_file(path):
@@ -413,7 +393,7 @@ def read_threshold_file(path):
     The format does not carry the calibration sample size, so the returned
     Threshold records calibration_trials=1 as a placeholder.
     """
-    with open(path, "r", encoding="utf-8", errors="replace") as fh:
+    with open_text(path) as fh:
         line = fh.readline().strip()
     parts = line.split(",")
     if len(parts) != 3:
@@ -426,5 +406,8 @@ def read_threshold_file(path):
         value = float(parts[2])
     except ValueError as exc:
         raise ConfigurationError(f"{path}: unparseable threshold file: {exc}") from exc
-    return Threshold(value=value, target_pf=target_pf,
-                     calibration_trials=1, detector=detector)
+    try:
+        return Threshold(value=value, target_pf=target_pf,
+                         calibration_trials=1, detector=detector)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{path}: {exc}") from exc

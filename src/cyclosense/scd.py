@@ -29,7 +29,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigurationError
-from .siggen import SampleBuffer
+from .siggen import SampleBuffer, write_lines
 
 # Rows per smoothed_slices call in cycle_profile and the trial engine.  At
 # N = 4096 and L = 1301 the engine's block buffers take about 1.2 MB; more
@@ -341,8 +341,8 @@ def cycle_profile(signal: SampleBuffer, alphas_hz, window: SmoothingWindow) -> C
     return CycleProfile(alphas, magnitudes)
 
 
-def write_profile_csv(profile: CycleProfile, stream) -> None:
-    """Emit `alpha_hz,i_alpha` rows at full precision to a text stream."""
-    stream.write("alpha_hz,i_alpha\n")
-    for alpha, mag in zip(profile.alphas_hz, profile.magnitudes):
-        stream.write(f"{float(alpha)!r},{float(mag)!r}\n")
+def write_profile_csv(profile: CycleProfile, path_or_stream) -> None:
+    """Emit `alpha_hz,i_alpha` rows at full precision (see siggen.write_lines)."""
+    write_lines(["alpha_hz,i_alpha\n", *(
+        f"{float(alpha)!r},{float(mag)!r}\n"
+        for alpha, mag in zip(profile.alphas_hz, profile.magnitudes))], path_or_stream)

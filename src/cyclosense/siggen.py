@@ -10,6 +10,7 @@ controlled by the noise variance alone.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -261,18 +262,32 @@ def noise_only(n_samples: int, variance: float, seed: int,
     return SampleBuffer(rng.normal(0.0, math.sqrt(variance), n_samples), sample_rate_hz)
 
 
-def write_signal_file(buffer: SampleBuffer, path) -> None:
-    """One repr'd sample per line after a `# sample_rate_hz=` header."""
-    with open(path, "w", newline="\n") as fh:
-        fh.write(f"{_SIGNAL_FILE_HEADER}{buffer.sample_rate_hz!r}\n")
-        for value in buffer.samples:
-            fh.write(f"{float(value)!r}\n")
+def write_lines(lines, path_or_stream) -> None:
+    """Write newline-ended lines to the file at a path, with "\\n" line ends, to a
+    text stream, or for None to sys.stdout, looked up at call time."""
+    if path_or_stream is None:
+        path_or_stream = sys.stdout
+    if hasattr(path_or_stream, "write"):
+        return path_or_stream.writelines(lines)
+    with open(path_or_stream, "w", encoding="utf-8", newline="\n") as fh:
+        fh.writelines(lines)
+
+
+def open_text(path):
+    """The file at path, opened for reading as UTF-8.  A byte that is not
+    UTF-8 reads as U+FFFD, which no header, sample or threshold field parses."""
+    return open(path, "r", encoding="utf-8", errors="replace")
+
+
+def write_signal_file(buffer: SampleBuffer, path_or_stream) -> None:
+    """One repr'd sample per line after a `# sample_rate_hz=` header (see write_lines)."""
+    write_lines([f"{_SIGNAL_FILE_HEADER}{buffer.sample_rate_hz!r}\n",
+                 *(f"{float(value)!r}\n" for value in buffer.samples)], path_or_stream)
 
 
 def read_signal_file(path) -> SampleBuffer:
-    """Inverse of write_signal_file. Raises ConfigurationError on bad format;
-    a byte that is not UTF-8 reads as U+FFFD, which no header or sample parses."""
-    with open(path, "r", encoding="utf-8", errors="replace") as fh:
+    """Inverse of write_signal_file; a file it refuses is named in the error."""
+    with open_text(path) as fh:
         header = fh.readline().strip()
         if not header.startswith(_SIGNAL_FILE_HEADER):
             raise ConfigurationError(
@@ -295,4 +310,7 @@ def read_signal_file(path) -> SampleBuffer:
                 ) from exc
     if not samples:
         raise ConfigurationError(f"{path}: no samples in file")
-    return SampleBuffer(np.asarray(samples), rate)
+    try:
+        return SampleBuffer(np.asarray(samples), rate)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{path}: {exc}") from exc

@@ -713,6 +713,27 @@ class TestUndecodableFile:
         assert proc.stderr.startswith(f"error: {binary}: ")
 
 
+class TestRefusedFileContent:
+    """A signal or threshold file that parses but holds a rate, a sample or a
+    threshold that the library refuses: exit 2 with one error line naming it."""
+
+    @pytest.mark.parametrize("argv, bad, content", [
+        (["detect", "--input", "{bad}", "--noise-variance", "1"],
+         "signal.txt", "# sample_rate_hz=nan\n1.0\n"),
+        (["profile", "--input", "{bad}"], "signal.txt", "# sample_rate_hz=64\n1.0\n1e400\n"),
+        (["detect", "--detector", "energy", "--input", "{signal}", "--threshold-file", "{bad}"],
+         "threshold.txt", "energy,7,1.0\n"),
+    ], ids=["detect_input", "profile_input", "detect_threshold_file"])
+    def test_exits_2_naming_the_file(self, argv, bad, content, tmp_path):
+        path = tmp_path / "bad" / bad
+        path.parent.mkdir()
+        path.write_text(content)
+        signal = golden_signal(tmp_path / "signal.txt")
+        proc = run_fresh([arg.format(bad=path, signal=signal) for arg in argv])
+        assert_one_error_line(proc)
+        assert proc.stderr.startswith(f"error: {path}: ")
+
+
 # a UTF-16 byte-order mark: not UTF-8
 BINARY_BYTES = b"\xff\xfe# sample_rate_hz=64\n"
 
@@ -721,7 +742,9 @@ INT_EDGES = ["0", "-1", "1", "x"]
 
 
 def flag_value(valid, edges=FLOAT_EDGES):
-    """Mostly values from `valid`, one time in eight an edge case."""
+    """An edge case when the drawn k is 0, else a value from `valid`.  k == 0 is
+    hypothesis's simplest draw, so edge cases come far more often than one
+    time in eight."""
     return st.integers(0, 7).flatmap(
         lambda k: st.sampled_from(edges) if k == 0 else valid.map(str))
 
@@ -752,9 +775,10 @@ FLAG_VALUES = {
     "--seed": flag_value(st.integers(0, 5), INT_EDGES),
     "--alpha-max-hz": flag_value(floats(1.0, 80.0)),
     "--alpha-step-hz": flag_value(floats(1.0, 20.0)),
-    "--input": st.sampled_from(["{signal}"] * 4 + ["{missing}", "{binary}"]),
+    "--input": st.sampled_from(["{signal}"] * 4 + ["{missing}", "{binary}", "{nan_rate}"]),
     "--detector": st.sampled_from(["cycle_feature", "energy"]),
-    "--threshold-file": st.sampled_from(["{threshold}"] * 2 + ["{missing}", "{binary}"]),
+    "--threshold-file": st.sampled_from(
+        ["{threshold}"] * 2 + ["{missing}", "{binary}", "{inf_threshold}"]),
     "--noise-variance": flag_value(floats(0.1, 4.0)),
 }
 # complexity refuses an --n that is not a power of two
@@ -805,8 +829,13 @@ def fuzz_files(tmp_path_factory):
     write_threshold_file(Threshold(50.0, 0.5, 20, DetectorKind.ENERGY), threshold)
     binary = root / "binary.txt"
     binary.write_bytes(BINARY_BYTES)
+    nan_rate = root / "nan_rate.txt"
+    nan_rate.write_text("# sample_rate_hz=nan\n1.0\n")
+    inf_threshold = root / "inf_threshold.txt"
+    inf_threshold.write_text("energy,0.1,inf\n")
     return {"signal": golden_signal(root / "signal.txt"), "threshold": str(threshold),
-            "missing": str(root / "absent.txt"), "binary": str(binary)}
+            "missing": str(root / "absent.txt"), "binary": str(binary),
+            "nan_rate": str(nan_rate), "inf_threshold": str(inf_threshold)}
 
 
 # each example runs one argv of every command, so every command is drawn

@@ -450,6 +450,19 @@ class TestThresholdFile:
             read_threshold_file(path)
         assert str(info.value).startswith(f"{path}: unparseable threshold file")
 
+    # a parsed line whose target Pf or value Threshold refuses
+    @pytest.mark.parametrize("content, message", [
+        ("energy,7,1.0\n", "target_pf must lie in (0, 1), got 7.0"),
+        ("energy,0.1,-1.0\n", "threshold value must be finite and nonnegative"),
+        ("energy,0.1,inf\n", "threshold value must be finite and nonnegative"),
+    ], ids=["target_pf", "negative_value", "inf_value"])
+    def test_refused_content_names_the_file(self, content, message, tmp_path):
+        path = tmp_path / "threshold.txt"
+        path.write_text(content)
+        with pytest.raises(ConfigurationError) as info:
+            read_threshold_file(path)
+        assert str(info.value) == f"{path}: {message}"
+
 
 class TestCalibrateAtNoise:
     """One-shot calibration checks its target Pf and its size before the

@@ -382,6 +382,20 @@ class TestSignalFiles:
         assert str(info.value).startswith(f"{path}:")
         assert message in str(info.value)
 
+    # a parsed file whose rate or samples SampleBuffer refuses
+    @pytest.mark.parametrize("text, message", [
+        ("# sample_rate_hz=nan\n1.0\n", "sample_rate_hz must be positive and finite"),
+        ("# sample_rate_hz=-5\n1.0\n", "sample_rate_hz must be positive and finite"),
+        ("# sample_rate_hz=64\n1.0\ninf\n", "sample buffer contains non-finite values"),
+        ("# sample_rate_hz=64\n1e400\n", "sample buffer contains non-finite values"),
+    ], ids=["nan_rate", "negative_rate", "inf_sample", "overflowing_sample"])
+    def test_refused_content_names_the_file(self, text, message, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        with pytest.raises(ConfigurationError) as info:
+            read_signal_file(path)
+        assert str(info.value) == f"{path}: {message}"
+
 
 class TestBufferShape:
     def test_match_accepted(self):
