@@ -28,6 +28,8 @@ __all__ = [
     "decide",
 ]
 
+_SUM_CHUNK = 1 << 26    # per bucket, 2^26 halves of up to 27 bits sum exactly in float64
+
 
 class DetectorKind(Enum):
     CYCLE_FEATURE = "cycle_feature"
@@ -75,13 +77,28 @@ def cycle_metric(slice_: ScdSlice) -> SensingMetric:
 
 
 def energy_metric(signal: SampleBuffer) -> SensingMetric:
-    # fsum gives the correctly rounded sum, so the metric does not depend
-    # on accumulation order and concatenation is exactly additive whenever
-    # the partial sums are representable; a square that overflows to inf
-    # is refused by SensingMetric, so numpy need not warn of it
-    with np.errstate(over="ignore"):
-        value = math.fsum(np.square(signal.samples).tolist())
-    return SensingMetric(value, DetectorKind.ENERGY)
+    # exact before one rounding at any length, as bucket sums over 2^26 squares stay
+    # below 2^53: order-free, additive while partials are representable; inf refused
+    return SensingMetric(sum_of_squares(signal.samples), DetectorKind.ENERGY)
+
+
+def sum_of_squares(x: np.ndarray) -> float:
+    """The correctly rounded sum of the squares of 1-D float64 x, inf on overflow, with
+    no Python float per sample: bincount sums the halves of the squares' integer
+    mantissas per exponent, and a Python int sums those buckets exactly, rounded once."""
+    total = 0
+    for start in range(0, x.size, _SUM_CHUNK):
+        with np.errstate(over="ignore"):    # an inf square counts as 2^1024
+            bits = np.square(x[start:start + _SUM_CHUNK]).view(np.int64)
+        bucket = np.maximum(bits >> 52, 1)    # a subnormal: exponent 1, no implicit bit
+        bits -= (bucket - 1) << 52            # the 53-bit integer mantissa
+        halves = np.array([np.bincount(bucket, bits >> 26),
+                           np.bincount(bucket, bits & (1 << 26) - 1)], dtype=np.int64)
+        lowest = int(bucket.min())
+        total += sum(((h << 26) + l) << b for b, (h, l)
+                     in enumerate(halves[:, lowest:].T.tolist())) << lowest
+    # a square is its mantissa * 2^(bucket - 1075); from DBL_MAX + ulp/2 up, the sum is inf
+    return total / (1 << 1075) if total < (1 << 2099) - (1 << 2045) else math.inf
 
 
 def required_calibration_trials(target_pf: float) -> int:

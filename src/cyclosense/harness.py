@@ -19,7 +19,7 @@ from functools import partial
 import numpy as np
 
 from .detect import DetectorKind, SensingMetric, Threshold, calibrate_threshold, \
-    check_target_pf, energy_metric
+    check_target_pf, sum_of_squares
 from .errors import ConfigurationError
 from .scd import BLOCK_ROWS, SliceWork, WindowKind, check_window, cycle_shift, \
     make_window, smoothed_slices
@@ -249,10 +249,11 @@ def _score(config: SensingConfig, detectors, count: int, buffers) -> np.ndarray:
     for first in range(0, count, BLOCK_ROWS):
         columns = slice(first, min(first + BLOCK_ROWS, count))
         block = spectra[:columns.stop - first]
-        for column, (row, buffer) in enumerate(zip(block, buffers), first):
+        for row, buffer in zip(block, buffers):
             row[:] = buffer.samples
-            if DetectorKind.ENERGY in row_of:
-                values[row_of[DetectorKind.ENERGY], column] = energy_metric(buffer).value
+        # energy a row at a time: whole-block temporaries make glibc trim the heap
+        if DetectorKind.ENERGY in row_of:
+            values[row_of[DetectorKind.ENERGY], columns] = [sum_of_squares(r) for r in block.real]
         if cycle is not None:
             np.fft.fft(block, axis=-1, out=block)
             values[row_of[DetectorKind.CYCLE_FEATURE], columns] = work.peaks(

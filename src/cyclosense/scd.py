@@ -29,7 +29,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigurationError
-from .siggen import SampleBuffer, write_lines
+from .siggen import SampleBuffer, read_only, write_lines
 
 # Rows per smoothed_slices call in cycle_profile and the trial engine.  At
 # N = 4096 and L = 1301 the engine's block buffers take about 1.2 MB; more
@@ -75,8 +75,7 @@ class Spectrum:
             raise ConfigurationError("spectrum length must equal n")
         if not self.freq_resolution_hz > 0.0:
             raise ConfigurationError("freq_resolution_hz must be positive")
-        arr.flags.writeable = False
-        object.__setattr__(self, "bins", arr)
+        object.__setattr__(self, "bins", read_only(arr))
 
 
 @dataclass(frozen=True)
@@ -94,8 +93,7 @@ class SmoothingWindow:
             raise ConfigurationError("window weights must be symmetric")
         if abs(float(np.mean(arr)) - 1.0) > 1e-12:
             raise ConfigurationError("window weights must average to 1")
-        arr.flags.writeable = False
-        object.__setattr__(self, "weights", arr)
+        object.__setattr__(self, "weights", read_only(arr))
 
     @property
     def length(self) -> int:
@@ -125,8 +123,7 @@ class ScdSlice:
             raise ConfigurationError("slice values must be a nonempty 1-D sequence")
         if not self.scale > 0.0:
             raise ConfigurationError("scale must be positive")
-        arr.flags.writeable = False
-        object.__setattr__(self, "values", arr)
+        object.__setattr__(self, "values", read_only(arr))
 
     @property
     def n(self) -> int:
@@ -151,10 +148,8 @@ class CycleProfile:
             raise ConfigurationError(
                 "profile magnitudes must be finite and nonnegative; "
                 "the spectral correlation overflowed")
-        alphas.flags.writeable = False
-        mags.flags.writeable = False
-        object.__setattr__(self, "alphas_hz", alphas)
-        object.__setattr__(self, "magnitudes", mags)
+        object.__setattr__(self, "alphas_hz", read_only(alphas))
+        object.__setattr__(self, "magnitudes", read_only(mags))
 
 
 def dft(signal: SampleBuffer) -> Spectrum:
@@ -206,10 +201,7 @@ def _next_pow2(m: int) -> int:
 
 @lru_cache(maxsize=16)
 def _window_transform(weights_bytes: bytes, nfft: int) -> np.ndarray:
-    w = np.frombuffer(weights_bytes, dtype=np.float64)
-    out = np.fft.fft(w, nfft)
-    out.flags.writeable = False
-    return out
+    return read_only(np.fft.fft(np.frombuffer(weights_bytes, dtype=np.float64), nfft))
 
 
 class SliceWork:

@@ -13,6 +13,7 @@ import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -63,8 +64,7 @@ class SampleBuffer:
         check_length_and_rate(arr.size, rate)
         if not np.all(np.isfinite(arr)):
             raise ConfigurationError("sample buffer contains non-finite values")
-        arr.flags.writeable = False
-        object.__setattr__(self, "samples", arr)
+        object.__setattr__(self, "samples", read_only(arr))
         object.__setattr__(self, "sample_rate_hz", rate)
 
     def __len__(self) -> int:
@@ -123,6 +123,12 @@ class ChannelSpec:
         check_seed(self.seed)
 
 
+def read_only(arr: np.ndarray) -> np.ndarray:
+    """arr, marked read-only so that it can be shared or cached."""
+    arr.flags.writeable = False
+    return arr
+
+
 def check_snr_db(snr_db) -> None:
     """Refuse NaN and finite SNRs beyond SNR_DB_LIMIT; +-inf stay legal."""
     if not (abs(snr_db) <= SNR_DB_LIMIT or math.isinf(snr_db)):
@@ -176,18 +182,27 @@ def _modulated(spec, kind, envelope, n_samples, sample_rate_hz, seed) -> SampleB
         raise ConfigurationError(f"modulation spec is {spec.kind.value}, expected {kind.value}")
     check_waveform(spec, n_samples, sample_rate_hz)
     check_seed(seed)
-    k = np.arange(n_samples)
-    x = (envelope(spec, k, sample_rate_hz, seed)
-         * np.cos(2.0 * np.pi * (spec.carrier_hz / sample_rate_hz) * k))
+    x = (envelope(spec, np.arange(n_samples), sample_rate_hz, seed)
+         * _carrier(n_samples, sample_rate_hz, spec.carrier_hz))
     return SampleBuffer(x / math.sqrt(float(np.mean(np.square(x)))), sample_rate_hz)
+
+
+@lru_cache(maxsize=16)
+def _carrier(n_samples, sample_rate_hz, carrier_hz) -> np.ndarray:
+    return read_only(np.cos(2.0 * np.pi * (carrier_hz / sample_rate_hz) * np.arange(n_samples)))
+
+
+@lru_cache(maxsize=16)
+def _stopband(n_samples, sample_rate_hz, bandwidth_hz) -> np.ndarray:
+    freqs = np.fft.rfftfreq(n_samples, 1.0 / sample_rate_hz)
+    return read_only((freqs > bandwidth_hz) | (freqs == 0.0))    # an AM message has no DC
 
 
 def _am_envelope(spec, k, sample_rate_hz, seed):
     if spec.am_mod_index == 0.0:
         return 1.0
     spectrum = np.fft.rfft(np.random.default_rng(seed).normal(size=k.size))
-    spectrum[np.fft.rfftfreq(k.size, 1.0 / sample_rate_hz) > spec.bandwidth_hz] = 0.0
-    spectrum[0] = 0.0
+    spectrum[_stopband(k.size, sample_rate_hz, spec.bandwidth_hz)] = 0.0
     message = np.fft.irfft(spectrum, k.size)
     return 1.0 + spec.am_mod_index * (message / math.sqrt(float(np.mean(np.square(message)))))
 

@@ -682,14 +682,20 @@ class TestOverflow:
         # every sample squares to inf
         ["detect", "--detector", "energy", "--input", "{huge}",
          "--threshold-file", "{threshold}"],
+        # every square is finite, their sum is not
+        ["detect", "--detector", "energy", "--input", "{big}", "--n", "16", "--fs-hz", "8",
+         "--noise-variance", "1", "--calibration-trials", "100", "--target-pf", "0.1"],
     ])
     def test_exits_2_without_warnings(self, argv, tmp_path):
         huge = tmp_path / "huge.txt"
         write_signal_file(SampleBuffer(np.full(64, 1e300), 64.0), huge)
+        big = tmp_path / "big.txt"
+        write_signal_file(SampleBuffer(np.full(16, 1.3e154), 8.0), big)
         threshold = tmp_path / "threshold.txt"
         write_threshold_file(Threshold(1.0, 0.1, 1, DetectorKind.ENERGY), threshold)
-        proc = run_fresh([arg.format(huge=huge, threshold=threshold) for arg in argv])
+        proc = run_fresh([arg.format(huge=huge, big=big, threshold=threshold) for arg in argv])
         assert_one_error_line(proc)
+        assert "finite" in proc.stderr
         assert "RuntimeWarning" not in proc.stderr
 
 

@@ -13,6 +13,8 @@ from cyclosense import (CalibrationError, ConfigurationError, Decision,
                         WindowKind, calibrate_threshold, cycle_metric, decide,
                         dft, energy_metric, make_window, noise_only,
                         required_calibration_trials, scd_slice)
+from cyclosense import detect
+from cyclosense.detect import sum_of_squares
 
 
 def tone_slice(n=64, cycles=8, amplitude=1.0, seed=None):
@@ -75,6 +77,99 @@ class TestEnergyMetric:
         left = energy_metric(SampleBuffer(x[:cut].copy(), 1.0)).value
         right = energy_metric(SampleBuffer(x[cut:].copy(), 1.0)).value
         assert whole == left + right
+
+
+def fsum_of_squares(row):
+    """The oracle: math.fsum of the squares, and where fsum overflows, the
+    exact rational sum rounded once (inf beyond the float range).  fsum also
+    overflows on a few sums that round to the largest float."""
+    with np.errstate(over="ignore"):
+        squares = np.square(row).tolist()
+    try:
+        return math.fsum(squares)
+    except OverflowError:
+        try:
+            return float(sum(map(Fraction, squares)))
+        except OverflowError:
+            return math.inf
+
+
+def squares_summing_to(total, unit_exponent):
+    """Powers of two whose squares sum to the integer total, a multiple of
+    2^unit_exponent (even): one per unit of each base-4 digit."""
+    samples, digits, exponent = [], total >> unit_exponent, unit_exponent // 2
+    while digits:
+        samples += [2.0 ** exponent] * (digits % 4)
+        digits, exponent = digits // 4, exponent + 1
+    return np.array(samples)
+
+
+# A sample of m * 2^k squares to about 2^(2k): from below the smallest
+# subnormal (2^-1074) to beyond the largest float (2^1024).
+SCALES = st.integers(min_value=-560, max_value=512)
+
+
+@st.composite
+def blocks(draw):
+    """A complex block like the engine's, whose real rows hold all zeros, one
+    scale, or a scale per sample; rows of one block differ in scale."""
+    rows, n = draw(st.integers(1, 4)), draw(st.integers(1, 48))
+    block = np.zeros((rows, n), dtype=np.complex128)
+    for row in block.real:
+        kind = draw(st.sampled_from(["zeros", "one scale", "mixed"]))
+        if kind == "zeros":
+            continue
+        mantissas = draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n))
+        scales = (draw(st.lists(SCALES, min_size=n, max_size=n)) if kind == "mixed"
+                  else [draw(SCALES)] * n)
+        row[:] = np.ldexp(mantissas, scales)
+    return block
+
+
+class TestSumOfSquares:
+    """The engine's energy sum against math.fsum, bit for bit."""
+
+    @pytest.mark.parametrize("chunk", [None, 3], ids=["one_chunk", "chunks_of_3"])
+    @settings(max_examples=300, deadline=None)
+    @given(blocks())
+    def test_matches_fsum(self, chunk, block):
+        with pytest.MonkeyPatch.context() as patch:
+            if chunk is not None:
+                patch.setattr(detect, "_SUM_CHUNK", chunk)
+            got = [sum_of_squares(row) for row in block.real]
+        assert got == [fsum_of_squares(row) for row in block.real]
+
+    def test_fsum_overflow_gives_inf(self):
+        row = np.full(16, 1.3e154)    # each square is finite, their sum is not
+        with pytest.raises(OverflowError):
+            math.fsum(np.square(row).tolist())
+        assert sum_of_squares(row) == math.inf
+
+    def test_overflowing_energy_metric_refused(self):
+        # inf, refused as a ConfigurationError; math.fsum would raise
+        # OverflowError, which is not a CyclosenseError
+        with pytest.raises(ConfigurationError, match="finite"):
+            energy_metric(SampleBuffer(np.full(16, 1.3e154), 8.0))
+
+    @pytest.mark.parametrize("excess, want", [
+        (-2 ** 900, 1.7976931348623157e308),    # below the midpoint: the largest float
+        (0, math.inf),                          # the midpoint: ties to even, 2^1024
+        (2 ** 900, math.inf),
+    ])
+    def test_rounded_once_at_the_overflow_threshold(self, excess, want):
+        # the largest float plus half its last place, 2^1024 - 2^970; fsum's
+        # partials overflow on all three sums
+        row = squares_summing_to(2 ** 1024 - 2 ** 970 + excess, 900)
+        assert sum(Fraction(float(v)) ** 2 for v in row) == 2 ** 1024 - 2 ** 970 + excess
+        with pytest.raises(OverflowError):
+            math.fsum(np.square(row).tolist())
+        assert sum_of_squares(row) == want
+
+    def test_subnormal_squares_and_total(self):
+        # squares of 2^-1074, 9 * 2^-1076 (rounded to 2^-1073) and 2^-1060
+        row = np.array([2.0 ** -537, 3 * 2.0 ** -538, 2.0 ** -530, 0.0])
+        exact = sum(map(Fraction, np.square(row).tolist()))
+        assert sum_of_squares(row) == float(exact) == fsum_of_squares(row)
 
 
 class TestRequiredCalibrationTrials:

@@ -9,14 +9,14 @@ import numpy as np
 import pytest
 
 from cyclosense import (CalibrationError, ChannelSpec, ConfigurationError, DetectorKind,
-                        ModulationKind, ModulationSpec, RocPoint,
+                        ModulationKind, ModulationSpec, RocPoint, SampleBuffer,
                         SensingConfig, Threshold, WindowKind, add_awgn, complexity_model,
-                        cycle_metric, dft, generate_signal, harness, make_window,
+                        cycle_metric, dft, energy_metric, generate_signal, harness, make_window,
                         noise_only, read_threshold_file, run_roc, scd_slice,
                         write_roc_csv, write_threshold_file)
 from cyclosense.harness import (DETECTORS, PHASE_CALIBRATION, PHASE_H0, PHASE_H1,
                                 PHASE_ONESHOT, ROC_CSV_HEADER, _compute_phase_range,
-                                calibrate_at_noise, derive_seed, measure)
+                                _score, calibrate_at_noise, derive_seed, measure)
 from oracles import reference_phase_range
 
 
@@ -311,6 +311,36 @@ class TestBlockedEngine:
         finally:
             tracemalloc.stop()
         assert peak < 2 * 2 ** 20
+
+    def test_energy_only_memory_stays_within_budget(self):
+        # without the cycle detector the block buffer alone remains, 0.25 MiB
+        config = SensingConfig()
+        _compute_phase_range(config, PHASE_H1, -22.0, 0, 1, (ENERGY,))
+        tracemalloc.start()
+        try:
+            _compute_phase_range(config, PHASE_H1, -22.0, 0, 64, (ENERGY,))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2 ** 20
+
+    def test_energy_row_equals_public_metric(self):
+        # the block sum of each row is energy_metric's, at scales whose squares
+        # lie 600 decades apart within one block
+        config = tiny_config()
+        rng = np.random.default_rng(11)
+        buffers = [SampleBuffer(scale * rng.normal(size=config.n_samples),
+                                config.sample_rate_hz) for scale in (1e-150, 1.0, 1e150, 0.0)]
+        values = _score(config, (ENERGY,), len(buffers), buffers)
+        assert values[0].tolist() == [energy_metric(buffer).value for buffer in buffers]
+
+    def test_energy_overflow_refused_as_configuration_error(self):
+        # every square is finite, their sum is not: the scorer's finiteness
+        # check refuses it, where math.fsum would raise OverflowError
+        config = tiny_config(n_samples=16, sample_rate_hz=8.0)
+        buffer = SampleBuffer(np.full(16, 1.3e154), 8.0)
+        with pytest.raises(ConfigurationError, match="non-finite"):
+            measure(config, ENERGY, buffer)
 
 
 class TestOneScorer:

@@ -11,6 +11,7 @@ from cyclosense import (ChannelSpec, ConfigurationError, ModulationKind,
                         ModulationSpec, SampleBuffer, SensingConfig, add_awgn,
                         generate_am, generate_bpsk, generate_signal, noise_only,
                         read_signal_file, write_signal_file)
+from cyclosense import siggen
 from cyclosense.siggen import check_buffer_shape, check_waveform
 
 
@@ -109,6 +110,25 @@ class TestGenerateAm:
         freqs = np.fft.fftfreq(n, 1.0 / rate)
         in_band = (np.abs(np.abs(freqs) - 512 * rate / n) <= 20e3 + rate / n)
         assert np.all(mags[~in_band] < 1e-9 * mags.max())
+
+    def test_cached_carrier_and_stopband_keep_every_bit(self):
+        # the carrier is cached per (n, rate, f_c) and the message's stopband
+        # per (n, rate, B), both read-only; expected is the uncached formula
+        spec, n, rate, seed = am_spec(), 4096, 3e6, 7
+        spectrum = np.fft.rfft(np.random.default_rng(seed).normal(size=n))
+        spectrum[np.fft.rfftfreq(n, 1.0 / rate) > spec.bandwidth_hz] = 0.0
+        spectrum[0] = 0.0
+        message = np.fft.irfft(spectrum, n)
+        message /= math.sqrt(float(np.mean(np.square(message))))
+        x = (1.0 + spec.am_mod_index * message) * np.cos(
+            2.0 * np.pi * (spec.carrier_hz / rate) * np.arange(n))
+        expected = x / math.sqrt(float(np.mean(np.square(x))))
+        siggen._carrier.cache_clear()
+        siggen._stopband.cache_clear()
+        for _ in range(2):    # cold, then warm
+            assert np.array_equal(generate_am(spec, n, rate, seed).samples, expected)
+        assert not siggen._carrier(n, rate, spec.carrier_hz).flags.writeable
+        assert not siggen._stopband(n, rate, spec.bandwidth_hz).flags.writeable
 
     def test_carrier_at_nyquist_rejected(self):
         with pytest.raises(ConfigurationError):
