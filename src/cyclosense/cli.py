@@ -172,11 +172,12 @@ def _cmd_profile(args) -> int:
     fres = buffer.sample_rate_hz / n
     step = 2.0 * fres
     max_shift = max_cycle_shift(n)
+    # clamped to the grid before int() and round(), which overflow at tiny rates
     if args.alpha_max_hz is not None:
-        max_shift = min(max_shift, int(args.alpha_max_hz // step))
+        max_shift = int(min(max_shift, args.alpha_max_hz // step))
     stride = 1
     if args.alpha_step_hz is not None:
-        stride = max(1, round(args.alpha_step_hz / step))
+        stride = max(1, round(min(2 * max_shift + 1, args.alpha_step_hz / step)))
     shifts = np.arange(-max_shift, max_shift + 1, stride)
     alphas = 2.0 * shifts * fres
     profile = cycle_profile(buffer, alphas, window)
@@ -224,60 +225,78 @@ def _cmd_complexity(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+# name -> (help, description, _add_flags names, (flag, add_argument keywords) pairs).
+# Each runs _cmd_<name>, looked up per parser, so a wrapper rebound to it (perfbench) runs.
+_COMMANDS = {
+    "roc": ("Monte Carlo ROC sweep -> CSV", None,
+            (*_SHARED_FLAGS, "--snr-db", "--target-pf", "--trials", "--h1-trials",
+             "--calibration-trials", "--workers", "--out"), ()),
+    "profile": ("cycle-frequency profile -> CSV", None,
+                (*_SHARED_FLAGS, "--snr-db", "--alpha-max-hz", "--alpha-step-hz", "--out"),
+                (("--input", dict(default=None,
+                                  help="signal file to analyze instead of generating")),)),
+    "detect": ("one-shot decision on a signal file", None,
+               (*_SHARED_FLAGS, "--target-pf", "--calibration-trials", "--detector",
+                "--threshold-file", "--noise-variance"),
+               (("--input", dict(required=True, help="signal file to sense")),)),
+    "calibrate": ("calibrate a threshold -> threshold file", None,
+                  (*_SHARED_FLAGS, "--target-pf", "--calibration-trials", "--detector",
+                   "--noise-variance", "--out"), ()),
+    "complexity": (
+        "analytical operation counts",
+        "Closed-form real-operation counts for one sensing decision.  --smoothing-len "
+        "is used verbatim here (even values accepted); the estimator itself requires "
+        "an odd window and defaults to 1301.", (),
+        (("--n", dict(type=int, default=4096,
+                      help="transform size, power of two (default: 4096)")),
+         ("--smoothing-len", dict(type=int, default=1301,
+                                  help="window length in the count formulas (default: 1301)")))),
+}
+
+
+def _fill(parser: argparse.ArgumentParser, command: str) -> argparse.ArgumentParser:
+    _, _, flags, extras = _COMMANDS[command]
+    _add_flags(parser, *flags)
+    for flag, keywords in extras:
+        parser.add_argument(flag, **keywords)
+    parser.set_defaults(func=globals()[f"_cmd_{command}"])
+    return parser
+
+
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The full parser, or with command that subcommand's parser alone."""
+    if command is not None:
+        return _fill(argparse.ArgumentParser(prog=f"cyclosense {command}",
+                                             description=_COMMANDS[command][1]), command)
     parser = argparse.ArgumentParser(
         prog="cyclosense",
         description="Cyclostationary-feature spectrum sensing with an "
                     "energy-detection baseline.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    roc = sub.add_parser("roc", help="Monte Carlo ROC sweep -> CSV")
-    _add_flags(roc, *_SHARED_FLAGS, "--snr-db", "--target-pf", "--trials", "--h1-trials",
-               "--calibration-trials", "--workers", "--out")
-    roc.set_defaults(func=_cmd_roc)
-
-    profile = sub.add_parser("profile", help="cycle-frequency profile -> CSV")
-    _add_flags(profile, *_SHARED_FLAGS, "--snr-db", "--alpha-max-hz", "--alpha-step-hz",
-               "--out")
-    profile.add_argument("--input", default=None,
-                         help="signal file to analyze instead of generating")
-    profile.set_defaults(func=_cmd_profile)
-
-    detect = sub.add_parser("detect", help="one-shot decision on a signal file")
-    _add_flags(detect, *_SHARED_FLAGS, "--target-pf", "--calibration-trials",
-               "--detector", "--threshold-file", "--noise-variance")
-    detect.add_argument("--input", required=True, help="signal file to sense")
-    detect.set_defaults(func=_cmd_detect)
-
-    calibrate = sub.add_parser("calibrate",
-                               help="calibrate a threshold -> threshold file")
-    _add_flags(calibrate, *_SHARED_FLAGS, "--target-pf", "--calibration-trials",
-               "--detector", "--noise-variance", "--out")
-    calibrate.set_defaults(func=_cmd_calibrate)
-
-    complexity = sub.add_parser(
-        "complexity",
-        help="analytical operation counts",
-        description="Closed-form real-operation counts for one sensing "
-                    "decision.  --smoothing-len is used verbatim here (even "
-                    "values accepted); the estimator itself requires an odd "
-                    "window and defaults to 1301.",
-    )
-    complexity.add_argument("--n", type=int, default=4096,
-                            help="transform size, power of two (default: 4096)")
-    complexity.add_argument("--smoothing-len", type=int, default=1301,
-                            help="window length in the count formulas "
-                                 "(default: 1301)")
-    complexity.set_defaults(func=_cmd_complexity)
-
+    for name, (help_text, description, _, _) in _COMMANDS.items():
+        _fill(sub.add_parser(name, help=help_text, description=description), name)
     return parser
 
 
+def _parse(argv) -> argparse.Namespace:
+    """argv parsed by its subcommand's parser alone; help, an error or a leftover
+    argument is left to the full parser, so every message and exit code is its own."""
+    if argv and argv[0] in _COMMANDS:
+        lone = build_parser(argv[0])
+        lone.print_help = lone.error = sys.exit  # raise SystemExit, print nothing
+        try:
+            args, rest = lone.parse_known_args(argv[1:])
+            if not rest:
+                return args
+        except SystemExit:
+            pass
+    return build_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

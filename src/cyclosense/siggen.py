@@ -312,8 +312,14 @@ def read_signal_file(path) -> SampleBuffer:
             rate = float(header[len(_SIGNAL_FILE_HEADER):])
         except ValueError as exc:
             raise ConfigurationError(f"{path}: unparseable sample rate in header") from exc
+        lines = fh.read().removesuffix("\n").split("\n")
+    try:
+        samples = list(map(float, lines))
+    except ValueError:
+        # a blank line, a separator that str.strip removes or a bad token: the
+        # line loop reads the file or names the line it refuses
         samples = []
-        for lineno, line in enumerate(fh, start=2):
+        for lineno, line in enumerate(lines, start=2):
             text = line.strip()
             if not text:
                 continue

@@ -8,6 +8,9 @@ reference_phase_range is the per-trial engine that the blocked one
 replaced: one buffer, one dft and one scd_slice per trial.  It shares
 seeding, generation and the slice definition with the package, and checks
 that blocking trials changes no bit of any metric.
+
+read_signal_file_lines is the signal-file reader that the one-pass one
+replaced: strip and float() line by line, straight from the open file.
 """
 
 import numpy as np
@@ -17,6 +20,7 @@ from cyclosense import (ChannelSpec, ConfigurationError, DetectorKind, SampleBuf
                         energy_metric, generate_signal, noise_only, scd_slice)
 from cyclosense.harness import (DETECTORS, PHASE_H1, _cycle_window, _noise_variance,
                                 _snr_token, derive_seed)
+from cyclosense.siggen import _SIGNAL_FILE_HEADER, open_text
 
 
 def dft_naive(signal: SampleBuffer) -> Spectrum:
@@ -116,3 +120,34 @@ def reference_phase_range(config, phase: int, snr_db: float | None,
         values[:, i] = [metric.value for metric in
                         _metrics(buffer, spectrum, detectors, config.alpha0_hz, window)]
     return values
+
+
+def read_signal_file_lines(path) -> SampleBuffer:
+    """Same contract as siggen.read_signal_file, one line at a time."""
+    with open_text(path) as fh:
+        header = fh.readline().strip()
+        if not header.startswith(_SIGNAL_FILE_HEADER):
+            raise ConfigurationError(
+                f"{path}: missing '{_SIGNAL_FILE_HEADER}<value>' header line"
+            )
+        try:
+            rate = float(header[len(_SIGNAL_FILE_HEADER):])
+        except ValueError as exc:
+            raise ConfigurationError(f"{path}: unparseable sample rate in header") from exc
+        samples = []
+        for lineno, line in enumerate(fh, start=2):
+            text = line.strip()
+            if not text:
+                continue
+            try:
+                samples.append(float(text))
+            except ValueError as exc:
+                raise ConfigurationError(
+                    f"{path}:{lineno}: unparseable sample value {text!r}"
+                ) from exc
+    if not samples:
+        raise ConfigurationError(f"{path}: no samples in file")
+    try:
+        return SampleBuffer(np.asarray(samples), rate)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{path}: {exc}") from exc

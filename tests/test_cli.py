@@ -92,6 +92,18 @@ SHARED = {"--modulation", "--fc-hz", "--fs-hz", "--bandwidth-hz", "--am-mod-inde
           "--symbol-rate-hz", "--n", "--smoothing-len", "--window", "--seed"}
 
 
+# a flag of another subcommand, which this one would ignore
+IGNORED_FLAGS = [
+    ("profile", "--target-pf", "0.1"),
+    ("profile", "--trials", "1"),
+    ("profile", "--calibration-trials", "20"),
+    ("calibrate", "--snr-db", "0"),
+    ("calibrate", "--trials", "1"),
+    ("detect", "--snr-db", "0"),
+    ("detect", "--trials", "1"),
+]
+
+
 class TestFlagsPerSubcommand:
     """Each subcommand takes only the flags that one of its modes reads."""
 
@@ -108,15 +120,7 @@ class TestFlagsPerSubcommand:
             "complexity": {"--n", "--smoothing-len"},
         }
 
-    @pytest.mark.parametrize("command, flag, value", [
-        ("profile", "--target-pf", "0.1"),
-        ("profile", "--trials", "1"),
-        ("profile", "--calibration-trials", "20"),
-        ("calibrate", "--snr-db", "0"),
-        ("calibrate", "--trials", "1"),
-        ("detect", "--snr-db", "0"),
-        ("detect", "--trials", "1"),
-    ])
+    @pytest.mark.parametrize("command, flag, value", IGNORED_FLAGS)
     def test_flag_a_subcommand_ignored_exits_2(self, command, flag, value, tmp_path, capsys):
         argv = [command, *TINY, flag, value]
         if command == "detect":
@@ -126,6 +130,76 @@ class TestFlagsPerSubcommand:
         assert captured.out == ""
         assert captured.err.startswith("usage: cyclosense")
         assert f"unrecognized arguments: {flag} {value}" in captured.err
+
+
+def full_parser_exit(argv, capsys):
+    """Exit code, stdout and stderr of the full parser on argv, which it refuses
+    or answers with help."""
+    with pytest.raises(SystemExit) as info:
+        build_parser().parse_args(argv)
+    captured = capsys.readouterr()
+    return int(info.value.code or 0), captured.out, captured.err
+
+
+COMMANDS = ["roc", "profile", "detect", "calibrate", "complexity"]
+
+
+class TestLoneSubcommandParser:
+    """main parses with the named subcommand's parser alone.  Whatever that
+    parser would print, help or an error, the full parser prints instead,
+    byte for byte."""
+
+    @pytest.mark.parametrize("argv", [
+        [], ["-h"], ["--help"], ["bogus"], ["-h", "detect"],
+        *([command, "-h"] for command in COMMANDS),
+        ["detect", "--he"],
+        ["roc", "--h", "5"],  # ambiguous: --help or --h1-trials
+        ["roc", "--does-not-exist"],
+        *([command, *TINY, flag, value] for command, flag, value in IGNORED_FLAGS),
+        ["detect", *TINY],
+        ["detect", "--input"],
+        ["detect", "--input", "f.txt", "--detector", "bogus"],
+        ["calibrate", "--n", "4.5"],
+        ["detect", "--input", "f.txt", "leftover"],
+        ["detect", "--", "--input", "f.txt"],
+    ], ids=lambda argv: " ".join(argv) or "no arguments")
+    def test_output_is_the_full_parsers(self, argv, capsys):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == full_parser_exit(argv, capsys)
+        assert captured.out or captured.err
+
+    def test_detect_builds_only_its_own_arguments(self, tmp_path, monkeypatch, capsys):
+        """Structural, not timed: a detect call adds detect's arguments and -h,
+        none of the other four subcommands'."""
+        subparsers = next(action for action in build_parser()._actions
+                          if isinstance(action, argparse._SubParsersAction))
+        expected = [action.option_strings[0] for action in subparsers.choices["detect"]._actions]
+        signal = tone_file(tmp_path / "tone.txt")
+        threshold = tmp_path / "threshold.txt"
+        write_threshold_file(Threshold(100.0, 0.1, 100, DetectorKind.ENERGY), threshold)
+        added = []
+        add_argument = argparse.ArgumentParser.add_argument
+
+        def counting(self, *args, **kwargs):
+            added.append(args[0])
+            return add_argument(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counting)
+        assert main(["detect", *TINY, "--input", signal, "--detector", "energy",
+                     "--threshold-file", str(threshold)]) == 0
+        assert added == expected
+        assert capsys.readouterr().out.startswith("decision=h0_inactive detector=energy")
+
+    def test_fresh_interpreter_reads_sys_argv(self, tmp_path, capsys):
+        signal = tone_file(tmp_path / "tone.txt")
+        threshold = tmp_path / "threshold.txt"
+        write_threshold_file(Threshold(100.0, 0.1, 100, DetectorKind.ENERGY), threshold)
+        argv = ["detect", *TINY, "--input", signal, "--detector", "energy",
+                "--threshold-file", str(threshold)]
+        assert main(argv) == 0
+        proc = run_fresh(argv)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, capsys.readouterr().out, "")
 
 
 class TestComplexityCommand:
@@ -182,6 +256,19 @@ class TestProfileCommand:
         alphas, mags = read_profile(out)
         positive = alphas > 0
         assert alphas[positive][np.argmax(mags[positive])] == 32.0
+
+    # at 1e-300 Hz both grid flags overflowed int() and round(); beyond the grid
+    # they mean what they mean at ordinary rates: the full grid, and its first point
+    @pytest.mark.parametrize("flag, rows", [("--alpha-max-hz", slice(None)),
+                                            ("--alpha-step-hz", slice(2))])
+    def test_grid_flag_beyond_the_grid_at_a_tiny_rate(self, flag, rows, tmp_path, capsys):
+        argv = ["profile", "--input", tone_file(tmp_path / "tiny.txt", rate=1e-300),
+                "--smoothing-len", "5"]
+        assert main(argv) == 0
+        full = capsys.readouterr().out.splitlines(keepends=True)
+        assert len(full) == 64
+        assert main([*argv, flag, "1e308"]) == 0
+        assert capsys.readouterr() == ("".join(full[rows]), "")
 
     def test_stdout_default(self, capsys):
         assert main(["profile", *TINY, "--alpha-max-hz", "8"]) == 0

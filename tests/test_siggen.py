@@ -13,6 +13,7 @@ from cyclosense import (ChannelSpec, ConfigurationError, ModulationKind,
                         read_signal_file, write_signal_file)
 from cyclosense import siggen
 from cyclosense.siggen import check_buffer_shape, check_waveform
+from oracles import read_signal_file_lines
 
 
 def am_spec(**kwargs):
@@ -415,6 +416,38 @@ class TestSignalFiles:
         with pytest.raises(ConfigurationError) as info:
             read_signal_file(path)
         assert str(info.value) == f"{path}: {message}"
+
+
+def read_outcome(read, path):
+    """The rate and sample bytes read from path, or the message refusing it."""
+    try:
+        buffer = read(path)
+    except ConfigurationError as exc:
+        return str(exc)
+    return buffer.sample_rate_hz, buffer.samples.tobytes()
+
+
+# what float() accepts, refuses or reads unlike str.strip() then float()
+SAMPLE_TOKENS = st.one_of(
+    st.floats().map(repr),
+    st.sampled_from(["1_0", "infinity", "nan", "0x1p3", "1e400", "\x1c3\x1f", "\u3000 1.5",
+                     "\ufeff1", "1.0 2.0", "", " "]))
+
+
+class TestReaderMatchesLineLoop:
+    """read_signal_file against the line-by-line reader it replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(lines=st.lists(st.tuples(SAMPLE_TOKENS, st.sampled_from(["\n", "\r\n", "\r"])),
+                          max_size=8),
+           last_newline=st.booleans())
+    def test_same_samples_or_same_message(self, lines, last_newline, tmp_path_factory):
+        body = "".join(token + end for token, end in lines)
+        if lines and not last_newline:
+            body = body.removesuffix(lines[-1][1])
+        path = tmp_path_factory.getbasetemp() / "reader.txt"
+        path.write_bytes(f"# sample_rate_hz=64\n{body}".encode())
+        assert read_outcome(read_signal_file, path) == read_outcome(read_signal_file_lines, path)
 
 
 class TestBufferShape:
