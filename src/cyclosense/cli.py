@@ -24,7 +24,8 @@ from .errors import ConfigurationError, CyclosenseError
 from .harness import (SensingConfig, calibrate_at_noise, complexity_model, measure,
                       profile_seed, read_threshold_file, run_roc, write_roc_csv,
                       write_threshold_file)
-from .scd import WindowKind, cycle_profile, make_window, max_cycle_shift, write_profile_csv
+from .scd import (WindowKind, bin_width, cycle_profile, make_window, max_cycle_shift,
+                  write_profile_csv)
 from .siggen import (ChannelSpec, ModulationKind, ModulationSpec, add_awgn,
                      check_buffer_shape, generate_signal, read_signal_file)
 
@@ -169,8 +170,7 @@ def _cmd_profile(args) -> int:
         buffer = add_awgn(buffer, ChannelSpec(snr_db, profile_seed(args.seed, snr_db, 1)))
     n = len(buffer)
     window = make_window(WindowKind(args.window), args.smoothing_len, n)
-    fres = buffer.sample_rate_hz / n
-    step = 2.0 * fres
+    step = 2.0 * bin_width(buffer.sample_rate_hz, n)
     max_shift = max_cycle_shift(n)
     # clamped to the grid before int() and round(), which overflow at tiny rates
     if args.alpha_max_hz is not None:
@@ -179,7 +179,7 @@ def _cmd_profile(args) -> int:
     if args.alpha_step_hz is not None:
         stride = max(1, round(min(2 * max_shift + 1, args.alpha_step_hz / step)))
     shifts = np.arange(-max_shift, max_shift + 1, stride)
-    alphas = 2.0 * shifts * fres
+    alphas = shifts * step
     profile = cycle_profile(buffer, alphas, window)
     write_profile_csv(profile, args.out)
     return 0
@@ -280,17 +280,11 @@ def build_parser(command=None) -> argparse.ArgumentParser:
 
 
 def _parse(argv) -> argparse.Namespace:
-    """argv parsed by its subcommand's parser alone; help, an error or a leftover
-    argument is left to the full parser, so every message and exit code is its own."""
+    """One parse by argv's subcommand parser, or the full one for no subcommand or a leftover."""
     if argv and argv[0] in _COMMANDS:
-        lone = build_parser(argv[0])
-        lone.print_help = lone.error = sys.exit  # raise SystemExit, print nothing
-        try:
-            args, rest = lone.parse_known_args(argv[1:])
-            if not rest:
-                return args
-        except SystemExit:
-            pass
+        args, rest = build_parser(argv[0]).parse_known_args(argv[1:])
+        if not rest:
+            return args
     return build_parser().parse_args(argv)
 
 

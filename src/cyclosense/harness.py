@@ -21,7 +21,7 @@ import numpy as np
 from .detect import DetectorKind, SensingMetric, Threshold, calibrate_threshold, \
     check_target_pf, sum_of_squares
 from .errors import ConfigurationError
-from .scd import BLOCK_ROWS, SliceWork, WindowKind, check_window, cycle_shift, \
+from .scd import BLOCK_ROWS, SliceWork, WindowKind, bin_width, check_window, cycle_shift, \
     make_window, smoothed_slices
 from .siggen import ChannelSpec, ModulationKind, ModulationSpec, SampleBuffer, \
     add_awgn, check_buffer_shape, check_length_and_rate, check_seed, check_snr_db, \
@@ -209,7 +209,7 @@ def _cycle_window(config: SensingConfig, detectors):
         return None
     n = config.n_samples
     return (make_window(config.window_kind, config.smoothing_len),
-            cycle_shift(config.alpha0_hz, n, config.sample_rate_hz / n))
+            cycle_shift(config.alpha0_hz, n, bin_width(config.sample_rate_hz, n)))
 
 
 def _trial_buffer(config: SensingConfig, phase: int, snr_db: float | None, token: int,

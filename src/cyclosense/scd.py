@@ -15,10 +15,10 @@ alpha -/+ sample_rate (the wrapped pairing picks up the negative-frequency
 image), leaving profile maxima ambiguous.  The cost is that slice values
 within L/2 bins of the band edges are averaged over fewer terms.
 
-cycle_shift alone maps a cycle frequency onto the grid: the bin shift
-a = round(alpha / (2 Fs)) (ties to even), refused when |a| > (N-1)/2,
-since no two in-band bins are further apart.  The quantized value
-2 * a * Fs is reported as alpha_effective_hz.
+cycle_shift alone maps a cycle frequency onto the grid of bin width
+Fs = bin_width(rate, N): the bin shift a = round(alpha / (2 Fs)) (ties to
+even), refused when |a| > (N-1)/2, since no two in-band bins are further
+apart.  The quantized value 2 * a * Fs is reported as alpha_effective_hz.
 """
 
 import math
@@ -78,7 +78,7 @@ class Spectrum:
         object.__setattr__(self, "bins", read_only(arr))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SmoothingWindow:
     """Odd-length symmetric spectral smoothing window with unit mean."""
 
@@ -155,7 +155,7 @@ class CycleProfile:
 def dft(signal: SampleBuffer) -> Spectrum:
     """Unnormalized forward transform: bins[v] = sum_k x[k] e^{-i2pi vk/N}."""
     n = signal.samples.size
-    return Spectrum(np.fft.fft(signal.samples), n, signal.sample_rate_hz / n)
+    return Spectrum(np.fft.fft(signal.samples), n, bin_width(signal.sample_rate_hz, n))
 
 
 def check_window(kind: WindowKind, length: int, n: int | None = None) -> None:
@@ -200,8 +200,8 @@ def _next_pow2(m: int) -> int:
 
 
 @lru_cache(maxsize=16)
-def _window_transform(weights_bytes: bytes, nfft: int) -> np.ndarray:
-    return read_only(np.fft.fft(np.frombuffer(weights_bytes, dtype=np.float64), nfft))
+def _window_transform(window: SmoothingWindow, nfft: int) -> np.ndarray:
+    return read_only(np.fft.fft(window.weights, nfft))
 
 
 class SliceWork:
@@ -223,8 +223,7 @@ class SliceWork:
         self.n = n
         self.window = window
         nfft = n if window.length == 1 else _next_pow2(n + window.length - 1)
-        self.transform = (None if window.length == 1
-                          else _window_transform(window.weights.tobytes(), nfft))
+        self.transform = None if window.length == 1 else _window_transform(window, nfft)
         self.centered = np.empty(n, dtype=np.complex128)
         self.products = np.empty((rows, nfft), dtype=np.complex128)
         self.magnitudes = np.empty((rows, n))
@@ -238,6 +237,13 @@ class SliceWork:
 def max_cycle_shift(n: int) -> int:
     """The largest |bin shift| that pairs two in-band bins of an n-bin grid."""
     return (n - 1) // 2
+
+
+def bin_width(sample_rate_hz: float, n: int) -> float:
+    """sample_rate_hz / n, the spacing cycle_shift divides by; refused where it underflows to 0."""
+    if not sample_rate_hz / n:
+        raise ConfigurationError(f"bin width {sample_rate_hz!r} Hz / {n} underflows to 0 Hz")
+    return sample_rate_hz / n
 
 
 def cycle_shift(alpha_hz: float, n: int, freq_resolution_hz: float) -> int:

@@ -145,9 +145,10 @@ COMMANDS = ["roc", "profile", "detect", "calibrate", "complexity"]
 
 
 class TestLoneSubcommandParser:
-    """main parses with the named subcommand's parser alone.  Whatever that
-    parser would print, help or an error, the full parser prints instead,
-    byte for byte."""
+    """main parses with the named subcommand's parser alone, which prints its
+    own help and errors; the full parser parses only argv that names no
+    subcommand or leaves an argument over.  Either way main prints what the
+    full parser would print, byte for byte."""
 
     @pytest.mark.parametrize("argv", [
         [], ["-h"], ["--help"], ["bogus"], ["-h", "detect"],
@@ -162,12 +163,56 @@ class TestLoneSubcommandParser:
         ["calibrate", "--n", "4.5"],
         ["detect", "--input", "f.txt", "leftover"],
         ["detect", "--", "--input", "f.txt"],
+        # --flag=value
+        ["detect", "--n=4.5"],
+        ["roc", "--window=bogus"],
+        ["calibrate", "--input=f.txt"],
+        ["detect", "--input=f.txt", "--detector=bogus"],
+        ["complexity", "--help=1"],
+        # prefix abbreviations
+        ["detect", "--inp"],
+        ["detect", "--inp", "f.txt", "--thr"],
+        ["calibrate", "--noise", "loud"],
+        ["profile", "--alpha", "1"],  # ambiguous: --alpha-max-hz or --alpha-step-hz
+        ["profile", "--inp=f.txt", "--alpha-m", "x"],
+        # a negative number beside an unknown flag
+        ["roc", "--bogus", "-22"],
+        ["roc", "--snr-db", "-22", "--bogus"],
+        ["profile", "-22"],
+        ["calibrate", "--target-pf", "-22", "-x"],
+        # a missing --input beside a leftover
+        ["detect", "leftover"],
+        ["detect", "--n", "64", "--bogus", "-22"],
     ], ids=lambda argv: " ".join(argv) or "no arguments")
     def test_output_is_the_full_parsers(self, argv, capsys):
         code = main(argv)
         captured = capsys.readouterr()
         assert (code, captured.out, captured.err) == full_parser_exit(argv, capsys)
         assert captured.out or captured.err
+
+    @pytest.mark.parametrize("argv, built", [
+        (["detect", "-h"], ["detect"]),
+        (["detect", "--n", "4.5", "--input", "f.txt"], ["detect"]),
+        (["detect", "--n", "64"], ["detect"]),
+        (["detect", "--input", "f.txt", "leftover"], ["detect", None]),
+        (["detect", "leftover"], ["detect"]),
+        (["bogus"], [None]),
+        ([], [None]),
+    ], ids=lambda value: " ".join(map(str, value)) or "none")
+    def test_one_parser_unless_none_is_named_or_an_argument_is_left(self, argv, built,
+                                                                   monkeypatch, capsys):
+        """Structural, not timed: which parsers one refused argv builds."""
+        calls = []
+        build_parser = cli.build_parser
+
+        def spy(command=None):
+            calls.append(command)
+            return build_parser(command)
+
+        monkeypatch.setattr(cli, "build_parser", spy)
+        assert main(argv) in (0, 2)
+        assert calls == built
+        assert capsys.readouterr() != ("", "")
 
     def test_detect_builds_only_its_own_arguments(self, tmp_path, monkeypatch, capsys):
         """Structural, not timed: a detect call adds detect's arguments and -h,
@@ -475,6 +520,46 @@ class TestZeroSliceScale:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: slice scale 1/((n-1) Ts) = 0.0 is not positive and finite\n"
+
+
+class TestZeroBinWidth:
+    """At f_s = 5e-324 Hz the bin width f_s / 64 underflows to 0.  Every path
+    that divides by it, profile's grid and the cycle detector's bin shift,
+    exits 2 with the one rule's message before any trial; the energy
+    detector reads no bin width and still decides."""
+
+    MESSAGE = "error: bin width 5e-324 Hz / 64 underflows to 0 Hz\n"
+    CYCLE = ["--smoothing-len", "5", "--noise-variance", "1", "--calibration-trials", "100"]
+
+    @pytest.mark.parametrize("argv", [
+        ["profile", "--input", "{slow}", "--smoothing-len", "5", "--alpha-max-hz", "1"],
+        ["profile", "--input", "{slow}", "--smoothing-len", "5"],
+        ["detect", "--input", "{slow}", *CYCLE],
+        ["roc", "--fs-hz", "5e-324", "--n", "64", "--smoothing-len", "5", "--trials", "10",
+         "--calibration-trials", "100", "--target-pf", "0.1"],
+        ["calibrate", "--fs-hz", "5e-324", "--n", "64", *CYCLE],
+    ], ids=["profile_alpha_max", "profile", "detect", "roc", "calibrate"])
+    def test_exits_2(self, argv, tmp_path, monkeypatch, capsys):
+        slow = tmp_path / "slow.txt"
+        write_signal_file(noise_only(64, 1.0, seed=1, sample_rate_hz=5e-324), slow)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a trial ran")
+        monkeypatch.setattr(harness, "noise_only", refuse)
+        monkeypatch.setattr(harness, "generate_signal", refuse)
+        assert main([arg.format(slow=slow) for arg in argv]) == 2
+        assert capsys.readouterr() == ("", self.MESSAGE)
+
+    def test_energy_detector_decides(self, tmp_path, capsys):
+        outputs = []
+        for rate in (5e-324, 64.0):
+            path = tmp_path / f"{rate}.txt"
+            write_signal_file(noise_only(64, 1.0, seed=1, sample_rate_hz=rate), path)
+            assert main(["detect", "--input", str(path), "--detector", "energy",
+                         *self.CYCLE]) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1]
+        assert outputs[0].out.startswith("decision=") and outputs[0].err == ""
 
 
 class TestRocCommand:

@@ -1,12 +1,15 @@
-"""The names perfbench/tracing.py wraps must exist in the package.
+"""The names perfbench/tracing.py wraps and reads must exist in the package.
 
 perfbench traces a run by rebinding the functions it lists in TRACED, and
 the pool task harness._compute_phase_range, in the package's modules; it
-fails with a KeyError at install when a refactor drops one of them.  The
-tracer is loaded from its file, unedited.
+fails with a KeyError at install when a refactor drops one of them.
+Tracer.start and stop also read scd._window_transform.cache_info().  The
+tracer is loaded from its file, unedited, and driven as perfbench drives
+it: start, one traced command, stop, layer_metrics.
 """
 
 import importlib.util
+import json
 from pathlib import Path
 
 import cyclosense
@@ -35,17 +38,31 @@ def test_tracer_wraps_every_traced_name(tmp_path, capsys):
     targets.append(("harness", "_compute_phase_range"))
     originals = {target: vars(modules[target[0]])[target[1]] for target in targets}
     bindings = {name: dict(vars(module)) for name, module in modules.items()}
-    tracer.install()
+    cache = modules["scd"]._window_transform
+    before = cache.cache_info()
+    tracer.start(0)
     try:
         for (module, fn), original in originals.items():
             wrapper = vars(modules[module])[fn]
             assert wrapper is not original and wrapper.__wrapped__ is original, (module, fn)
         assert main(CALIBRATE) == 0
     finally:
-        tracer.uninstall()
+        tracer.stop()
+    after = cache.cache_info()
+    assert after.hits + after.misses > before.hits + before.misses
+    assert tracer.cache_hits == after.hits - before.hits
     for name, module in modules.items():
         assert all(vars(module)[attr] is value for attr, value in bindings[name].items()), name
     assert capsys.readouterr().out == (ROOT / "tests" / "golden" / "calibrate_cycle.txt").read_text()
     spans = {span[0] for span in tracer.spans}
     assert {"cli.build_parser", "cli.calibrate", "detect.calibrate_threshold",
             "scd.make_window", "harness.derive_seed", "siggen.noise_only"} <= spans
+    metrics = tracing.layer_metrics(tracer, 1)
+    for _, _, name in tracing.TRACED:
+        suffixes = ("calls", "s") if name.startswith("cli.") else ("calls", "s", "us_per_call")
+        assert all(f"{name}.{suffix}" in metrics for suffix in suffixes), name
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    assert set(metrics) <= {metric["name"] for metric in declared}
+    assert metrics["cli.calibrate.calls"] == (1, "count")
+    assert metrics["cli.build_parser.calls"] == (1, "count")
+    assert {span[5] for span in tracer.spans} == {0}

@@ -18,7 +18,8 @@ from cyclosense import (ConfigurationError, CycleProfile, SampleBuffer,
                         ScdSlice, SmoothingWindow, Spectrum, WindowKind,
                         cycle_profile, dft, make_window, scd_slice,
                         write_profile_csv)
-from cyclosense.scd import BLOCK_ROWS, SliceWork, smoothed_slices
+from cyclosense import scd
+from cyclosense.scd import BLOCK_ROWS, SliceWork, bin_width, smoothed_slices
 from oracles import dft_naive, scd_slice_naive
 
 
@@ -146,6 +147,32 @@ class TestSmoothingWindowType:
         with pytest.raises(ConfigurationError):
             SmoothingWindow(np.array([2.0, 2.0, 2.0]), WindowKind.RECTANGULAR)
 
+    def test_compared_and_hashed_by_identity(self):
+        first = SmoothingWindow(np.ones(3), WindowKind.RECTANGULAR)
+        second = SmoothingWindow(np.ones(3), WindowKind.RECTANGULAR)
+        assert first == first and first != second
+        assert len({first, second, first}) == 2
+
+
+class TestWindowTransformCache:
+    """The window transform is cached per (window, nfft), keyed by the window
+    itself rather than a copy of its weights."""
+
+    def test_one_entry_per_window(self):
+        scd._window_transform.cache_clear()
+        works = [SliceWork(1, 64, make_window(WindowKind.HAMMING, 5), 1.0) for _ in range(2)]
+        info = scd._window_transform.cache_info()
+        assert (info.currsize, info.misses, info.hits) == (1, 1, 1)
+        assert works[0].transform is works[1].transform
+
+    def test_equal_weights_give_bit_equal_transforms(self):
+        weights = make_window(WindowKind.HAMMING, 5).weights
+        first, second = (SliceWork(1, 64, SmoothingWindow(weights, WindowKind.HAMMING), 1.0)
+                         for _ in range(2))
+        assert first.transform is not second.transform
+        assert first.transform.tobytes() == second.transform.tobytes()
+        assert first.transform.tobytes() == np.fft.fft(weights, 128).tobytes()
+
 
 @st.composite
 def slice_cases(draw):
@@ -222,6 +249,18 @@ class TestCycleShiftRule:
             scd_slice(dft(buf), alpha, window, 1.0 / 16.0)
         with pytest.raises(ConfigurationError, match="cycle frequency"):
             cycle_profile(buf, [alpha], window)
+
+
+class TestBinWidth:
+    def test_underflow_refused_before_any_division(self):
+        buf = white_buffer(64, seed=0, rate=5e-324)
+        window = make_window(WindowKind.RECTANGULAR, 3)
+        message = "bin width 5e-324 Hz / 64 underflows to 0 Hz"
+        for call in (lambda: bin_width(5e-324, 64), lambda: dft(buf),
+                     lambda: cycle_profile(buf, [0.0], window)):
+            with pytest.raises(ConfigurationError) as info:
+                call()
+            assert str(info.value) == message
 
 
 class TestBlockKernel:
