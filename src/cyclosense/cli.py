@@ -68,7 +68,7 @@ def _add_flags(parser: argparse.ArgumentParser, *names) -> None:
         help="measurement trials per hypothesis (default: 2000)")
     add("--h1-trials", type=int, default=None,
         help="signal-present trials (default: same as --trials)")
-    add("--calibration-trials", type=int, default=2000,
+    add("--calibration-trials", type=int, default=None,
         help="noise-only trials used to set thresholds (default: 2000)")
     add("--seed", type=int, default=0,
         help="master seed; every trial seed derives from it (default: 0)")
@@ -106,7 +106,8 @@ def config_from_args(args) -> SensingConfig:
         snr_db_list=tuple(args.snr_db or SensingConfig.snr_db_list),
         target_pf_list=tuple(args.target_pf or SensingConfig.target_pf_list),
         trials=args.trials,
-        calibration_trials=args.calibration_trials,
+        calibration_trials=(SensingConfig.calibration_trials if args.calibration_trials is None
+                            else args.calibration_trials),
         master_seed=args.seed,
         window_kind=WindowKind(args.window),
         h1_trials=args.h1_trials,
@@ -137,7 +138,9 @@ def _oneshot_config(args, detector, shape) -> SensingConfig:
     flags, so those fields keep neutral values and cannot make it fail.
     shape holds n_samples and sample_rate_hz.
     """
-    common = dict(shape, calibration_trials=args.calibration_trials, master_seed=args.seed)
+    trials = args.calibration_trials
+    common = dict(shape, master_seed=args.seed, calibration_trials=(
+        SensingConfig.calibration_trials if trials is None else trials))
     if detector is DetectorKind.ENERGY:
         return SensingConfig(smoothing_len=1, **common)
     return SensingConfig(modulation=_modulation_from_args(args),
@@ -193,14 +196,20 @@ def _cmd_calibrate(args) -> int:
 
 
 def _cmd_detect(args) -> int:
-    buffer = read_signal_file(args.input)
     detector = DetectorKind(args.detector)
+    if args.threshold_file is not None:
+        for flag in ("--target-pf", "--calibration-trials", "--noise-variance"):
+            if getattr(args, flag[2:].replace("-", "_")) is not None:
+                raise ConfigurationError(f"{flag} is read only without --threshold-file")
+        threshold = read_threshold_file(args.threshold_file)
+        if threshold.detector is not detector:
+            raise ConfigurationError(f"{args.threshold_file}: threshold is for "
+                                     f"{threshold.detector.value}, not --detector {detector.value}")
+    buffer = read_signal_file(args.input)
     config = _oneshot_config(args, detector, _shape(args, buffer))
     # scored first: measure refuses a --n or --fs-hz unlike the file's before any trial
     metric = measure(config, detector, buffer)
-    if args.threshold_file is not None:
-        threshold = read_threshold_file(args.threshold_file)
-    else:
+    if args.threshold_file is None:
         threshold = _calibrate(args, config, detector)
     decision = decide(metric, threshold)
     print(f"decision={decision.value} detector={detector.value} "

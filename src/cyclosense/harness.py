@@ -395,9 +395,9 @@ def read_threshold_file(path):
     Threshold records calibration_trials=1 as a placeholder.
     """
     with open_text(path) as fh:
-        line = fh.readline().strip()
-    parts = line.split(",")
-    if len(parts) != 3:
+        parts = fh.readline().strip().split(",")
+        rest = fh.read()
+    if len(parts) != 3 or rest:
         raise ConfigurationError(
             f"{path}: expected 'detector,target_pf,threshold' on one line"
         )

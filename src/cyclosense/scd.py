@@ -5,7 +5,8 @@ cycle frequency apart: a frequency-smoothed average of
 X(f + alpha/2) * conj(X(f - alpha/2)).  A modulated carrier concentrates
 this correlation at alpha = 2 * carrier_hz, while stationary noise has
 none at any alpha != 0, which is what makes the cycle-frequency axis a
-detection domain.
+detection domain.  The estimate keeps the exact symmetry S^-alpha(f) =
+conj(S^alpha(f)) bit for bit, so a profile computes each |alpha| once.
 
 Frequency indexing is bounded to the sampled band: spectra live on signed
 bins -N/2 .. N/2-1 and smoothing terms whose shifted index falls outside
@@ -262,9 +263,9 @@ def smoothed_slices(spectra: np.ndarray, shifts, work: SliceWork) -> np.ndarray:
 
     spectra holds DFT-order bins, one row per shift, or one spectrum that
     every row shares; shifts gives each row's bin shift a.  Each row is
-    formed in signed-bin (fftshifted) order with zero padding outside the
-    band; the smoothing sum is a linear convolution evaluated by one
-    batched FFT pair (valid because the window is symmetric).  Returns a
+    formed at |a| in signed-bin (fftshifted) order, zero outside the band,
+    smoothed by one batched FFT pair (a linear convolution, as the window is
+    symmetric), then conjugated where a < 0, as S^-a = conj(S^a).  Returns a
     (len(shifts), n) view of work's buffers in signed-bin order, valid
     until work is used again.  Overflow yields inf or nan, not a warning;
     callers check finiteness where they need it.  Requires every
@@ -284,8 +285,8 @@ def smoothed_slices(spectra: np.ndarray, shifts, work: SliceWork) -> np.ndarray:
             row[n - a:] = 0.0
             # explicit out= buffers: numpy's temporary elision would change
             # the last bit of a large `x * np.conj(y)`
-            np.conj(centered[a - shift:n - a - shift], out=row[a:n - a])
-            np.multiply(centered[a + shift:n - a + shift], row[a:n - a], out=row[a:n - a])
+            np.conj(centered[:n - 2 * a], out=row[a:n - a])
+            np.multiply(centered[2 * a:], row[a:n - a], out=row[a:n - a])
         if work.transform is None:
             # the single weight is 1 only to within SmoothingWindow's tolerance
             values = block
@@ -297,6 +298,9 @@ def smoothed_slices(spectra: np.ndarray, shifts, work: SliceWork) -> np.ndarray:
             values = block[:, work.window.half:work.window.half + n]
         np.divide(values, work.window.length, out=values)
         np.multiply(values, work.scale, out=values)
+    for row, shift in zip(values, shifts):
+        if shift < 0:
+            np.conj(row, out=row)
     return values
 
 
@@ -324,19 +328,20 @@ def scd_slice(spectrum: Spectrum, alpha_hz: float, window: SmoothingWindow,
 
 
 def cycle_profile(signal: SampleBuffer, alphas_hz, window: SmoothingWindow) -> CycleProfile:
-    """Max slice magnitude over frequency for each requested cycle frequency."""
+    """Max slice magnitude over frequency per requested cycle frequency; each |alpha| runs once."""
     alphas = np.asarray(alphas_hz, dtype=np.float64)
     if alphas.ndim != 1 or alphas.size == 0:
         raise ConfigurationError("alphas_hz must be a nonempty 1-D sequence")
     spectrum = dft(signal)
     work = SliceWork(BLOCK_ROWS, spectrum.n, window, 1.0 / signal.sample_rate_hz)
-    shifts = [cycle_shift(alpha, spectrum.n, spectrum.freq_resolution_hz) for alpha in alphas]
-    magnitudes = np.empty(alphas.size)
-    for first in range(0, alphas.size, BLOCK_ROWS):
-        block = shifts[first:first + BLOCK_ROWS]
-        magnitudes[first:first + len(block)] = work.peaks(
-            smoothed_slices(spectrum.bins, block, work))
-    return CycleProfile(alphas, magnitudes)
+    shifts = [abs(cycle_shift(alpha, spectrum.n, spectrum.freq_resolution_hz))
+              for alpha in alphas]
+    distinct = list(dict.fromkeys(shifts))
+    peaks = np.empty(max(distinct) + 1)
+    for first in range(0, len(distinct), BLOCK_ROWS):
+        block = distinct[first:first + BLOCK_ROWS]
+        peaks[block] = work.peaks(smoothed_slices(spectrum.bins, block, work))
+    return CycleProfile(alphas, peaks[shifts])
 
 
 def write_profile_csv(profile: CycleProfile, path_or_stream) -> None:

@@ -471,6 +471,52 @@ class TestDetectFileShape:
         assert bare == (GOLDEN_DIR / "detect_cycle_calibrated.txt").read_text()
 
 
+class TestThresholdFileRefusedBeforeScoring:
+    """detect --threshold-file refuses a file with more than its one line, a
+    threshold for the other detector and the calibration flags it would not
+    read, each before the signal is scored."""
+
+    @pytest.mark.parametrize("content, flags, message", [
+        ("energy,0.1,1.0\ngarbage line\n", [],
+         "{path}: expected 'detector,target_pf,threshold' on one line"),
+        ("energy,0.1,1.0\n\n", [],
+         "{path}: expected 'detector,target_pf,threshold' on one line"),
+        ("cycle_feature,0.1,1.0\n", [],
+         "{path}: threshold is for cycle_feature, not --detector energy"),
+        ("energy,0.5,1.0\n", ["--noise-variance", "5", "--target-pf", "0.01",
+                               "--calibration-trials", "3"],
+         "--target-pf is read only without --threshold-file"),
+        ("energy,0.5,1.0\n", ["--noise-variance", "5"],
+         "--noise-variance is read only without --threshold-file"),
+        # the default's value, given: still a flag that goes unread
+        ("energy,0.5,1.0\n", ["--calibration-trials", "2000"],
+         "--calibration-trials is read only without --threshold-file"),
+    ], ids=["second_line", "blank_second_line", "other_detector", "all_three_flags",
+            "noise_variance", "calibration_trials"])
+    def test_exits_2_without_scoring(self, content, flags, message, tmp_path, monkeypatch,
+                                     capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("detect scored the signal")
+        monkeypatch.setattr(harness, "measure", refuse)
+        monkeypatch.setattr(cli, "measure", refuse)
+        path = tmp_path / "threshold.txt"
+        path.write_text(content)
+        signal = golden_signal(tmp_path / "signal.txt")
+        assert main(["detect", *TINY, "--input", signal, "--detector", "energy",
+                     "--threshold-file", str(path), *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message.format(path=path)}\n"
+
+    def test_one_line_without_a_newline_decides(self, tmp_path, capsys):
+        path = tmp_path / "threshold.txt"
+        path.write_text("energy,0.1,1e9")
+        signal = golden_signal(tmp_path / "signal.txt")
+        assert main(["detect", *TINY, "--input", signal, "--detector", "energy",
+                     "--threshold-file", str(path)]) == 0
+        assert capsys.readouterr().out.startswith("decision=h0_inactive detector=energy")
+
+
 class TestProfileFileShape:
     """profile --input holds --n and --fs-hz to the file as detect does: they
     default to its length and rate, and a value that differs exits 2 before
@@ -966,6 +1012,8 @@ COMMAND_VALUES = {
 # detect and profile --input read a 64-sample, 64 Hz file, so their --n mostly
 # matches the file (--fs-hz is drawn from 64 for every command)
 FILE_FED_VALUES = {"--n": flag_value(st.just(64), INT_EDGES)}
+# what detect reads only when it calibrates, without a threshold file
+CALIBRATION_FLAGS = {"--target-pf", "--calibration-trials", "--noise-variance"}
 # drawn on every call: the defaults of --n and the trial counts cost 4096
 # samples or 2000 trials, and the others' defaults fit no 64-sample buffer or
 # 40-trial calibration
@@ -990,6 +1038,10 @@ def cli_argv(draw, command):
     optional = sorted(set(flags) - always - (set() if file_fed else {"--input"}))
     if optional:
         chosen += draw(st.lists(st.sampled_from(optional), max_size=6, unique=True))
+    # detect refuses the calibration flags beside a threshold file, so half such
+    # draws leave them out and reach the file
+    if "--threshold-file" in chosen and draw(st.booleans()):
+        chosen = [flag for flag in chosen if flag not in CALIBRATION_FLAGS]
     argv = [command]
     # --flag=value, so that argparse reads "-1" as a value, not a flag
     argv += [f"{flag}={draw(flags[flag])}" for flag in chosen]

@@ -291,6 +291,68 @@ class TestBlockKernel:
         assert np.array_equal(profile.magnitudes, expected)
 
 
+@st.composite
+def mirror_grids(draw):
+    """A strided grid of shifts on an odd or even n, unsorted, with repeats."""
+    n = draw(st.integers(min_value=4, max_value=24))
+    length = draw(st.sampled_from([1, 3, 5, 7]).filter(lambda length: length < n))
+    kind = draw(st.sampled_from(list(WindowKind)))
+    top = draw(st.integers(min_value=0, max_value=(n - 1) // 2))
+    stride = draw(st.integers(min_value=1, max_value=3))
+    grid = list(range(-top, top + 1, stride))
+    shifts = draw(st.permutations(grid + draw(st.lists(st.sampled_from(grid), max_size=4))))
+    seed = draw(st.integers(min_value=0, max_value=2**31 - 1))
+    return n, length, kind, shifts, seed
+
+
+class TestProfileMirror:
+    """S^-a = conj(S^a) exactly, so cycle_profile computes each |a| once."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(mirror_grids())
+    def test_bitwise_mirror_symmetric_and_near_the_oracle(self, case):
+        n, length, kind, shifts, seed = case
+        buf = white_buffer(n, seed=seed, rate=float(n))
+        window = make_window(kind, length)
+        alphas = 2.0 * np.array(shifts, dtype=np.float64)
+        profile = cycle_profile(buf, alphas, window)
+        mirrored = cycle_profile(buf, -alphas, window)
+        assert profile.magnitudes.tobytes() == mirrored.magnitudes.tobytes()
+        for alpha, got in zip(alphas, profile.magnitudes):
+            want = np.abs(scd_slice_naive(buf, alpha, window).values).max()
+            assert abs(got - want) <= 1e-9 * want
+
+    @pytest.mark.parametrize("n, length", [(32, 7), (33, 5), (64, 1)])
+    def test_negated_alpha_is_the_bitwise_conjugate(self, n, length):
+        buf = white_buffer(n, seed=n, rate=float(n))
+        window = make_window(WindowKind.HAMMING, length)
+        spectrum = dft(buf)
+        for shift in range(1, (n - 1) // 2 + 1):
+            plus = scd_slice(spectrum, 2.0 * shift, window, 1.0 / n)
+            minus = scd_slice(spectrum, -2.0 * shift, window, 1.0 / n)
+            assert minus.values.tobytes() == np.conj(plus.values).tobytes()
+
+    def test_full_grid_sends_each_shift_through_the_kernel_once(self, monkeypatch):
+        # the profile command's default grid at N = 4096: shifts -2047 .. 2047
+        n = 4096
+        blocks = []
+        kernel = scd.smoothed_slices
+
+        def spy(spectra, shifts, work):
+            blocks.append(list(shifts))
+            return kernel(spectra, shifts, work)
+
+        monkeypatch.setattr(scd, "smoothed_slices", spy)
+        shifts = np.arange(-scd.max_cycle_shift(n), scd.max_cycle_shift(n) + 1)
+        assert shifts.size == 4095
+        cycle_profile(white_buffer(n, seed=1, rate=float(n)), 2.0 * shifts,
+                      make_window(WindowKind.RECTANGULAR, 3))
+        rows = [shift for block in blocks for shift in block]
+        assert len(rows) == 2048
+        assert sorted(rows) == list(range(2048))
+        assert max(map(len, blocks)) == BLOCK_ROWS
+
+
 class TestSliceValues:
     def test_zero_signal_gives_zero_slice(self):
         buf = SampleBuffer(np.zeros(32), 32.0)
