@@ -135,12 +135,14 @@ def calibrate_threshold(metric_sample, target_pf: float,
 
 
 def decide(metric: SensingMetric, threshold: Threshold) -> Decision:
-    """H1 iff metric >= threshold; the tie counts as a detection."""
+    """H1 iff metric >= threshold (a tie detects); a zero threshold, met by all, is refused."""
     if metric.detector is not threshold.detector:
         raise ConfigurationError(
             f"metric from {metric.detector.value} cannot be compared against a "
-            f"{threshold.detector.value} threshold"
-        )
+            f"{threshold.detector.value} threshold")
+    if threshold.value == 0.0:
+        raise ConfigurationError(f"threshold {threshold.value!r} is met by every metric, an "
+                                 "all-zero buffer's too; it decides on no evidence")
     if metric.value >= threshold.value:
         return Decision.H1_ACTIVE
     return Decision.H0_INACTIVE

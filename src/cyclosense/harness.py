@@ -24,8 +24,8 @@ from .errors import ConfigurationError
 from .scd import BLOCK_ROWS, SliceWork, WindowKind, bin_width, check_window, cycle_shift, \
     make_window, smoothed_slices
 from .siggen import ChannelSpec, ModulationKind, ModulationSpec, SampleBuffer, \
-    add_awgn, check_buffer_shape, check_length_and_rate, check_seed, check_snr_db, \
-    check_waveform, generate_signal, noise_only, open_text, write_lines
+    add_awgn, check_buffer_shape, check_length_and_rate, check_noise_variance, check_seed, \
+    check_snr_db, check_waveform, generate_signal, noise_only, open_text, write_lines
 
 __all__ = [
     "SensingConfig",
@@ -184,9 +184,7 @@ def complexity_model(n: int, l: int) -> ComplexityReport:
 def _snr_token(snr_db: float) -> int:
     """Nonnegative integer identifying an SNR, to 0.001 dB, in seed derivations."""
     check_snr_db(snr_db)
-    if math.isinf(snr_db):
-        return 2 ** 40 if snr_db > 0 else 0
-    return int(round(snr_db * 1000.0)) + _SNR_TOKEN_OFFSET
+    return 2 ** 40 if snr_db == math.inf else int(round(snr_db * 1000.0)) + _SNR_TOKEN_OFFSET
 
 
 def derive_seed(master_seed: int, phase: int, snr_token: int, index: int, slot: int) -> int:
@@ -347,8 +345,7 @@ def calibrate_at_noise(config: SensingConfig, detector: DetectorKind, target_pf:
     level is given directly.  Trial t is seeded
     (master_seed, PHASE_ONESHOT, 0, t, 0).
     """
-    if not noise_variance > 0.0:
-        raise ConfigurationError(f"noise variance must be positive, got {noise_variance!r}")
+    check_noise_variance(noise_variance)
     check_target_pf(target_pf, config.calibration_trials)
     values = _compute_phase_range(config, PHASE_ONESHOT, None, 0, config.calibration_trials,
                                   (detector,), noise_variance)

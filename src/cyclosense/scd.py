@@ -39,7 +39,6 @@ BLOCK_ROWS = 4
 
 __all__ = [
     "WindowKind",
-    "Spectrum",
     "SmoothingWindow",
     "ScdSlice",
     "CycleProfile",
@@ -58,25 +57,6 @@ __all__ = [
 class WindowKind(Enum):
     HAMMING = "hamming"
     RECTANGULAR = "rectangular"
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    """Complex DFT bins of a sample buffer, in standard DFT order."""
-
-    bins: np.ndarray
-    n: int
-    freq_resolution_hz: float
-
-    def __post_init__(self):
-        arr = np.array(self.bins, dtype=np.complex128)
-        if arr.ndim != 1 or arr.size == 0:
-            raise ConfigurationError("spectrum must be a nonempty 1-D sequence")
-        if arr.size != self.n:
-            raise ConfigurationError("spectrum length must equal n")
-        if not self.freq_resolution_hz > 0.0:
-            raise ConfigurationError("freq_resolution_hz must be positive")
-        object.__setattr__(self, "bins", read_only(arr))
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,10 +133,9 @@ class CycleProfile:
         object.__setattr__(self, "magnitudes", read_only(mags))
 
 
-def dft(signal: SampleBuffer) -> Spectrum:
-    """Unnormalized forward transform: bins[v] = sum_k x[k] e^{-i2pi vk/N}."""
-    n = signal.samples.size
-    return Spectrum(np.fft.fft(signal.samples), n, bin_width(signal.sample_rate_hz, n))
+def dft(signal: SampleBuffer) -> np.ndarray:
+    """Unnormalized forward transform, read-only: bins[v] = sum_k x[k] e^{-i2pi vk/N}."""
+    return read_only(np.fft.fft(signal.samples))
 
 
 def check_window(kind: WindowKind, length: int, n: int | None = None) -> None:
@@ -304,21 +283,21 @@ def smoothed_slices(spectra: np.ndarray, shifts, work: SliceWork) -> np.ndarray:
     return values
 
 
-def scd_slice(spectrum: Spectrum, alpha_hz: float, window: SmoothingWindow,
-              sample_period_s: float) -> ScdSlice:
-    """Frequency-smoothed spectral correlation at one cycle frequency.
+def scd_slice(signal: SampleBuffer, alpha_hz: float, window: SmoothingWindow) -> ScdSlice:
+    """Frequency-smoothed spectral correlation of signal at one cycle frequency.
 
     values[l] = scale * (1/L) * sum_v X<s(l)+a+v> * conj(X<s(l)-a+v>) * W(v)
 
-    where a = cycle_shift(alpha_hz, N, Fs), s(l) is the signed
-    interpretation of bin l, X<i> is the spectrum on signed bins (zero
-    outside the band), and scale = 1 / ((N-1) * Ts).  The quantized cycle
+    where X<i> is dft(signal) on signed bins (zero outside the band), s(l) is
+    the signed bin l, a = cycle_shift(alpha_hz, N, Fs) at Fs = bin_width(rate, N)
+    and scale = 1 / ((N-1) * Ts) at Ts = 1 / rate.  The quantized cycle
     frequency 2*a*Fs is reported as alpha_effective_hz.
     """
-    work = SliceWork(1, spectrum.n, window, sample_period_s)
-    fres = spectrum.freq_resolution_hz
-    shift = cycle_shift(alpha_hz, spectrum.n, fres)
-    values = smoothed_slices(spectrum.bins, [shift], work)[0]
+    n = len(signal)
+    fres = bin_width(signal.sample_rate_hz, n)
+    work = SliceWork(1, n, window, 1.0 / signal.sample_rate_hz)
+    shift = cycle_shift(alpha_hz, n, fres)
+    values = smoothed_slices(dft(signal), [shift], work)[0]
     return ScdSlice(
         values=np.fft.ifftshift(values),
         alpha_requested_hz=float(alpha_hz),
@@ -332,15 +311,16 @@ def cycle_profile(signal: SampleBuffer, alphas_hz, window: SmoothingWindow) -> C
     alphas = np.asarray(alphas_hz, dtype=np.float64)
     if alphas.ndim != 1 or alphas.size == 0:
         raise ConfigurationError("alphas_hz must be a nonempty 1-D sequence")
-    spectrum = dft(signal)
-    work = SliceWork(BLOCK_ROWS, spectrum.n, window, 1.0 / signal.sample_rate_hz)
-    shifts = [abs(cycle_shift(alpha, spectrum.n, spectrum.freq_resolution_hz))
-              for alpha in alphas]
+    n = len(signal)
+    fres = bin_width(signal.sample_rate_hz, n)
+    work = SliceWork(BLOCK_ROWS, n, window, 1.0 / signal.sample_rate_hz)
+    shifts = [abs(cycle_shift(alpha, n, fres)) for alpha in alphas]
+    bins = dft(signal)
     distinct = list(dict.fromkeys(shifts))
     peaks = np.empty(max(distinct) + 1)
     for first in range(0, len(distinct), BLOCK_ROWS):
         block = distinct[first:first + BLOCK_ROWS]
-        peaks[block] = work.peaks(smoothed_slices(spectrum.bins, block, work))
+        peaks[block] = work.peaks(smoothed_slices(bins, block, work))
     return CycleProfile(alphas, peaks[shifts])
 
 

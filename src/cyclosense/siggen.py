@@ -130,10 +130,16 @@ def read_only(arr: np.ndarray) -> np.ndarray:
 
 
 def check_snr_db(snr_db) -> None:
-    """Refuse NaN and finite SNRs beyond SNR_DB_LIMIT; +-inf stay legal."""
-    if not (abs(snr_db) <= SNR_DB_LIMIT or math.isinf(snr_db)):
+    """The SNR rule: +inf (no noise) or finite to +-SNR_DB_LIMIT; -inf makes no finite buffer."""
+    if not (abs(snr_db) <= SNR_DB_LIMIT or snr_db == math.inf):
         raise ConfigurationError(
-            f"snr_db must be +-inf or within +-{SNR_DB_LIMIT} dB, got {snr_db!r}")
+            f"snr_db must be +inf or within +-{SNR_DB_LIMIT} dB, got {snr_db!r}")
+
+
+def check_noise_variance(variance) -> None:
+    """The noise-variance rule: positive and finite."""
+    if not (variance > 0.0 and math.isfinite(variance)):
+        raise ConfigurationError(f"noise variance must be positive and finite, got {variance!r}")
 
 
 def check_seed(seed) -> None:
@@ -270,8 +276,7 @@ def noise_only(n_samples: int, variance: float, seed: int,
     rate when the buffer feeds frequency-domain processing.
     """
     check_length_and_rate(n_samples, sample_rate_hz)
-    if not variance > 0.0:
-        raise ConfigurationError("variance must be positive")
+    check_noise_variance(variance)
     check_seed(seed)
     rng = np.random.default_rng(seed)
     return SampleBuffer(rng.normal(0.0, math.sqrt(variance), n_samples), sample_rate_hz)

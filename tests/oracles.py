@@ -16,14 +16,14 @@ replaced: strip and float() line by line, straight from the open file.
 import numpy as np
 
 from cyclosense import (ChannelSpec, ConfigurationError, DetectorKind, SampleBuffer,
-                        ScdSlice, SmoothingWindow, Spectrum, add_awgn, cycle_metric, dft,
-                        energy_metric, generate_signal, noise_only, scd_slice)
+                        ScdSlice, SmoothingWindow, add_awgn, cycle_metric, energy_metric,
+                        generate_signal, noise_only, scd_slice)
 from cyclosense.harness import (DETECTORS, PHASE_H1, _cycle_window, _noise_variance,
                                 _snr_token, derive_seed)
 from cyclosense.siggen import _SIGNAL_FILE_HEADER, open_text
 
 
-def dft_naive(signal: SampleBuffer) -> Spectrum:
+def dft_naive(signal: SampleBuffer) -> np.ndarray:
     """Direct per-bin summation of the transform; O(N^2) oracle for dft."""
     x = signal.samples
     n = x.size
@@ -31,7 +31,7 @@ def dft_naive(signal: SampleBuffer) -> Spectrum:
     bins = np.empty(n, dtype=np.complex128)
     for v in range(n):
         bins[v] = np.sum(x * np.exp((-2j * np.pi * v / n) * k))
-    return Spectrum(bins, n, signal.sample_rate_hz / n)
+    return bins
 
 
 def scd_slice_naive(signal: SampleBuffer, alpha_hz: float,
@@ -48,9 +48,8 @@ def scd_slice_naive(signal: SampleBuffer, alpha_hz: float,
         raise ConfigurationError(
             f"window length {length} must be below the transform size {n}"
         )
-    spectrum = dft_naive(signal)
-    bins = spectrum.bins
-    fres = spectrum.freq_resolution_hz
+    bins = dft_naive(signal)
+    fres = signal.sample_rate_hz / n
     shift = int(round(alpha_hz / (2.0 * fres)))
     half = (length - 1) // 2
     weights = window.weights
@@ -81,12 +80,9 @@ def scd_slice_naive(signal: SampleBuffer, alpha_hz: float,
     )
 
 
-def _metrics(buffer: SampleBuffer, spectrum, detectors, alpha_hz: float, window) -> list:
-    """Each detector's metric on one buffer, in the order of detectors.
-
-    spectrum is dft(buffer), or None when the cycle detector is not scored.
-    """
-    return [cycle_metric(scd_slice(spectrum, alpha_hz, window, 1.0 / buffer.sample_rate_hz))
+def _metrics(buffer: SampleBuffer, detectors, alpha_hz: float, window) -> list:
+    """Each detector's metric on one buffer, in the order of detectors."""
+    return [cycle_metric(scd_slice(buffer, alpha_hz, window))
             if detector is DetectorKind.CYCLE_FEATURE else energy_metric(buffer)
             for detector in detectors]
 
@@ -116,9 +112,8 @@ def reference_phase_range(config, phase: int, snr_db: float | None,
                 config.n_samples, variance,
                 derive_seed(config.master_seed, phase, token, trial, 0),
                 config.sample_rate_hz)
-        spectrum = None if window is None else dft(buffer)
         values[:, i] = [metric.value for metric in
-                        _metrics(buffer, spectrum, detectors, config.alpha0_hz, window)]
+                        _metrics(buffer, detectors, config.alpha0_hz, window)]
     return values
 
 

@@ -704,6 +704,67 @@ class TestCalibrationRefusedBeforeTrials:
         assert "target_pf" in captured.err
 
 
+def assert_one_error(captured, message):
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert message in captured.err
+
+
+class TestNoEvidenceRefused:
+    """A zero threshold, -inf SNR or an infinite noise variance leaves nothing
+    to decide on or no finite buffer to draw: exit 2 with one error line, the
+    last two before any trial or generation."""
+
+    @pytest.fixture
+    def refuse_trials(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a trial or a waveform was drawn")
+        monkeypatch.setattr(harness, "noise_only", refuse)
+        monkeypatch.setattr(harness, "generate_signal", refuse)
+        monkeypatch.setattr(cli, "generate_signal", refuse)
+
+    @pytest.mark.parametrize("detector, flags", [
+        ("energy", []),
+        ("cycle_feature", ["--fc-hz", "16", "--bandwidth-hz", "4", "--smoothing-len", "5"]),
+    ])
+    def test_zero_threshold_file(self, detector, flags, tmp_path, capsys):
+        zeros = tmp_path / "zeros.txt"
+        write_signal_file(SampleBuffer(np.zeros(64), 64.0), zeros)
+        threshold = tmp_path / "threshold.txt"
+        threshold.write_text(f"{detector},0.1,0.0\n")
+        assert main(["detect", "--detector", detector, "--input", str(zeros),
+                     "--threshold-file", str(threshold), *flags]) == 2
+        assert_one_error(capsys.readouterr(), "threshold 0.0 ")
+
+    def test_zero_calibrated_threshold(self, tmp_path, monkeypatch, capsys):
+        # no positive, finite noise variance calibrates to 0.0 in practice,
+        # so the calibration is replaced: decide alone holds the rule
+        monkeypatch.setattr(cli, "calibrate_at_noise", lambda config, detector, pf, variance:
+                            Threshold(0.0, pf, config.calibration_trials, detector))
+        assert main(["detect", *TINY, "--detector", "energy", "--noise-variance", "1",
+                     "--input", tone_file(tmp_path / "tone.txt")]) == 2
+        assert_one_error(capsys.readouterr(), "threshold 0.0 ")
+
+    @pytest.mark.parametrize("argv", [
+        ["profile", *TINY, "--snr-db=-inf"],
+        ["roc", *TINY, "--snr-db=-inf", "--trials", "20", "--calibration-trials", "100",
+         "--target-pf", "0.1"],
+    ], ids=["profile", "roc"])
+    def test_minus_infinite_snr(self, argv, refuse_trials, capsys):
+        assert main(argv) == 2
+        assert_one_error(capsys.readouterr(), "snr_db")
+
+    @pytest.mark.parametrize("command", ["calibrate", "detect"])
+    @pytest.mark.parametrize("detector", ["cycle_feature", "energy"])
+    def test_infinite_noise_variance(self, command, detector, refuse_trials, tmp_path, capsys):
+        argv = [command, *TINY, "--detector", detector, "--noise-variance", "inf",
+                "--calibration-trials", "100"]
+        if command == "detect":
+            argv += ["--input", tone_file(tmp_path / "tone.txt")]
+        assert main(argv) == 2
+        assert_one_error(capsys.readouterr(), "noise variance must be positive and finite")
+
+
 class TestOversizedWindow:
     """An odd --smoothing-len far beyond the buffer is refused by its length
     before any window is built: building one first would allocate its

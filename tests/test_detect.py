@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from cyclosense import (CalibrationError, ConfigurationError, Decision,
                         DetectorKind, SampleBuffer, SensingMetric, Threshold,
                         WindowKind, calibrate_threshold, cycle_metric, decide,
-                        dft, energy_metric, make_window, noise_only,
+                        energy_metric, make_window, noise_only,
                         required_calibration_trials, scd_slice)
 from cyclosense import detect
 from cyclosense.detect import sum_of_squares
@@ -24,7 +24,7 @@ def tone_slice(n=64, cycles=8, amplitude=1.0, seed=None):
         x = x + np.random.default_rng(seed).normal(size=n)
     buf = SampleBuffer(x, float(n))
     window = make_window(WindowKind.HAMMING, 5)
-    return scd_slice(dft(buf), 2.0 * cycles, window, 1.0 / n)
+    return scd_slice(buf, 2.0 * cycles, window)
 
 
 class TestCycleMetric:
@@ -44,7 +44,7 @@ class TestCycleMetric:
         rng = np.random.default_rng(1)
         noise = SampleBuffer(rng.normal(size=64), 64.0)
         window = make_window(WindowKind.HAMMING, 5)
-        quiet = cycle_metric(scd_slice(dft(noise), 16.0, window, 1.0 / 64))
+        quiet = cycle_metric(scd_slice(noise, 16.0, window))
         assert noisy.value > quiet.value
 
 
@@ -290,6 +290,20 @@ class TestDecide:
         with pytest.raises(ConfigurationError):
             decide(metric, self.threshold)
 
+    @pytest.mark.parametrize("value", [0.0, -0.0])
+    def test_zero_threshold_refused(self, value):
+        # every metric is >= 0, so a zero threshold would call an all-zero buffer active
+        threshold = Threshold(value, 0.1, 100, DetectorKind.ENERGY)
+        for metric in (0.0, 1.0):
+            with pytest.raises(ConfigurationError, match=f"threshold {value!r} "):
+                decide(SensingMetric(metric, DetectorKind.ENERGY), threshold)
+
+    def test_smallest_positive_threshold_still_decides(self):
+        threshold = Threshold(5e-324, 0.1, 100, DetectorKind.ENERGY)
+        zero, tie = (SensingMetric(v, DetectorKind.ENERGY) for v in (0.0, 5e-324))
+        assert decide(zero, threshold) is Decision.H0_INACTIVE
+        assert decide(tie, threshold) is Decision.H1_ACTIVE
+
 
 class TestMetricAndThresholdTypes:
     def test_metric_rejects_negative_nan_inf(self):
@@ -315,7 +329,7 @@ class TestEndToEnd:
         for _ in range(100):
             noise = SampleBuffer(rng.normal(size=n), float(n))
             noise_metrics.append(
-                cycle_metric(scd_slice(dft(noise), 16.0, window, 1.0 / n)).value)
+                cycle_metric(scd_slice(noise, 16.0, window)).value)
         threshold = calibrate_threshold(noise_metrics, 0.1)
         loud = cycle_metric(tone_slice(n=n, cycles=8, amplitude=10.0, seed=1))
         assert decide(loud, threshold) is Decision.H1_ACTIVE
@@ -330,6 +344,6 @@ class TestEndToEnd:
         with pytest.raises(ConfigurationError, match="cycle frequency"):
             for seed in range(100):
                 noise = noise_only(n, 1.0, seed=seed, sample_rate_hz=float(n))
-                metrics.append(cycle_metric(scd_slice(dft(noise), 30.0, window, 1.0 / n)).value)
+                metrics.append(cycle_metric(scd_slice(noise, 30.0, window)).value)
             calibrate_threshold(metrics, 0.1)
         assert metrics == []

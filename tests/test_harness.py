@@ -11,7 +11,7 @@ import pytest
 from cyclosense import (CalibrationError, ChannelSpec, ConfigurationError, DetectorKind,
                         ModulationKind, ModulationSpec, RocPoint, SampleBuffer,
                         SensingConfig, Threshold, WindowKind, add_awgn, complexity_model,
-                        cycle_metric, dft, energy_metric, generate_signal, harness, make_window,
+                        cycle_metric, energy_metric, generate_signal, harness, make_window,
                         noise_only, read_threshold_file, run_roc, scd_slice,
                         write_roc_csv, write_threshold_file)
 from cyclosense.harness import (DETECTORS, PHASE_CALIBRATION, PHASE_H0, PHASE_H1,
@@ -81,6 +81,7 @@ class TestSensingConfig:
         dict(modulation="am"),
         dict(snr_db_list=(3000.5,)),
         dict(snr_db_list=(-3e6,)),
+        dict(snr_db_list=(-math.inf,)),         # infinite noise: no finite buffer
         dict(snr_db_list=(-22.0, -22.0004)),     # same seeds at 0.001 dB
         dict(snr_db_list=(5.0, 5.0)),
     ])
@@ -158,6 +159,11 @@ class TestDeriveSeed:
     def test_range(self):
         value = derive_seed(3, 4, 5, 6, 7)
         assert 0 <= value < 2 ** 128
+
+    def test_profile_seed_refuses_minus_infinite_snr(self):
+        # infinite noise makes no finite buffer, so no profile seeds its noise
+        with pytest.raises(ConfigurationError, match="snr_db"):
+            harness.profile_seed(0, -math.inf, 0)
 
 
 class TestRunRoc:
@@ -385,7 +391,7 @@ class TestOneScorer:
         buffer = add_awgn(generate_signal(config.modulation, n, rate, 11),
                           ChannelSpec(0.0, 12))
         window = make_window(kind, length)
-        library = cycle_metric(scd_slice(dft(buffer), config.alpha0_hz, window, 1.0 / rate))
+        library = cycle_metric(scd_slice(buffer, config.alpha0_hz, window))
         assert measure(config, CYCLE, buffer) == library
 
 
@@ -511,6 +517,15 @@ class TestCalibrateAtNoise:
         with pytest.raises(error, match="target_pf"):
             calibrate_at_noise(tiny_config(calibration_trials=trials), detector,
                                target_pf, 1.0)
+
+    @pytest.mark.parametrize("variance", [0.0, math.nan, math.inf])
+    @pytest.mark.parametrize("detector", DETECTORS)
+    def test_variance_refused_before_a_trial(self, detector, variance, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("calibrate_at_noise ran a trial")
+        monkeypatch.setattr(harness, "noise_only", refuse)
+        with pytest.raises(ConfigurationError, match="noise variance"):
+            calibrate_at_noise(tiny_config(), detector, 0.5, variance)
 
 
 class TestRocPointType:

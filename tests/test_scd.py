@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cyclosense import (ConfigurationError, CycleProfile, SampleBuffer,
-                        ScdSlice, SmoothingWindow, Spectrum, WindowKind,
+                        ScdSlice, SmoothingWindow, WindowKind,
                         cycle_profile, dft, make_window, scd_slice,
                         write_profile_csv)
 from cyclosense import scd
@@ -47,17 +47,17 @@ class TestDft:
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 12, 16, 33, 64])
     def test_naive_matches_fft(self, n):
         buf = white_buffer(n, seed=n)
-        assert rel_err(dft_naive(buf).bins, dft(buf).bins) < 1e-9
+        assert rel_err(dft_naive(buf), dft(buf)) < 1e-9
 
     def test_impulse_is_flat(self):
         x = np.zeros(16)
         x[0] = 1.0
-        bins = dft_naive(SampleBuffer(x, 1.0)).bins
+        bins = dft_naive(SampleBuffer(x, 1.0))
         assert rel_err(bins, np.ones(16)) < 1e-12
 
     def test_cosine_line_placement(self):
         n = 64
-        bins = dft(cosine_buffer(n, cycles=5)).bins
+        bins = dft(cosine_buffer(n, cycles=5))
         assert abs(bins[5] - n / 2) < 1e-9
         assert abs(bins[n - 5] - n / 2) < 1e-9
 
@@ -65,20 +65,26 @@ class TestDft:
         x = white_buffer(12, seed=1)
         y = white_buffer(12, seed=2)
         combo = SampleBuffer(3.0 * x.samples - 0.5 * y.samples, 1.0)
-        want = 3.0 * dft_naive(x).bins - 0.5 * dft_naive(y).bins
-        assert rel_err(dft_naive(combo).bins, want) < 1e-9
+        want = 3.0 * dft_naive(x) - 0.5 * dft_naive(y)
+        assert rel_err(dft_naive(combo), want) < 1e-9
 
     @pytest.mark.parametrize("n", [4, 10, 64, 257])
     def test_parseval(self, n):
         buf = white_buffer(n, seed=100 + n)
-        bins = dft(buf).bins
+        bins = dft(buf)
         lhs = float(np.sum(np.abs(bins) ** 2))
         rhs = n * float(np.sum(buf.samples ** 2))
         assert abs(lhs - rhs) <= 1e-9 * rhs
 
     def test_frequency_resolution(self):
         buf = white_buffer(32, seed=0, rate=3e6)
-        assert dft(buf).freq_resolution_hz == 3e6 / 32
+        piece = scd_slice(buf, 6 * 3e6 / 32, make_window(WindowKind.RECTANGULAR, 1))
+        assert piece.alpha_effective_hz == 2 * 3 * (3e6 / 32)
+
+    def test_bins_read_only(self):
+        bins = dft(white_buffer(4, seed=0))
+        with pytest.raises(ValueError):
+            bins[0] = 0.0
 
 
 class TestMakeWindow:
@@ -192,7 +198,7 @@ class TestSliceAgainstReference:
         buf = white_buffer(n, seed=seed)
         window = make_window(kind, length)
         alpha = 2.0 * shift * (buf.sample_rate_hz / n)
-        fast = scd_slice(dft(buf), alpha, window, 1.0 / buf.sample_rate_hz)
+        fast = scd_slice(buf, alpha, window)
         slow = scd_slice_naive(buf, alpha, window)
         assert rel_err(fast.values, slow.values) < 1e-9
         assert fast.alpha_effective_hz == slow.alpha_effective_hz
@@ -203,7 +209,7 @@ class TestSliceAgainstReference:
         window = make_window(WindowKind.RECTANGULAR, 3)
         # resolution is 1 Hz, so the half-bin boundary sits at odd alphas
         for alpha, effective in [(1.0, 0.0), (3.0, 4.0), (-1.0, 0.0), (-3.0, -4.0)]:
-            fast = scd_slice(dft(buf), alpha, window, 1.0 / 16.0)
+            fast = scd_slice(buf, alpha, window)
             slow = scd_slice_naive(buf, alpha, window)
             assert fast.alpha_effective_hz == effective
             assert slow.alpha_effective_hz == effective
@@ -232,11 +238,11 @@ class TestCycleShiftRule:
         slow = scd_slice_naive(buf, alpha, window)
         if np.all(slow.values == 0.0):
             with pytest.raises(ConfigurationError, match="cycle frequency"):
-                scd_slice(dft(buf), alpha, window, 1.0 / rate)
+                scd_slice(buf, alpha, window)
             with pytest.raises(ConfigurationError, match="cycle frequency"):
                 cycle_profile(buf, [alpha], window)
         else:
-            fast = scd_slice(dft(buf), alpha, window, 1.0 / rate)
+            fast = scd_slice(buf, alpha, window)
             assert rel_err(fast.values, slow.values) < 1e-9
             assert fast.alpha_effective_hz == slow.alpha_effective_hz
             cycle_profile(buf, [alpha], window)
@@ -246,7 +252,7 @@ class TestCycleShiftRule:
         buf = white_buffer(16, seed=0, rate=16.0)
         window = make_window(WindowKind.RECTANGULAR, 3)
         with pytest.raises(ConfigurationError, match="cycle frequency"):
-            scd_slice(dft(buf), alpha, window, 1.0 / 16.0)
+            scd_slice(buf, alpha, window)
         with pytest.raises(ConfigurationError, match="cycle frequency"):
             cycle_profile(buf, [alpha], window)
 
@@ -256,7 +262,7 @@ class TestBinWidth:
         buf = white_buffer(64, seed=0, rate=5e-324)
         window = make_window(WindowKind.RECTANGULAR, 3)
         message = "bin width 5e-324 Hz / 64 underflows to 0 Hz"
-        for call in (lambda: bin_width(5e-324, 64), lambda: dft(buf),
+        for call in (lambda: bin_width(5e-324, 64), lambda: scd_slice(buf, 0.0, window),
                      lambda: cycle_profile(buf, [0.0], window)):
             with pytest.raises(ConfigurationError) as info:
                 call()
@@ -271,7 +277,7 @@ class TestBlockKernel:
         shifts = [-(n - 1) // 2, -5, 0, 3, (n - 1) // 2]
         window = make_window(WindowKind.HAMMING, 7)
         buffers = [white_buffer(n, seed=40 + i, rate=float(n)) for i in range(len(shifts))]
-        spectra = np.array([dft(buf).bins for buf in buffers])
+        spectra = np.array([dft(buf) for buf in buffers])
         work = SliceWork(len(shifts), n, window, 1.0 / n)
         values = smoothed_slices(spectra, shifts, work)
         for row, buf, shift in zip(values, buffers, shifts):
@@ -285,8 +291,7 @@ class TestBlockKernel:
         alphas = [30.0, -2.0, 0.0, 30.0, 94.0, -94.0, 12.0, -2.0, 4.0, 62.0, -30.0]
         assert len(alphas) % BLOCK_ROWS
         profile = cycle_profile(buf, alphas, window)
-        spectrum = dft(buf)
-        expected = [np.abs(scd_slice(spectrum, alpha, window, 1.0 / 96.0).values).max()
+        expected = [np.abs(scd_slice(buf, alpha, window).values).max()
                     for alpha in alphas]
         assert np.array_equal(profile.magnitudes, expected)
 
@@ -326,10 +331,9 @@ class TestProfileMirror:
     def test_negated_alpha_is_the_bitwise_conjugate(self, n, length):
         buf = white_buffer(n, seed=n, rate=float(n))
         window = make_window(WindowKind.HAMMING, length)
-        spectrum = dft(buf)
         for shift in range(1, (n - 1) // 2 + 1):
-            plus = scd_slice(spectrum, 2.0 * shift, window, 1.0 / n)
-            minus = scd_slice(spectrum, -2.0 * shift, window, 1.0 / n)
+            plus = scd_slice(buf, 2.0 * shift, window)
+            minus = scd_slice(buf, -2.0 * shift, window)
             assert minus.values.tobytes() == np.conj(plus.values).tobytes()
 
     def test_full_grid_sends_each_shift_through_the_kernel_once(self, monkeypatch):
@@ -356,7 +360,7 @@ class TestProfileMirror:
 class TestSliceValues:
     def test_zero_signal_gives_zero_slice(self):
         buf = SampleBuffer(np.zeros(32), 32.0)
-        piece = scd_slice(dft(buf), 4.0, make_window(WindowKind.HAMMING, 5), 1.0 / 32.0)
+        piece = scd_slice(buf, 4.0, make_window(WindowKind.HAMMING, 5))
         assert np.all(piece.values == 0.0)
 
     def test_tone_feature_lands_at_dc_bin(self):
@@ -365,7 +369,7 @@ class TestSliceValues:
         n = 16
         buf = cosine_buffer(n, cycles=4)
         window = make_window(WindowKind.RECTANGULAR, 1)
-        piece = scd_slice(dft(buf), 8.0, window, 1.0 / 16.0)
+        piece = scd_slice(buf, 8.0, window)
         scale = 16.0 / 15.0
         assert piece.scale == pytest.approx(scale, rel=1e-15)
         want_peak = scale * (n / 2) ** 2
@@ -376,7 +380,7 @@ class TestSliceValues:
     def test_alpha_zero_is_smoothed_periodogram(self):
         buf = white_buffer(64, seed=5, rate=64.0)
         window = make_window(WindowKind.RECTANGULAR, 1)
-        piece = scd_slice(dft(buf), 0.0, window, 1.0 / 64.0)
+        piece = scd_slice(buf, 0.0, window)
         want = piece.scale * np.abs(np.fft.fft(buf.samples)) ** 2
         assert rel_err(piece.values, want) < 1e-12
         assert float(np.max(np.abs(piece.values.imag))) < 1e-12 * float(
@@ -388,15 +392,15 @@ class TestSliceValues:
         buf = white_buffer(64, seed=9, rate=64.0)
         doubled = SampleBuffer(2.0 * buf.samples, 64.0)
         window = make_window(WindowKind.HAMMING, 5)
-        one = scd_slice(dft(buf), 6.0, window, 1.0 / 64.0)
-        four = scd_slice(dft(doubled), 6.0, window, 1.0 / 64.0)
+        one = scd_slice(buf, 6.0, window)
+        four = scd_slice(doubled, 6.0, window)
         assert np.array_equal(four.values, 4.0 * one.values)
 
     def test_negated_alpha_conjugates_the_slice(self):
         buf = white_buffer(32, seed=3, rate=32.0)
         window = make_window(WindowKind.HAMMING, 7)
-        plus = scd_slice(dft(buf), 10.0, window, 1.0 / 32.0)
-        minus = scd_slice(dft(buf), -10.0, window, 1.0 / 32.0)
+        plus = scd_slice(buf, 10.0, window)
+        minus = scd_slice(buf, -10.0, window)
         assert rel_err(minus.values, np.conj(plus.values)) < 1e-12
 
     def test_shift_beyond_band_overlap_gives_zeros(self):
@@ -407,30 +411,31 @@ class TestSliceValues:
         window = make_window(WindowKind.RECTANGULAR, 3)
         assert np.all(scd_slice_naive(buf, 30.0, window).values == 0.0)
         with pytest.raises(ConfigurationError, match="cycle frequency"):
-            scd_slice(dft(buf), 30.0, window, 1.0 / 16.0)
+            scd_slice(buf, 30.0, window)
 
     def test_window_kind_changes_values(self):
         buf = white_buffer(64, seed=2, rate=64.0)
-        ham = scd_slice(dft(buf), 6.0, make_window(WindowKind.HAMMING, 9), 1.0 / 64.0)
-        rect = scd_slice(dft(buf), 6.0, make_window(WindowKind.RECTANGULAR, 9), 1.0 / 64.0)
+        ham = scd_slice(buf, 6.0, make_window(WindowKind.HAMMING, 9))
+        rect = scd_slice(buf, 6.0, make_window(WindowKind.RECTANGULAR, 9))
         assert not np.array_equal(ham.values, rect.values)
 
     def test_window_must_fit_transform(self):
         buf = white_buffer(8, seed=0)
         window = make_window(WindowKind.RECTANGULAR, 9)
         with pytest.raises(ConfigurationError):
-            scd_slice(dft(buf), 0.0, window, 1.0)
+            scd_slice(buf, 0.0, window)
         with pytest.raises(ConfigurationError):
             scd_slice_naive(buf, 0.0, window)
 
     def test_bad_sample_period(self):
-        buf = white_buffer(8, seed=0)
-        with pytest.raises(ConfigurationError):
-            scd_slice(dft(buf), 0.0, make_window(WindowKind.RECTANGULAR, 1), 0.0)
+        # at 1e-308 Hz, (n-1) Ts overflows to inf and 1 / ((n-1) Ts) is 0
+        buf = white_buffer(8, seed=0, rate=1e-308)
+        with pytest.raises(ConfigurationError, match="slice scale"):
+            scd_slice(buf, 0.0, make_window(WindowKind.RECTANGULAR, 1))
 
     def test_slice_metadata(self):
         buf = white_buffer(32, seed=1, rate=32.0)
-        piece = scd_slice(dft(buf), 6.0, make_window(WindowKind.HAMMING, 3), 1.0 / 32.0)
+        piece = scd_slice(buf, 6.0, make_window(WindowKind.HAMMING, 3))
         assert piece.n == 32
         assert piece.alpha_requested_hz == 6.0
         assert piece.alpha_effective_hz == 6.0
@@ -523,21 +528,6 @@ class TestProfileCsv:
         back_mag = np.array([float(m) for _, m in rows])
         assert np.array_equal(back_alpha, profile.alphas_hz)
         assert np.array_equal(back_mag, profile.magnitudes)
-
-
-class TestSpectrumType:
-    def test_length_must_match_n(self):
-        with pytest.raises(ConfigurationError):
-            Spectrum(np.ones(4, dtype=complex), 5, 1.0)
-
-    def test_resolution_positive(self):
-        with pytest.raises(ConfigurationError):
-            Spectrum(np.ones(4, dtype=complex), 4, 0.0)
-
-    def test_bins_read_only(self):
-        spec = Spectrum(np.ones(4, dtype=complex), 4, 1.0)
-        with pytest.raises(ValueError):
-            spec.bins[0] = 0.0
 
 
 class TestScdSliceType:

@@ -12,7 +12,7 @@ from cyclosense import (ChannelSpec, ConfigurationError, ModulationKind,
                         generate_am, generate_bpsk, generate_signal, noise_only,
                         read_signal_file, write_signal_file)
 from cyclosense import siggen
-from cyclosense.siggen import check_buffer_shape, check_waveform
+from cyclosense.siggen import check_buffer_shape, check_noise_variance, check_waveform
 from oracles import read_signal_file_lines
 
 
@@ -273,7 +273,8 @@ class TestAddAwgn:
         out = add_awgn(buf, ChannelSpec(snr_db=snr_db, seed=5))
         assert np.all(np.isfinite(out.samples))
 
-    @pytest.mark.parametrize("snr_db", [3000.5, -3e6, math.nan])
+    # -inf: infinite noise makes no finite buffer
+    @pytest.mark.parametrize("snr_db", [3000.5, -3e6, math.nan, -math.inf])
     def test_snr_beyond_limit_rejected(self, snr_db):
         with pytest.raises(ConfigurationError):
             ChannelSpec(snr_db=snr_db, seed=5)
@@ -338,6 +339,19 @@ class TestNoiseOnly:
     def test_nonpositive_variance_rejected(self):
         with pytest.raises(ConfigurationError):
             noise_only(16, 0.0, seed=0)
+
+    @pytest.mark.parametrize("variance", [0.0, -1.0, math.nan, math.inf])
+    def test_one_variance_rule(self, variance):
+        for call in (lambda: check_noise_variance(variance),
+                     lambda: noise_only(64, variance, seed=0)):
+            with pytest.raises(ConfigurationError) as info:
+                call()
+            assert str(info.value) == (
+                f"noise variance must be positive and finite, got {variance!r}")
+
+    @pytest.mark.parametrize("variance", [5e-324, 1.0, 1e308])
+    def test_positive_finite_variance_kept(self, variance):
+        check_noise_variance(variance)
 
     def test_negative_seed_rejected(self):
         with pytest.raises(ConfigurationError):
