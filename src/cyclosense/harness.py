@@ -12,7 +12,7 @@ and is byte-identical across worker counts and schedulers.
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
 
@@ -278,14 +278,6 @@ def _compute_phase_range(config: SensingConfig, phase: int, snr_db: float | None
         _trial_buffer(config, phase, snr_db, token, variance, t) for t in range(start, stop)))
 
 
-def _phase_metrics(config, phase, snr_db, count, workers, executor):
-    if executor is None or count < 2:
-        return _compute_phase_range(config, phase, snr_db, 0, count)
-    bounds = np.linspace(0, count, workers + 1).astype(int)
-    task = partial(_compute_phase_range, config, phase, snr_db)
-    return np.concatenate(list(executor.map(task, bounds[:-1], bounds[1:])), axis=1)
-
-
 def run_roc(config: SensingConfig, workers: int = 1):
     """Calibrate and measure both detectors over the configured sweep.
 
@@ -307,33 +299,41 @@ def run_roc(config: SensingConfig, workers: int = 1):
     # a fork pool starts all its workers at the first task, and the output
     # does not depend on their number: more than the CPUs only costs processes
     workers = min(workers, os.cpu_count() or 1)
-    executor = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+    phases = ((PHASE_CALIBRATION, config.calibration_trials), (PHASE_H0, config.trials),
+              (PHASE_H1, config.effective_h1_trials))
+    # one ordered stream of trial ranges for the whole sweep: no barrier between phases
+    tasks = []
+    for snr_db in config.snr_db_list:
+        for phase, count in phases:
+            bounds = np.linspace(0, count, workers + 1).astype(int)
+            tasks += [(phase, snr_db, a, b) for a, b in zip(bounds[:-1], bounds[1:]) if a < b]
+    pool = nullcontext()
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+        pool = ProcessPoolExecutor(max_workers=workers)
+    metrics = {}
+    with pool as executor:
+        # read inside map's iterator, which cancels the pending tasks when one fails
+        for (phase, snr_db, _, _), values in zip(tasks, (executor.map if executor else map)(
+                partial(_compute_phase_range, config), *zip(*tasks))):
+            metrics.setdefault((snr_db, phase), []).append(values)
     points = []
-    try:
-        for snr_db in config.snr_db_list:
-            calibration = _phase_metrics(config, PHASE_CALIBRATION, snr_db,
-                                         config.calibration_trials, workers, executor)
-            h0 = _phase_metrics(config, PHASE_H0, snr_db,
-                                config.trials, workers, executor)
-            h1 = _phase_metrics(config, PHASE_H1, snr_db,
-                                config.effective_h1_trials, workers, executor)
-            per_detector = tuple(zip(DETECTORS, calibration, h0, h1))
-            for target_pf in config.target_pf_list:
-                for detector, cal_values, h0_values, h1_values in per_detector:
-                    threshold = calibrate_threshold(cal_values, target_pf, detector)
-                    points.append(RocPoint(
-                        detector=detector,
-                        snr_db=float(snr_db),
-                        target_pf=float(target_pf),
-                        threshold=threshold.value,
-                        measured_pf=float(np.mean(h0_values >= threshold.value)),
-                        measured_pd=float(np.mean(h1_values >= threshold.value)),
-                        h0_trials=h0_values.size,
-                        h1_trials=h1_values.size,
-                    ))
-    finally:
-        if executor is not None:
-            executor.shutdown()
+    for snr_db in config.snr_db_list:
+        calibration, h0, h1 = (np.concatenate(metrics[snr_db, p], axis=1) for p, _ in phases)
+        per_detector = tuple(zip(DETECTORS, calibration, h0, h1))
+        for target_pf in config.target_pf_list:
+            for detector, cal_values, h0_values, h1_values in per_detector:
+                threshold = calibrate_threshold(cal_values, target_pf, detector)
+                points.append(RocPoint(
+                    detector=detector,
+                    snr_db=float(snr_db),
+                    target_pf=float(target_pf),
+                    threshold=threshold.value,
+                    measured_pf=float(np.mean(h0_values >= threshold.value)),
+                    measured_pd=float(np.mean(h1_values >= threshold.value)),
+                    h0_trials=h0_values.size,
+                    h1_trials=h1_values.size,
+                ))
     return points
 
 

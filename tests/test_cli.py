@@ -931,14 +931,28 @@ class TestNumericInputs:
         assert "error:" in capsys.readouterr().err
 
 
+def fresh_env():
+    """The environment of a fresh interpreter that imports this checkout."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+
+
 def run_fresh(argv):
     """Run the CLI in a fresh interpreter, so that warnings and tracebacks
     reach its stderr; returns the finished process."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
     return subprocess.run([sys.executable, "-m", "cyclosense.cli", *argv],
-                          capture_output=True, text=True, env=env, timeout=120)
+                          capture_output=True, text=True, env=fresh_env(), timeout=120)
+
+
+def test_import_leaves_the_process_pool_unloaded():
+    # every cold command pays for what importing the CLI loads; only a pooled
+    # roc sweep needs concurrent.futures
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, cyclosense.cli; print('concurrent.futures' in sys.modules)"],
+        capture_output=True, text=True, env=fresh_env(), timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
 
 
 def assert_one_error_line(proc):

@@ -1,8 +1,11 @@
 """Monte Carlo harness, complexity model, and serialization tests."""
 
+import concurrent.futures
 import io
 import math
+import multiprocessing
 import re
+import time
 import tracemalloc
 
 import numpy as np
@@ -36,6 +39,23 @@ def tiny_config(**kwargs):
     )
     base.update(kwargs)
     return SensingConfig(**base)
+
+
+class TaskFailingAtFirstH0:
+    """Stand-in for the pool task: marks each task it starts with a file in
+    `marks`, raises on the first SNR's H0 trials and runs every other task
+    slowly enough that the tasks queued behind the failure are still pending
+    when it is read.  Module-level, so that the pool can pickle it."""
+
+    def __init__(self, marks):
+        self.marks = marks
+
+    def __call__(self, config, phase, snr_db, start, stop):
+        (self.marks / f"{phase}_{snr_db}_{start}").touch()
+        if phase == PHASE_H0 and snr_db == config.snr_db_list[0]:
+            raise ConfigurationError(f"stand-in failure at snr {snr_db}")
+        time.sleep(0.1)
+        return _compute_phase_range(config, phase, snr_db, start, stop)
 
 
 class TestSensingConfig:
@@ -203,6 +223,38 @@ class TestRunRoc:
         write_roc_csv(run_roc(config, workers=3), threaded)
         assert serial.getvalue() == threaded.getvalue()
 
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_worker_count_does_not_change_a_multi_snr_sweep(self, workers, monkeypatch):
+        # no worker count divides these counts evenly, so every (SNR, phase)
+        # is reassembled from uneven chunks of the one ordered task stream
+        config = tiny_config(snr_db_list=(-5.0, 0.0, 10.0), trials=21,
+                             calibration_trials=22, h1_trials=9)
+        serial = io.StringIO()
+        pooled = io.StringIO()
+        write_roc_csv(run_roc(config, workers=1), serial)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: workers)
+        write_roc_csv(run_roc(config, workers=workers), pooled)
+        assert serial.getvalue() == pooled.getvalue()
+
+    def test_failed_task_stops_the_pool(self, tmp_path, monkeypatch):
+        config = tiny_config(snr_db_list=(-5.0, 0.0, 10.0))
+        monkeypatch.setattr(harness, "_compute_phase_range", TaskFailingAtFirstH0(tmp_path))
+        with pytest.raises(ConfigurationError) as serial:
+            run_roc(config, workers=1)
+        for mark in tmp_path.iterdir():
+            mark.unlink()
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+        with pytest.raises(ConfigurationError) as pooled:
+            run_roc(config, workers=2)
+        assert str(pooled.value) == str(serial.value) == "stand-in failure at snr -5.0"
+        assert multiprocessing.active_children() == []
+        # 18 tasks in order, 6 per SNR, and the first SNR's third fails; the
+        # tasks already handed to a worker may finish, but the last SNR's
+        # were cancelled before any started
+        started = [path.name.split("_") for path in tmp_path.iterdir()]
+        assert [str(PHASE_H0), "-5.0", "0"] in started
+        assert all(snr != "10.0" for _, snr, _ in started)
+
     def test_master_seed_changes_output(self):
         a = run_roc(tiny_config(snr_db_list=(0.0,)))
         b = run_roc(tiny_config(snr_db_list=(0.0,), master_seed=1))
@@ -242,10 +294,13 @@ class TestRunRoc:
             def map(self, fn, *iterables):
                 return map(fn, *iterables)
 
-            def shutdown(self):
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
                 pass
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
         config = tiny_config(trials=21, calibration_trials=20, h1_trials=9)
         serial = run_roc(config)
         monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)

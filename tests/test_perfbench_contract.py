@@ -10,7 +10,11 @@ it: start, one traced command, stop, layer_metrics.
 
 import importlib.util
 import json
+import os
+from collections import Counter
 from pathlib import Path
+
+import pytest
 
 import cyclosense
 import cyclosense.cli
@@ -20,6 +24,9 @@ ROOT = Path(__file__).resolve().parents[1]
 CALIBRATE = ["calibrate", "--n", "64", "--fs-hz", "64", "--fc-hz", "16", "--bandwidth-hz",
              "4", "--smoothing-len", "5", "--detector", "cycle_feature", "--noise-variance",
              "1.0", "--calibration-trials", "20", "--target-pf", "0.5", "--seed", "7"]
+ROC = ["roc", "--n", "64", "--fs-hz", "64", "--fc-hz", "16", "--bandwidth-hz", "4",
+       "--smoothing-len", "5", "--snr-db", "10", "--target-pf", "0.5", "--trials", "21",
+       "--calibration-trials", "20", "--h1-trials", "9", "--seed", "7", "--workers"]
 
 
 def load_tracing():
@@ -65,4 +72,33 @@ def test_tracer_wraps_every_traced_name(tmp_path, capsys):
     assert set(metrics) <= {metric["name"] for metric in declared}
     assert metrics["cli.calibrate.calls"] == (1, "count")
     assert metrics["cli.build_parser.calls"] == (1, "count")
+    assert {span[5] for span in tracer.spans} == {0}
+
+
+def test_pooled_roc_merges_worker_spans(tmp_path, capsys, monkeypatch):
+    tracing = load_tracing()
+    if not tracing.FORK_SPANS:
+        pytest.skip("worker spans are merged only from forked pool workers")
+    assert main([*ROC, "1"]) == 0
+    serial = capsys.readouterr().out
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    tracer = tracing.Tracer(cyclosense, tmp_path)
+    tracer.start(0)
+    try:
+        assert main([*ROC, "2"]) == 0
+    finally:
+        tracer.stop()
+    assert capsys.readouterr().out == serial
+    assert list(tmp_path.iterdir()) == []
+    # 2 workers split each of the 3 phases in two, one worker_task span per task
+    tasks = {span[3] for span in tracer.spans if span[0] == tracing.WORKER_TASK}
+    assert len(tasks) == 6
+    assert all(span_id >> 32 != os.getpid() for span_id in tasks)
+    in_tasks = Counter(span[0] for span in tracer.spans if span[4] in tasks)
+    assert in_tasks["siggen.noise_only"] == 20 + 21
+    assert in_tasks["harness.derive_seed"] == 20 + 21 + 2 * 9
+    metrics = tracing.layer_metrics(tracer, 2)
+    assert metrics["harness.run_roc.calls"] == (1, "count")
+    assert metrics["siggen.noise_only.calls"] == (20 + 21, "count")
+    assert 0.0 < metrics["harness.pool_busy_frac"][0] <= 1.0
     assert {span[5] for span in tracer.spans} == {0}
