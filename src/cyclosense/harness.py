@@ -21,8 +21,7 @@ import numpy as np
 from .detect import DetectorKind, SensingMetric, Threshold, calibrate_threshold, \
     check_target_pf, sum_of_squares
 from .errors import ConfigurationError
-from .scd import BLOCK_ROWS, SliceWork, WindowKind, bin_width, check_window, cycle_shift, \
-    make_window, smoothed_slices
+from .scd import BLOCK_ROWS, SliceWork, WindowKind, check_window, make_window, smoothed_slices
 from .siggen import ChannelSpec, ModulationKind, ModulationSpec, SampleBuffer, \
     add_awgn, check_buffer_shape, check_length_and_rate, check_noise_variance, check_seed, \
     check_snr_db, check_waveform, generate_signal, noise_only, open_text, write_lines
@@ -200,31 +199,11 @@ def _noise_variance(snr_db: float) -> float:
     return 10.0 ** (-snr_db / 10.0)
 
 
-def _cycle_window(config: SensingConfig, detectors):
-    """The cycle detector's smoothing window and bin shift, or None when it
-    is not scored."""
-    if DetectorKind.CYCLE_FEATURE not in detectors:
-        return None
-    n = config.n_samples
-    return (make_window(config.window_kind, config.smoothing_len),
-            cycle_shift(config.alpha0_hz, n, bin_width(config.sample_rate_hz, n)))
-
-
-def _trial_buffer(config: SensingConfig, phase: int, snr_db: float | None, token: int,
-                  variance: float, trial: int) -> SampleBuffer:
-    """The received buffer of one trial, seeded by its coordinates alone."""
-    if phase == PHASE_H1:
-        signal = generate_signal(
-            config.modulation, config.n_samples, config.sample_rate_hz,
-            derive_seed(config.master_seed, phase, token, trial, 0))
-        return add_awgn(signal, ChannelSpec(
-            snr_db, derive_seed(config.master_seed, phase, token, trial, 1)))
-    if variance == 0.0:
-        # noise disabled: the H0 waveform is identically zero
-        return SampleBuffer(np.zeros(config.n_samples), config.sample_rate_hz)
-    return noise_only(config.n_samples, variance,
-                      derive_seed(config.master_seed, phase, token, trial, 0),
-                      config.sample_rate_hz)
+def _cycle_work(config: SensingConfig, rows: int):
+    """The cycle detector's SliceWork of `rows` rows on config's grid, and its bin shift."""
+    work = SliceWork(rows, config.n_samples, config.sample_rate_hz,
+                     make_window(config.window_kind, config.smoothing_len))
+    return work, work.shift(config.alpha0_hz)
 
 
 def _score(config: SensingConfig, detectors, count: int, buffers) -> np.ndarray:
@@ -233,15 +212,13 @@ def _score(config: SensingConfig, detectors, count: int, buffers) -> np.ndarray:
     kernel BLOCK_ROWS at a time; no metric depends on the block boundaries."""
     values = np.empty((len(detectors), count))
     row_of = {detector: d for d, detector in enumerate(detectors)}
-    cycle = _cycle_window(config, detectors)
     # Rows hold samples, then their spectra: the transform runs in place, with
     # no complex copy of a real block.  A one-shot decision gets one row:
     # freeing four rows at once would let glibc trim the heap, and every next
     # decision would fault ~120 pages back in.
     rows = min(BLOCK_ROWS, count)
-    if cycle is not None:
-        window, shift = cycle
-        work = SliceWork(rows, config.n_samples, window, 1.0 / config.sample_rate_hz)
+    if DetectorKind.CYCLE_FEATURE in row_of:
+        work, shift = _cycle_work(config, rows)
     spectra = np.empty((rows, config.n_samples), dtype=np.complex128)
     buffers = iter(buffers)
     for first in range(0, count, BLOCK_ROWS):
@@ -252,7 +229,7 @@ def _score(config: SensingConfig, detectors, count: int, buffers) -> np.ndarray:
         # energy a row at a time: whole-block temporaries make glibc trim the heap
         if DetectorKind.ENERGY in row_of:
             values[row_of[DetectorKind.ENERGY], columns] = [sum_of_squares(r) for r in block.real]
-        if cycle is not None:
+        if DetectorKind.CYCLE_FEATURE in row_of:
             np.fft.fft(block, axis=-1, out=block)
             values[row_of[DetectorKind.CYCLE_FEATURE], columns] = work.peaks(
                 smoothed_slices(block, [shift] * len(block), work))
@@ -274,8 +251,19 @@ def _compute_phase_range(config: SensingConfig, phase: int, snr_db: float | None
     """
     token = 0 if snr_db is None else _snr_token(snr_db)
     variance = _noise_variance(snr_db) if noise_variance is None else noise_variance
-    return _score(config, detectors, stop - start, (
-        _trial_buffer(config, phase, snr_db, token, variance, t) for t in range(start, stop)))
+    seed = partial(derive_seed, config.master_seed, phase, token)
+    n, rate = config.n_samples, config.sample_rate_hz
+
+    def trial(t: int) -> SampleBuffer:
+        if phase == PHASE_H1:
+            return add_awgn(generate_signal(config.modulation, n, rate, seed(t, 0)),
+                            ChannelSpec(snr_db, seed(t, 1)))
+        if variance == 0.0:
+            # noise disabled: the H0 waveform is identically zero
+            return SampleBuffer(np.zeros(n), rate)
+        return noise_only(n, variance, seed(t, 0), rate)
+
+    return _score(config, detectors, stop - start, map(trial, range(start, stop)))
 
 
 def run_roc(config: SensingConfig, workers: int = 1):
@@ -292,8 +280,8 @@ def run_roc(config: SensingConfig, workers: int = 1):
         raise ConfigurationError("workers must be a positive integer")
     for target_pf in config.target_pf_list:
         check_target_pf(target_pf, config.calibration_trials)
-    # refused before the first trial, not at the first H1 trial
-    _cycle_window(config, DETECTORS)
+    # refused before the first trial, not at the first H1 trial; 0 rows allocate no block
+    _cycle_work(config, 0)
     check_waveform(config.modulation, config.n_samples, config.sample_rate_hz)
 
     # a fork pool starts all its workers at the first task, and the output

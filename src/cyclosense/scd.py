@@ -16,10 +16,10 @@ alpha -/+ sample_rate (the wrapped pairing picks up the negative-frequency
 image), leaving profile maxima ambiguous.  The cost is that slice values
 within L/2 bins of the band edges are averaged over fewer terms.
 
-cycle_shift alone maps a cycle frequency onto the grid of bin width
-Fs = bin_width(rate, N): the bin shift a = round(alpha / (2 Fs)) (ties to
-even), refused when |a| > (N-1)/2, since no two in-band bins are further
-apart.  The quantized value 2 * a * Fs is reported as alpha_effective_hz.
+SliceWork alone owns the grid of N samples at rate fs: bin width Fs = fs/N,
+scale 1/((N-1) Ts) at Ts = 1/fs, and the shift a = round(alpha / (2 Fs)) (ties
+to even) of a cycle frequency, refused when |a| > (N-1)/2, since no two in-band
+bins are further apart.  2 * a * Fs is reported as alpha_effective_hz.
 """
 
 import math
@@ -46,7 +46,6 @@ __all__ = [
     "dft",
     "make_window",
     "max_cycle_shift",
-    "cycle_shift",
     "smoothed_slices",
     "scd_slice",
     "cycle_profile",
@@ -185,28 +184,40 @@ def _window_transform(window: SmoothingWindow, nfft: int) -> np.ndarray:
 
 
 class SliceWork:
-    """Settings and preallocated buffers of smoothed_slices: blocks of up to
-    `rows` slices of n bins, smoothed by window and scaled by
-    scale = 1 / ((n-1) * sample_period_s).
+    """The grid of n samples at sample_rate_hz, and the buffers of smoothed_slices
+    for blocks of up to `rows` slices.  Refuses, in this order, a bin width, a
+    window and a scale 1 / ((n-1) * Ts) that the grid cannot hold.
 
     Reusing one across calls spares each slice its ~100 KB temporaries,
     which glibc would otherwise map, fault in and unmap every time.
     """
 
-    def __init__(self, rows: int, n: int, window: SmoothingWindow, sample_period_s: float):
+    def __init__(self, rows: int, n: int, sample_rate_hz: float, window: SmoothingWindow):
+        width = bin_width(sample_rate_hz, n)
         check_window(window.kind, window.length, n)
-        period = (n - 1) * sample_period_s
+        period = (n - 1) * (1.0 / sample_rate_hz)
         self.scale = 1.0 / period if period else 0.0
         if not 0.0 < self.scale < math.inf:
             raise ConfigurationError(f"slice scale 1/((n-1) Ts) = {self.scale!r} is not "
                                      "positive and finite")
         self.n = n
+        self.bin_width = width
         self.window = window
         nfft = n if window.length == 1 else _next_pow2(n + window.length - 1)
         self.transform = None if window.length == 1 else _window_transform(window, nfft)
         self.centered = np.empty(n, dtype=np.complex128)
         self.products = np.empty((rows, nfft), dtype=np.complex128)
         self.magnitudes = np.empty((rows, n))
+
+    def shift(self, alpha_hz: float) -> int:
+        """The bin shift round(alpha_hz / (2 Fs)), ties to even; refused beyond
+        max_cycle_shift(n), where no two in-band bins pair up."""
+        shift = float(alpha_hz) / (2.0 * self.bin_width)
+        if not (math.isfinite(shift) and abs(round(shift)) <= max_cycle_shift(self.n)):
+            raise ConfigurationError(
+                f"cycle frequency {float(alpha_hz)!r} Hz is a shift of {shift:.6g} bins; "
+                f"no two of {self.n} in-band bins are more than {max_cycle_shift(self.n)} apart")
+        return int(round(shift))
 
     def peaks(self, values: np.ndarray) -> np.ndarray:
         """Max |value| of each row of a block smoothed_slices returned."""
@@ -220,21 +231,10 @@ def max_cycle_shift(n: int) -> int:
 
 
 def bin_width(sample_rate_hz: float, n: int) -> float:
-    """sample_rate_hz / n, the spacing cycle_shift divides by; refused where it underflows to 0."""
+    """sample_rate_hz / n, the spacing of SliceWork's grid; refused where it underflows to 0."""
     if not sample_rate_hz / n:
         raise ConfigurationError(f"bin width {sample_rate_hz!r} Hz / {n} underflows to 0 Hz")
     return sample_rate_hz / n
-
-
-def cycle_shift(alpha_hz: float, n: int, freq_resolution_hz: float) -> int:
-    """The bin shift round(alpha_hz / (2 Fs)), ties to even, on an n-bin grid;
-    refused beyond max_cycle_shift(n), where no two in-band bins pair up."""
-    shift = float(alpha_hz) / (2.0 * freq_resolution_hz)
-    if not (math.isfinite(shift) and abs(round(shift)) <= max_cycle_shift(n)):
-        raise ConfigurationError(
-            f"cycle frequency {float(alpha_hz)!r} Hz is a shift of {shift:.6g} bins; "
-            f"no two of {n} in-band bins are more than {max_cycle_shift(n)} apart")
-    return int(round(shift))
 
 
 def smoothed_slices(spectra: np.ndarray, shifts, work: SliceWork) -> np.ndarray:
@@ -248,7 +248,7 @@ def smoothed_slices(spectra: np.ndarray, shifts, work: SliceWork) -> np.ndarray:
     (len(shifts), n) view of work's buffers in signed-bin order, valid
     until work is used again.  Overflow yields inf or nan, not a warning;
     callers check finiteness where they need it.  Requires every
-    |a| <= (n-1)/2, which cycle_shift guarantees.
+    |a| <= (n-1)/2, which SliceWork.shift guarantees.
     """
     rows = len(shifts)
     n = work.n
@@ -289,19 +289,17 @@ def scd_slice(signal: SampleBuffer, alpha_hz: float, window: SmoothingWindow) ->
     values[l] = scale * (1/L) * sum_v X<s(l)+a+v> * conj(X<s(l)-a+v>) * W(v)
 
     where X<i> is dft(signal) on signed bins (zero outside the band), s(l) is
-    the signed bin l, a = cycle_shift(alpha_hz, N, Fs) at Fs = bin_width(rate, N)
-    and scale = 1 / ((N-1) * Ts) at Ts = 1 / rate.  The quantized cycle
-    frequency 2*a*Fs is reported as alpha_effective_hz.
+    the signed bin l, and the buffer's grid, work = SliceWork(1, N, rate, window),
+    gives a = work.shift(alpha_hz), scale = work.scale and Fs = work.bin_width.
+    The quantized cycle frequency 2*a*Fs is reported as alpha_effective_hz.
     """
-    n = len(signal)
-    fres = bin_width(signal.sample_rate_hz, n)
-    work = SliceWork(1, n, window, 1.0 / signal.sample_rate_hz)
-    shift = cycle_shift(alpha_hz, n, fres)
+    work = SliceWork(1, len(signal), signal.sample_rate_hz, window)
+    shift = work.shift(alpha_hz)
     values = smoothed_slices(dft(signal), [shift], work)[0]
     return ScdSlice(
         values=np.fft.ifftshift(values),
         alpha_requested_hz=float(alpha_hz),
-        alpha_effective_hz=2.0 * shift * fres,
+        alpha_effective_hz=2.0 * shift * work.bin_width,
         scale=work.scale,
     )
 
@@ -311,10 +309,8 @@ def cycle_profile(signal: SampleBuffer, alphas_hz, window: SmoothingWindow) -> C
     alphas = np.asarray(alphas_hz, dtype=np.float64)
     if alphas.ndim != 1 or alphas.size == 0:
         raise ConfigurationError("alphas_hz must be a nonempty 1-D sequence")
-    n = len(signal)
-    fres = bin_width(signal.sample_rate_hz, n)
-    work = SliceWork(BLOCK_ROWS, n, window, 1.0 / signal.sample_rate_hz)
-    shifts = [abs(cycle_shift(alpha, n, fres)) for alpha in alphas]
+    work = SliceWork(BLOCK_ROWS, len(signal), signal.sample_rate_hz, window)
+    shifts = [abs(work.shift(alpha)) for alpha in alphas]
     bins = dft(signal)
     distinct = list(dict.fromkeys(shifts))
     peaks = np.empty(max(distinct) + 1)

@@ -2,7 +2,9 @@
 
 dft_naive and scd_slice_naive are O(N^2) oracles for the estimator.  They
 share no code with the package beyond the type definitions, so a defect
-in the FFT path cannot hide in both.
+in the FFT path cannot hide in both.  scd_bins_direct evaluates the same
+definition term by term at chosen output bins, from numpy's transform, which
+reaches the reference size N = 4096, L = 1301 that the O(N^2) oracle cannot.
 
 reference_phase_range is the per-trial engine that the blocked one
 replaced: one buffer, one dft and one scd_slice per trial.  It shares
@@ -17,9 +19,9 @@ import numpy as np
 
 from cyclosense import (ChannelSpec, ConfigurationError, DetectorKind, SampleBuffer,
                         ScdSlice, SmoothingWindow, add_awgn, cycle_metric, energy_metric,
-                        generate_signal, noise_only, scd_slice)
-from cyclosense.harness import (DETECTORS, PHASE_H1, _cycle_window, _noise_variance,
-                                _snr_token, derive_seed)
+                        generate_signal, make_window, noise_only, scd_slice)
+from cyclosense.harness import (DETECTORS, PHASE_H1, _noise_variance, _snr_token,
+                                derive_seed)
 from cyclosense.siggen import _SIGNAL_FILE_HEADER, open_text
 
 
@@ -48,9 +50,36 @@ def scd_slice_naive(signal: SampleBuffer, alpha_hz: float,
         raise ConfigurationError(
             f"window length {length} must be below the transform size {n}"
         )
-    bins = dft_naive(signal)
     fres = signal.sample_rate_hz / n
     shift = int(round(alpha_hz / (2.0 * fres)))
+    ts = 1.0 / signal.sample_rate_hz
+    scale = 1.0 / ((n - 1) * ts)
+    values = _definition(dft_naive(signal), shift, window, scale, range(n))
+    return ScdSlice(
+        values=values,
+        alpha_requested_hz=float(alpha_hz),
+        alpha_effective_hz=2.0 * shift * fres,
+        scale=scale,
+    )
+
+
+def scd_bins_direct(signal: SampleBuffer, alpha_hz: float, window: SmoothingWindow,
+                    out_bins) -> np.ndarray:
+    """scd_slice's values at the DFT-order bins out_bins, evaluated term by
+    term from np.fft.fft bins: O(L) per output bin."""
+    n = signal.samples.size
+    shift = int(round(alpha_hz / (2.0 * (signal.sample_rate_hz / n))))
+    scale = 1.0 / ((n - 1) * (1.0 / signal.sample_rate_hz))
+    return _definition(np.fft.fft(signal.samples), shift, window, scale, out_bins)
+
+
+def _definition(bins: np.ndarray, shift: int, window: SmoothingWindow, scale: float,
+                out_bins) -> np.ndarray:
+    """scale * (1/L) * sum_v X<s(l)+a+v> * conj(X<s(l)-a+v>) * W(v) at each
+    DFT-order bin l of out_bins, one term at a time, where X<i> is bins[i]
+    for a signed bin i inside the band and 0 outside it."""
+    n = bins.size
+    length = window.length
     half = (length - 1) // 2
     weights = window.weights
     low = -(n // 2)
@@ -61,23 +90,16 @@ def scd_slice_naive(signal: SampleBuffer, alpha_hz: float,
             return complex(bins[i % n])
         return 0j
 
-    ts = 1.0 / signal.sample_rate_hz
-    scale = 1.0 / ((n - 1) * ts)
-    values = np.empty(n, dtype=np.complex128)
-    for l in range(n):
+    values = np.empty(len(out_bins), dtype=np.complex128)
+    for out, l in enumerate(out_bins):
         center = l if l <= high else l - n
         acc = 0j
         for v in range(-half, half + 1):
             acc += (bin_at(center + shift + v)
                     * bin_at(center - shift + v).conjugate()
                     * weights[v + half])
-        values[l] = acc * (scale / length)
-    return ScdSlice(
-        values=values,
-        alpha_requested_hz=float(alpha_hz),
-        alpha_effective_hz=2.0 * shift * fres,
-        scale=scale,
-    )
+        values[out] = acc * (scale / length)
+    return values
 
 
 def _metrics(buffer: SampleBuffer, detectors, alpha_hz: float, window) -> list:
@@ -93,8 +115,7 @@ def reference_phase_range(config, phase: int, snr_db: float | None,
     """Metrics for trials [start, stop) of one phase, one row per detector,
     one trial at a time (same contract as harness._compute_phase_range)."""
     values = np.empty((len(detectors), stop - start))
-    cycle = _cycle_window(config, detectors)
-    window = None if cycle is None else cycle[0]
+    window = make_window(config.window_kind, config.smoothing_len)
     token = 0 if snr_db is None else _snr_token(snr_db)
     variance = _noise_variance(snr_db) if noise_variance is None else noise_variance
     for i, trial in enumerate(range(start, stop)):

@@ -552,16 +552,29 @@ class TestProfileFileShape:
 class TestZeroSliceScale:
     """At f_s = 1e-305 Hz a 4096-sample buffer spans (N-1) Ts = inf seconds,
     so the slice scale 1 / ((N-1) Ts) is 0 and every cycle metric would read
-    0: the request exits 2 instead of deciding from no evidence."""
+    0: the request exits 2 instead of deciding from no evidence.  At the
+    default carrier, alpha = 2 MHz is also a shift of inf bins; the scale is
+    refused first, as the library refuses it."""
+
+    ONESHOT = ["--noise-variance", "1", "--calibration-trials", "100"]
 
     @pytest.mark.parametrize("argv", [
         ["detect", "--input", "{slow}", "--fc-hz", "2.5e-306", "--bandwidth-hz", "1e-308",
          "--smoothing-len", "31", "--noise-variance", "1", "--calibration-trials", "200"],
         ["profile", "--input", "{slow}", "--smoothing-len", "31"],
-    ], ids=["detect", "profile"])
-    def test_exits_2(self, argv, tmp_path, capsys):
+        ["detect", "--input", "{slow}", *ONESHOT],
+        ["calibrate", "--fs-hz", "1e-305", *ONESHOT],
+        ["roc", "--fs-hz", "1e-305", "--trials", "20", "--calibration-trials", "100",
+         "--target-pf", "0.1"],
+    ], ids=["detect", "profile", "detect_default_fc", "calibrate_default_fc", "roc_default_fc"])
+    def test_exits_2(self, argv, tmp_path, monkeypatch, capsys):
         slow = tmp_path / "slow.txt"
         write_signal_file(noise_only(4096, 1.0, seed=1, sample_rate_hz=1e-305), slow)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a trial ran")
+        monkeypatch.setattr(harness, "noise_only", refuse)
+        monkeypatch.setattr(harness, "generate_signal", refuse)
         assert main([arg.format(slow=slow) for arg in argv]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -14,13 +14,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclosense import (ConfigurationError, CycleProfile, SampleBuffer,
-                        ScdSlice, SmoothingWindow, WindowKind,
-                        cycle_profile, dft, make_window, scd_slice,
+from cyclosense import (ChannelSpec, ConfigurationError, CycleProfile, ModulationKind,
+                        ModulationSpec, SampleBuffer, ScdSlice, SmoothingWindow, WindowKind,
+                        add_awgn, cycle_profile, dft, generate_signal, make_window, scd_slice,
                         write_profile_csv)
 from cyclosense import scd
 from cyclosense.scd import BLOCK_ROWS, SliceWork, bin_width, smoothed_slices
-from oracles import dft_naive, scd_slice_naive
+from oracles import dft_naive, scd_bins_direct, scd_slice_naive
 
 
 def rel_err(got, want):
@@ -166,14 +166,14 @@ class TestWindowTransformCache:
 
     def test_one_entry_per_window(self):
         scd._window_transform.cache_clear()
-        works = [SliceWork(1, 64, make_window(WindowKind.HAMMING, 5), 1.0) for _ in range(2)]
+        works = [SliceWork(1, 64, 1.0, make_window(WindowKind.HAMMING, 5)) for _ in range(2)]
         info = scd._window_transform.cache_info()
         assert (info.currsize, info.misses, info.hits) == (1, 1, 1)
         assert works[0].transform is works[1].transform
 
     def test_equal_weights_give_bit_equal_transforms(self):
         weights = make_window(WindowKind.HAMMING, 5).weights
-        first, second = (SliceWork(1, 64, SmoothingWindow(weights, WindowKind.HAMMING), 1.0)
+        first, second = (SliceWork(1, 64, 1.0, SmoothingWindow(weights, WindowKind.HAMMING))
                          for _ in range(2))
         assert first.transform is not second.transform
         assert first.transform.tobytes() == second.transform.tobytes()
@@ -278,11 +278,30 @@ class TestBlockKernel:
         window = make_window(WindowKind.HAMMING, 7)
         buffers = [white_buffer(n, seed=40 + i, rate=float(n)) for i in range(len(shifts))]
         spectra = np.array([dft(buf) for buf in buffers])
-        work = SliceWork(len(shifts), n, window, 1.0 / n)
+        work = SliceWork(len(shifts), n, float(n), window)
         values = smoothed_slices(spectra, shifts, work)
         for row, buf, shift in zip(values, buffers, shifts):
             slow = scd_slice_naive(buf, 2.0 * shift, window)
             assert rel_err(np.fft.ifftshift(row), slow.values) < 1e-9
+
+    @pytest.mark.parametrize("alpha", [2e6, -2e6, 0.0])
+    @pytest.mark.parametrize("source", ["noise", "am"])
+    def test_reference_size_matches_definition(self, source, alpha):
+        # N = 4096, L = 1301 at 3 MHz, a = +-1365 or 0: beyond scd_slice_naive's
+        # reach, so about 20 output bins are summed term by term instead
+        n, rate = 4096, 3e6
+        buf = white_buffer(n, seed=8, rate=rate)
+        if source == "am":
+            am = generate_signal(ModulationSpec(ModulationKind.AM, 1e6, 10e3), n, rate, seed=8)
+            buf = add_awgn(am, ChannelSpec(0.0, 9))
+        window = make_window(WindowKind.HAMMING, 1301)
+        # DC, both edges of the nonzero region at |a| = 1365, the band's ends
+        signed = [0, 1333, 1334, -1333, -1334, -2048, 2047]
+        signed += list(np.random.default_rng(10).integers(-2048, 2048, 13))
+        out_bins = np.array(signed) % n
+        values = scd_slice(buf, alpha, window).values
+        want = scd_bins_direct(buf, alpha, window, out_bins)
+        assert np.max(np.abs(values[out_bins] - want)) <= 1e-9 * np.max(np.abs(values))
 
     def test_profile_equals_per_alpha_slices(self):
         # unsorted, with repeats, and not a whole number of blocks
@@ -495,17 +514,33 @@ class TestCycleProfile:
 
 
 class TestSliceScale:
-    """SliceWork refuses a scale 1 / ((n-1) Ts) that is not positive and finite."""
+    """SliceWork refuses a scale 1 / ((n-1) Ts), Ts = 1 / rate, that is not
+    positive and finite, after the bin width rate / n."""
 
-    @pytest.mark.parametrize("period", [0.0, -1.0, math.nan, math.inf, 1e305, 5e-324])
-    def test_refused(self, period):
-        with pytest.raises(ConfigurationError, match="slice scale"):
-            SliceWork(1, 4096, make_window(WindowKind.RECTANGULAR, 1), period)
+    @pytest.mark.parametrize("rate, message", [
+        (-1.0, "slice scale"), (math.nan, "slice scale"), (math.inf, "slice scale"),
+        (1e-305, "slice scale"),
+        # no positive, finite scale here either, but the bin width rate / 4096
+        # is 0, and that rule is checked first
+        (0.0, "bin width"), (5e-324, "bin width")])
+    def test_refused(self, rate, message):
+        with pytest.raises(ConfigurationError, match=message):
+            SliceWork(1, 4096, rate, make_window(WindowKind.RECTANGULAR, 1))
 
-    @pytest.mark.parametrize("period", [1.0 / 3e6, 1e300, 1e-300])
-    def test_representable_scale_kept(self, period):
-        work = SliceWork(1, 4096, make_window(WindowKind.RECTANGULAR, 1), period)
-        assert work.scale == 1.0 / (4095 * period)
+    @pytest.mark.parametrize("rate", [3e6, 1e-300, 1e300])
+    def test_representable_scale_kept(self, rate):
+        work = SliceWork(1, 4096, rate, make_window(WindowKind.RECTANGULAR, 1))
+        assert work.scale == 1.0 / (4095 * (1.0 / rate))
+
+    def test_refused_before_the_shift(self):
+        # 2 MHz at 1e-305 Hz is a shift of inf bins, and the scale is 0: the
+        # scale's refusal comes first on every path
+        buf = white_buffer(4096, seed=0, rate=1e-305)
+        window = make_window(WindowKind.RECTANGULAR, 31)
+        for call in (lambda: scd_slice(buf, 2e6, window),
+                     lambda: cycle_profile(buf, [2e6], window)):
+            with pytest.raises(ConfigurationError, match="slice scale"):
+                call()
 
 
 class TestProfileCsv:
