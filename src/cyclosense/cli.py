@@ -17,15 +17,12 @@ import argparse
 import math
 import sys
 
-import numpy as np
-
 from .detect import DetectorKind, decide
 from .errors import ConfigurationError, CyclosenseError
 from .harness import (SensingConfig, calibrate_at_noise, complexity_model, measure,
                       profile_seed, read_threshold_file, run_roc, write_roc_csv,
                       write_threshold_file)
-from .scd import (WindowKind, bin_width, cycle_profile, make_window, max_cycle_shift,
-                  write_profile_csv)
+from .scd import SliceWork, WindowKind, cycle_profile, make_window, write_profile_csv
 from .siggen import (ChannelSpec, ModulationKind, ModulationSpec, add_awgn,
                      check_buffer_shape, generate_signal, read_signal_file)
 
@@ -173,18 +170,9 @@ def _cmd_profile(args) -> int:
         buffer = add_awgn(buffer, ChannelSpec(snr_db, profile_seed(args.seed, snr_db, 1)))
     n = len(buffer)
     window = make_window(WindowKind(args.window), args.smoothing_len, n)
-    step = 2.0 * bin_width(buffer.sample_rate_hz, n)
-    max_shift = max_cycle_shift(n)
-    # clamped to the grid before int() and round(), which overflow at tiny rates
-    if args.alpha_max_hz is not None:
-        max_shift = int(min(max_shift, args.alpha_max_hz // step))
-    stride = 1
-    if args.alpha_step_hz is not None:
-        stride = max(1, round(min(2 * max_shift + 1, args.alpha_step_hz / step)))
-    shifts = np.arange(-max_shift, max_shift + 1, stride)
-    alphas = shifts * step
-    profile = cycle_profile(buffer, alphas, window)
-    write_profile_csv(profile, args.out)
+    work = SliceWork(0, n, buffer.sample_rate_hz, window)
+    alphas = work.grid(args.alpha_max_hz, args.alpha_step_hz)
+    write_profile_csv(cycle_profile(buffer, alphas, window), args.out)
     return 0
 
 

@@ -200,10 +200,15 @@ def _noise_variance(snr_db: float) -> float:
 
 
 def _cycle_work(config: SensingConfig, rows: int):
-    """The cycle detector's SliceWork of `rows` rows on config's grid, and its bin shift."""
+    """The cycle detector's SliceWork of `rows` rows on config's grid, and its nonzero shift."""
     work = SliceWork(rows, config.n_samples, config.sample_rate_hz,
                      make_window(config.window_kind, config.smoothing_len))
-    return work, work.shift(config.alpha0_hz)
+    shift = work.shift(config.alpha0_hz)
+    if not shift:
+        raise ConfigurationError(
+            f"cycle frequency {config.alpha0_hz!r} Hz is a shift of 0 bins, the power spectrum; "
+            f"the carrier must exceed half the bin width, {work.bin_width / 2!r} Hz")
+    return work, shift
 
 
 def _score(config: SensingConfig, detectors, count: int, buffers) -> np.ndarray:

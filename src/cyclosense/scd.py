@@ -16,10 +16,10 @@ alpha -/+ sample_rate (the wrapped pairing picks up the negative-frequency
 image), leaving profile maxima ambiguous.  The cost is that slice values
 within L/2 bins of the band edges are averaged over fewer terms.
 
-SliceWork alone owns the grid of N samples at rate fs: bin width Fs = fs/N,
-scale 1/((N-1) Ts) at Ts = 1/fs, and the shift a = round(alpha / (2 Fs)) (ties
-to even) of a cycle frequency, refused when |a| > (N-1)/2, since no two in-band
-bins are further apart.  2 * a * Fs is reported as alpha_effective_hz.
+SliceWork alone owns the grid of N samples at rate fs: bin width Fs = fs/N, scale
+1/((N-1) Ts) at Ts = 1/fs, the shift a = round(alpha / (2 Fs)) (ties to even) of
+a cycle frequency, reported as alpha_effective_hz = 2 a Fs and refused when |a| >
+(N-1)/2 as no two in-band bins are further apart, and profile's grid of 2 a Fs.
 """
 
 import math
@@ -30,7 +30,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigurationError
-from .siggen import SampleBuffer, read_only, write_lines
+from .siggen import SampleBuffer, check_length_and_rate, read_only, write_lines
 
 # Rows per smoothed_slices call in cycle_profile and the trial engine.  At
 # N = 4096 and L = 1301 the engine's block buffers take about 1.2 MB; more
@@ -45,7 +45,6 @@ __all__ = [
     "SliceWork",
     "dft",
     "make_window",
-    "max_cycle_shift",
     "smoothed_slices",
     "scd_slice",
     "cycle_profile",
@@ -185,23 +184,25 @@ def _window_transform(window: SmoothingWindow, nfft: int) -> np.ndarray:
 
 class SliceWork:
     """The grid of n samples at sample_rate_hz, and the buffers of smoothed_slices
-    for blocks of up to `rows` slices.  Refuses, in this order, a bin width, a
-    window and a scale 1 / ((n-1) * Ts) that the grid cannot hold.
+    for blocks of up to `rows` slices.  Refuses, in this order, a length or rate no
+    buffer has, a bin width, a window and a scale 1 / ((n-1) * Ts) the grid cannot hold.
 
     Reusing one across calls spares each slice its ~100 KB temporaries,
     which glibc would otherwise map, fault in and unmap every time.
     """
 
     def __init__(self, rows: int, n: int, sample_rate_hz: float, window: SmoothingWindow):
-        width = bin_width(sample_rate_hz, n)
+        check_length_and_rate(n, sample_rate_hz)
+        if not sample_rate_hz / n:
+            raise ConfigurationError(f"bin width {sample_rate_hz!r} Hz / {n} underflows to 0 Hz")
         check_window(window.kind, window.length, n)
-        period = (n - 1) * (1.0 / sample_rate_hz)
-        self.scale = 1.0 / period if period else 0.0
+        self.scale = 1.0 / ((n - 1) * (1.0 / sample_rate_hz))
         if not 0.0 < self.scale < math.inf:
             raise ConfigurationError(f"slice scale 1/((n-1) Ts) = {self.scale!r} is not "
                                      "positive and finite")
         self.n = n
-        self.bin_width = width
+        self.bin_width = sample_rate_hz / n
+        self.max_shift = (n - 1) // 2
         self.window = window
         nfft = n if window.length == 1 else _next_pow2(n + window.length - 1)
         self.transform = None if window.length == 1 else _window_transform(window, nfft)
@@ -211,30 +212,31 @@ class SliceWork:
 
     def shift(self, alpha_hz: float) -> int:
         """The bin shift round(alpha_hz / (2 Fs)), ties to even; refused beyond
-        max_cycle_shift(n), where no two in-band bins pair up."""
+        max_shift = (n-1) // 2, where no two in-band bins pair up."""
         shift = float(alpha_hz) / (2.0 * self.bin_width)
-        if not (math.isfinite(shift) and abs(round(shift)) <= max_cycle_shift(self.n)):
+        if not (math.isfinite(shift) and abs(round(shift)) <= self.max_shift):
             raise ConfigurationError(
                 f"cycle frequency {float(alpha_hz)!r} Hz is a shift of {shift:.6g} bins; "
-                f"no two of {self.n} in-band bins are more than {max_cycle_shift(self.n)} apart")
+                f"no two of {self.n} in-band bins are more than {self.max_shift} apart")
         return int(round(shift))
+
+    def grid(self, alpha_max_hz=None, alpha_step_hz=None) -> np.ndarray:
+        """profile's cycle frequencies 2 a Fs: every round(alpha_step_hz / (2 Fs))-th
+        shift a in -max_shift .. max_shift with 2 |a| Fs <= alpha_max_hz (default: all)."""
+        step = 2.0 * self.bin_width
+        top = self.max_shift
+        # clamped to the grid before int() and round(), which overflow at tiny rates
+        if alpha_max_hz is not None:
+            top = int(min(top, alpha_max_hz // step))
+        stride = 1
+        if alpha_step_hz is not None:
+            stride = max(1, round(min(2 * top + 1, alpha_step_hz / step)))
+        return np.arange(-top, top + 1, stride) * step
 
     def peaks(self, values: np.ndarray) -> np.ndarray:
         """Max |value| of each row of a block smoothed_slices returned."""
         with np.errstate(over="ignore"):
             return np.abs(values, out=self.magnitudes[:values.shape[0]]).max(axis=1)
-
-
-def max_cycle_shift(n: int) -> int:
-    """The largest |bin shift| that pairs two in-band bins of an n-bin grid."""
-    return (n - 1) // 2
-
-
-def bin_width(sample_rate_hz: float, n: int) -> float:
-    """sample_rate_hz / n, the spacing of SliceWork's grid; refused where it underflows to 0."""
-    if not sample_rate_hz / n:
-        raise ConfigurationError(f"bin width {sample_rate_hz!r} Hz / {n} underflows to 0 Hz")
-    return sample_rate_hz / n
 
 
 def smoothed_slices(spectra: np.ndarray, shifts, work: SliceWork) -> np.ndarray:

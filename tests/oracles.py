@@ -13,6 +13,10 @@ that blocking trials changes no bit of any metric.
 
 read_signal_file_lines is the signal-file reader that the one-pass one
 replaced: strip and float() line by line, straight from the open file.
+
+profile_grid_arithmetic is the profile command's grid as the CLI computed it
+before scd.SliceWork.grid took it over, with the bin width and the largest
+shift written out.
 """
 
 import numpy as np
@@ -167,3 +171,18 @@ def read_signal_file_lines(path) -> SampleBuffer:
         return SampleBuffer(np.asarray(samples), rate)
     except ConfigurationError as exc:
         raise ConfigurationError(f"{path}: {exc}") from exc
+
+
+def profile_grid_arithmetic(n: int, sample_rate_hz: float, alpha_max_hz=None,
+                            alpha_step_hz=None) -> np.ndarray:
+    """The profile command's alphas: shifts -max_shift .. max_shift times 2 Fs."""
+    step = 2.0 * (sample_rate_hz / n)
+    max_shift = (n - 1) // 2
+    # clamped to the grid before int() and round(), which overflow at tiny rates
+    if alpha_max_hz is not None:
+        max_shift = int(min(max_shift, alpha_max_hz // step))
+    stride = 1
+    if alpha_step_hz is not None:
+        stride = max(1, round(min(2 * max_shift + 1, alpha_step_hz / step)))
+    shifts = np.arange(-max_shift, max_shift + 1, stride)
+    return shifts * step

@@ -444,7 +444,7 @@ class TestDetectFileShape:
         (["--n", "128", *WAVEFORM, *ON_THE_SPOT], "128 samples at 64.0 Hz"),
         (["--fs-hz", "32", *WAVEFORM, *ON_THE_SPOT], "64 samples at 32.0 Hz"),
         # a valid config on its own: only the file's length and rate refuse it
-        (["--n", "8192", "--fs-hz", "1e6", "--fc-hz", "8", "--bandwidth-hz", "2",
+        (["--n", "8192", "--fs-hz", "1e6", "--fc-hz", "800", "--bandwidth-hz", "200",
           "--smoothing-len", "5", "--noise-variance", "1", "--calibration-trials", "200"],
          "8192 samples at 1000000.0 Hz"),
     ], ids=["n", "fs_hz", "both"])
@@ -619,6 +619,56 @@ class TestZeroBinWidth:
             outputs.append(capsys.readouterr())
         assert outputs[0] == outputs[1]
         assert outputs[0].out.startswith("decision=") and outputs[0].err == ""
+
+
+class TestShiftZeroCarrier:
+    """At N = 4096 and 3 MHz a bin is 732 Hz wide, so alpha = 2 * 100 Hz rounds
+    to shift 0: the slice there is the power spectrum, not a cycle feature.
+    Every cycle-detector path exits 2 before any trial; the energy detector
+    reads no carrier and still decides."""
+
+    MESSAGE = ("error: cycle frequency 200.0 Hz is a shift of 0 bins, the power spectrum; "
+               "the carrier must exceed half the bin width, 366.2109375 Hz\n")
+    CARRIER = ["--fc-hz", "100", "--bandwidth-hz", "50", "--smoothing-len", "31"]
+    ONESHOT = ["--noise-variance", "1", "--calibration-trials", "100", "--target-pf", "0.1"]
+
+    @pytest.fixture
+    def signal(self, tmp_path):
+        path = tmp_path / "signal.txt"
+        write_signal_file(noise_only(4096, 1.0, seed=1, sample_rate_hz=3e6), path)
+        return str(path)
+
+    @pytest.fixture
+    def threshold(self, tmp_path):
+        path = tmp_path / "threshold.txt"
+        write_threshold_file(Threshold(1.0, 0.1, 100, DetectorKind.CYCLE_FEATURE), path)
+        return str(path)
+
+    @pytest.mark.parametrize("argv", [
+        ["roc", "--am-mod-index", "0", "--trials", "100", "--calibration-trials", "100",
+         "--target-pf", "0.1", "--snr-db", "-10"],
+        ["calibrate", "--detector", "cycle_feature", *ONESHOT],
+        ["detect", "--input", "{signal}", *ONESHOT],
+        ["detect", "--input", "{signal}", "--threshold-file", "{threshold}"],
+    ], ids=["roc", "calibrate", "detect", "detect_threshold_file"])
+    def test_exits_2(self, argv, signal, threshold, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a trial ran")
+        monkeypatch.setattr(harness, "noise_only", refuse)
+        monkeypatch.setattr(harness, "generate_signal", refuse)
+        argv = [arg.format(signal=signal, threshold=threshold) for arg in argv]
+        assert main([*argv, *self.CARRIER]) == 2
+        assert capsys.readouterr() == ("", self.MESSAGE)
+
+    @pytest.mark.parametrize("command", ["calibrate", "detect"])
+    def test_energy_detector_unaffected(self, command, signal, capsys):
+        argv = [command, "--detector", "energy", *self.ONESHOT]
+        if command == "detect":
+            argv += ["--input", signal]
+        assert main([*argv, *self.CARRIER]) == 0
+        carrier = capsys.readouterr()
+        assert main(argv) == 0
+        assert capsys.readouterr() == carrier and carrier.err == ""
 
 
 class TestRocCommand:

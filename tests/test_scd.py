@@ -19,8 +19,8 @@ from cyclosense import (ChannelSpec, ConfigurationError, CycleProfile, Modulatio
                         add_awgn, cycle_profile, dft, generate_signal, make_window, scd_slice,
                         write_profile_csv)
 from cyclosense import scd
-from cyclosense.scd import BLOCK_ROWS, SliceWork, bin_width, smoothed_slices
-from oracles import dft_naive, scd_bins_direct, scd_slice_naive
+from cyclosense.scd import BLOCK_ROWS, SliceWork, smoothed_slices
+from oracles import dft_naive, profile_grid_arithmetic, scd_bins_direct, scd_slice_naive
 
 
 def rel_err(got, want):
@@ -262,11 +262,35 @@ class TestBinWidth:
         buf = white_buffer(64, seed=0, rate=5e-324)
         window = make_window(WindowKind.RECTANGULAR, 3)
         message = "bin width 5e-324 Hz / 64 underflows to 0 Hz"
-        for call in (lambda: bin_width(5e-324, 64), lambda: scd_slice(buf, 0.0, window),
+        for call in (lambda: SliceWork(0, 64, 5e-324, window),
+                     lambda: scd_slice(buf, 0.0, window),
                      lambda: cycle_profile(buf, [0.0], window)):
             with pytest.raises(ConfigurationError) as info:
                 call()
             assert str(info.value) == message
+
+
+class TestGrid:
+    """SliceWork.grid is the profile command's grid, bit for bit as the CLI
+    computed it before (oracles.profile_grid_arithmetic)."""
+
+    BOUNDS = [None, 1e-300, 0.5, 1e3, 2.5e6, 1e300]
+
+    @pytest.mark.parametrize("rate", [1.0, 7.3, 64.0, 3e6, 1e-300, 1e300])
+    @pytest.mark.parametrize("n", [2, 3, 16, 64, 65, 4096, 4097])
+    def test_matches_the_cli_arithmetic(self, n, rate):
+        work = SliceWork(0, n, rate, make_window(WindowKind.RECTANGULAR, 1))
+        for alpha_max in self.BOUNDS:
+            for alpha_step in self.BOUNDS:
+                want = profile_grid_arithmetic(n, rate, alpha_max, alpha_step)
+                got = work.grid(alpha_max, alpha_step)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_reference_full_grid(self):
+        # perfbench's profile_grid(): 2.0 * arange(-max_shift, max_shift + 1) * fs / N
+        work = SliceWork(0, 4096, 3e6, make_window(WindowKind.HAMMING, 1301))
+        want = 2.0 * np.arange(-2047, 2048) * (3e6 / 4096)
+        assert work.grid().tobytes() == want.tobytes()
 
 
 class TestBlockKernel:
@@ -366,10 +390,10 @@ class TestProfileMirror:
             return kernel(spectra, shifts, work)
 
         monkeypatch.setattr(scd, "smoothed_slices", spy)
-        shifts = np.arange(-scd.max_cycle_shift(n), scd.max_cycle_shift(n) + 1)
-        assert shifts.size == 4095
-        cycle_profile(white_buffer(n, seed=1, rate=float(n)), 2.0 * shifts,
-                      make_window(WindowKind.RECTANGULAR, 3))
+        window = make_window(WindowKind.RECTANGULAR, 3)
+        alphas = SliceWork(0, n, float(n), window).grid()
+        assert alphas.tobytes() == (2.0 * np.arange(-2047, 2048)).tobytes()
+        cycle_profile(white_buffer(n, seed=1, rate=float(n)), alphas, window)
         rows = [shift for block in blocks for shift in block]
         assert len(rows) == 2048
         assert sorted(rows) == list(range(2048))
@@ -515,17 +539,23 @@ class TestCycleProfile:
 
 class TestSliceScale:
     """SliceWork refuses a scale 1 / ((n-1) Ts), Ts = 1 / rate, that is not
-    positive and finite, after the bin width rate / n."""
+    positive and finite, after the buffer rule on n and the rate and after the
+    bin width rate / n."""
 
-    @pytest.mark.parametrize("rate, message", [
-        (-1.0, "slice scale"), (math.nan, "slice scale"), (math.inf, "slice scale"),
-        (1e-305, "slice scale"),
-        # no positive, finite scale here either, but the bin width rate / 4096
-        # is 0, and that rule is checked first
-        (0.0, "bin width"), (5e-324, "bin width")])
-    def test_refused(self, rate, message):
+    RATE = "sample_rate_hz must be positive and finite"
+
+    @pytest.mark.parametrize("n, rate, message", [
+        # no positive, finite scale here either, but the buffer rule comes first
+        (4096, -1.0, RATE), (4096, math.nan, RATE), (4096, math.inf, RATE),
+        (4096, 0.0, RATE), (4096, -0.0, RATE),
+        (0, 3e6, "n_samples must be a positive integer"),
+        (2.5, 3e6, "n_samples must be a positive integer"),
+        (4096, 1e-305, "slice scale"),
+        # the bin width rate / 4096 is 0, and that rule is checked before the scale
+        (4096, 5e-324, "bin width")])
+    def test_refused(self, n, rate, message):
         with pytest.raises(ConfigurationError, match=message):
-            SliceWork(1, 4096, rate, make_window(WindowKind.RECTANGULAR, 1))
+            SliceWork(1, n, rate, make_window(WindowKind.RECTANGULAR, 1))
 
     @pytest.mark.parametrize("rate", [3e6, 1e-300, 1e300])
     def test_representable_scale_kept(self, rate):
