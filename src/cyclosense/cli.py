@@ -16,6 +16,7 @@ Exit codes: 0 success, 2 configuration/usage error, 3 I/O error.
 import argparse
 import math
 import sys
+from functools import lru_cache
 
 from .detect import DetectorKind, decide
 from .errors import ConfigurationError, CyclosenseError
@@ -223,7 +224,7 @@ def _cmd_complexity(args) -> int:
 
 
 # name -> (help, description, _add_flags names, (flag, add_argument keywords) pairs).
-# Each runs _cmd_<name>, looked up per parser, so a wrapper rebound to it (perfbench) runs.
+# Each runs _cmd_<name>, looked up per call, so a wrapper rebound to it (perfbench) runs.
 _COMMANDS = {
     "roc": ("Monte Carlo ROC sweep -> CSV", None,
             (*_SHARED_FLAGS, "--snr-db", "--target-pf", "--trials", "--h1-trials",
@@ -256,20 +257,22 @@ def _fill(parser: argparse.ArgumentParser, command: str) -> argparse.ArgumentPar
     _add_flags(parser, *flags)
     for flag, keywords in extras:
         parser.add_argument(flag, **keywords)
-    parser.set_defaults(func=globals()[f"_cmd_{command}"])
+    parser.set_defaults(command=command)
     return parser
 
 
 def build_parser(command=None) -> argparse.ArgumentParser:
-    """The full parser, or with command that subcommand's parser alone."""
+    """The full parser, or with command that subcommand's parser alone, built once per process."""
+    return _parser(command)
+
+
+@lru_cache(maxsize=None)
+def _parser(command) -> argparse.ArgumentParser:
     if command is not None:
         return _fill(argparse.ArgumentParser(prog=f"cyclosense {command}",
                                              description=_COMMANDS[command][1]), command)
-    parser = argparse.ArgumentParser(
-        prog="cyclosense",
-        description="Cyclostationary-feature spectrum sensing with an "
-                    "energy-detection baseline.",
-    )
+    parser = argparse.ArgumentParser(prog="cyclosense", description=(
+        "Cyclostationary-feature spectrum sensing with an energy-detection baseline."))
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, description, _, _) in _COMMANDS.items():
         _fill(sub.add_parser(name, help=help_text, description=description), name)
@@ -291,7 +294,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        return globals()[f"_cmd_{args.command}"](args)
     except (CyclosenseError, ArithmeticError) as exc:
         # ArithmeticError: a numeric input the checks above let through
         # overflowed; it is still the input's fault, not the program's

@@ -324,6 +324,5 @@ def cycle_profile(signal: SampleBuffer, alphas_hz, window: SmoothingWindow) -> C
 
 def write_profile_csv(profile: CycleProfile, path_or_stream) -> None:
     """Emit `alpha_hz,i_alpha` rows at full precision (see siggen.write_lines)."""
-    write_lines(["alpha_hz,i_alpha\n", *(
-        f"{float(alpha)!r},{float(mag)!r}\n"
-        for alpha, mag in zip(profile.alphas_hz, profile.magnitudes))], path_or_stream)
+    write_lines(["alpha_hz,i_alpha\n", *(f"{alpha!r},{mag!r}\n" for alpha, mag in zip(
+        profile.alphas_hz.tolist(), profile.magnitudes.tolist()))], path_or_stream)

@@ -302,7 +302,7 @@ def open_text(path):
 def write_signal_file(buffer: SampleBuffer, path_or_stream) -> None:
     """One repr'd sample per line after a `# sample_rate_hz=` header (see write_lines)."""
     write_lines([f"{_SIGNAL_FILE_HEADER}{buffer.sample_rate_hz!r}\n",
-                 *(f"{float(value)!r}\n" for value in buffer.samples)], path_or_stream)
+                 *(f"{value!r}\n" for value in buffer.samples.tolist())], path_or_stream)
 
 
 def read_signal_file(path) -> SampleBuffer:
@@ -319,7 +319,7 @@ def read_signal_file(path) -> SampleBuffer:
             raise ConfigurationError(f"{path}: unparseable sample rate in header") from exc
         lines = fh.read().removesuffix("\n").split("\n")
     try:
-        samples = list(map(float, lines))
+        samples = np.array(lines, dtype=np.float64)    # by float()'s rules, in one call
     except ValueError:
         # a blank line, a separator that str.strip removes or a bad token: the
         # line loop reads the file or names the line it refuses
@@ -334,9 +334,9 @@ def read_signal_file(path) -> SampleBuffer:
                 raise ConfigurationError(
                     f"{path}:{lineno}: unparseable sample value {text!r}"
                 ) from exc
-    if not samples:
+    if not len(samples):
         raise ConfigurationError(f"{path}: no samples in file")
     try:
-        return SampleBuffer(np.asarray(samples), rate)
+        return SampleBuffer(samples, rate)
     except ConfigurationError as exc:
         raise ConfigurationError(f"{path}: {exc}") from exc

@@ -231,10 +231,62 @@ class TestLoneSubcommandParser:
             return add_argument(self, *args, **kwargs)
 
         monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counting)
+        cli._parser.cache_clear()   # a cold cache: this call builds detect's parser
         assert main(["detect", *TINY, "--input", signal, "--detector", "energy",
                      "--threshold-file", str(threshold)]) == 0
         assert added == expected
         assert capsys.readouterr().out.startswith("decision=h0_inactive detector=energy")
+
+
+class TestWarmParser:
+    """Each parser is built once per process; every main call still runs the
+    _cmd_<name> bound in the module at call time, on a namespace of its own."""
+
+    @staticmethod
+    def detect_argv(tmp_path):
+        signal = tone_file(tmp_path / "tone.txt")
+        threshold = tmp_path / "threshold.txt"
+        write_threshold_file(Threshold(100.0, 0.1, 100, DetectorKind.ENERGY), threshold)
+        return ["detect", *TINY, "--input", signal, "--detector", "energy",
+                "--threshold-file", str(threshold)]
+
+    def test_second_detect_adds_no_argument(self, tmp_path, monkeypatch, capsys):
+        argv = self.detect_argv(tmp_path)
+        assert main(argv) == 0
+        first = capsys.readouterr().out
+        added = []
+        add_argument = argparse.ArgumentParser.add_argument
+
+        def counting(self, *args, **kwargs):
+            added.append(args[0])
+            return add_argument(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counting)
+        assert main(argv) == 0
+        assert added == []
+        assert capsys.readouterr().out == first
+
+    def test_rebound_command_runs(self, tmp_path, monkeypatch, capsys):
+        argv = self.detect_argv(tmp_path)
+        assert main(argv) == 0
+        capsys.readouterr()
+        seen = []
+
+        def rebound(args):
+            seen.append(args.input)
+            return 0
+
+        monkeypatch.setattr(cli, "_cmd_detect", rebound)
+        assert main(argv) == 0
+        assert seen == [argv[argv.index("--input") + 1]]
+        assert capsys.readouterr().out == ""
+
+    def test_append_default_does_not_leak(self):
+        build_parser("roc")     # warm
+        for snr_db in (-22.0, -10.0):
+            args = build_parser("roc").parse_args(["--snr-db", repr(snr_db)])
+            assert args.snr_db == [snr_db]
+            assert args.target_pf is None
 
     def test_fresh_interpreter_reads_sys_argv(self, tmp_path, capsys):
         signal = tone_file(tmp_path / "tone.txt")
@@ -921,6 +973,15 @@ class TestGoldenOutputs:
         assert main([*golden_argv(name, tmp_path), "--out", str(out)]) == 0
         assert capsys.readouterr().out == ""
         assert out.read_bytes() == (GOLDEN_DIR / name).read_bytes()
+
+
+def test_golden_outputs_repeat_in_one_process(tmp_path, capsys):
+    """Every golden argv twice in one process, file-threshold and on-the-spot
+    detect calls interleaved: no call leaves state that changes another's bytes."""
+    names = sorted(GOLDEN_CASES)
+    for name in [*names, *reversed(names)]:
+        assert main(golden_argv(name, tmp_path)) == 0, name
+        assert capsys.readouterr() == ((GOLDEN_DIR / name).read_text(), ""), name
 
 
 class TestCycleFrequencyOutOfBand:

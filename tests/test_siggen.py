@@ -441,11 +441,13 @@ def read_outcome(read, path):
     return buffer.sample_rate_hz, buffer.samples.tobytes()
 
 
-# what float() accepts, refuses or reads unlike str.strip() then float()
+# what float() accepts, refuses or reads unlike str.strip() then float(), and where
+# one numpy conversion of every line could part from float()
 SAMPLE_TOKENS = st.one_of(
     st.floats().map(repr),
     st.sampled_from(["1_0", "infinity", "nan", "0x1p3", "1e400", "\x1c3\x1f", "\u3000 1.5",
-                     "\ufeff1", "1.0 2.0", "", " "]))
+                     "\ufeff1", "1.0 2.0", "", " ", "-0", "\xa01", "\u0661\u0662", "1e5_0",
+                     "+.5", "1e-400", "\t2", "1,5", "1234567890" * 40 + "e-390"]))
 
 
 class TestReaderMatchesLineLoop:
