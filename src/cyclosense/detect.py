@@ -29,6 +29,7 @@ __all__ = [
 ]
 
 _SUM_CHUNK = 1 << 26    # per bucket, 2^26 halves of up to 27 bits sum exactly in float64
+_FAST_SUM_MAX = 1 << 25    # n <= 2^25 keeps R's error within delta, and |R| <= Q (t's error exact)
 
 
 class DetectorKind(Enum):
@@ -77,12 +78,33 @@ def cycle_metric(slice_: ScdSlice) -> SensingMetric:
 
 
 def energy_metric(signal: SampleBuffer) -> SensingMetric:
-    # exact before one rounding at any length, as bucket sums over 2^26 squares stay
-    # below 2^53: order-free, additive while partials are representable; inf refused
+    # the correctly rounded sum of the squares at any length, order-free; inf refused
     return SensingMetric(sum_of_squares(signal.samples), DetectorKind.ENERGY)
 
 
-def sum_of_squares(x: np.ndarray) -> float:
+@np.errstate(over="ignore")    # an inf square is left to the exact routine, as 2^1024
+def sum_of_squares(x: np.ndarray, scratch: np.ndarray | None = None) -> float:
+    """The correctly rounded sum of the squares of 1-D float64 x, inf on overflow, in the two
+    rows of scratch if given.  A fast path certifies fl(Q + R) by Rump, Ogita and Oishi's
+    extraction; the exact routine decides ties, empty rows, rows out of range or too long."""
+    if 0 < x.size <= _FAST_SUM_MAX:
+        c = max(1, (x.size - 1).bit_length())    # n <= 2^c
+        s, q = np.empty((2, x.size)) if scratch is None else scratch[:, :x.size]
+        np.square(x, out=s)
+        m = float(s.max())
+        if 2.0 ** -900 < m < 2.0 ** (1000 - c):    # false for inf and nan
+            M = math.frexp(m)[1] + c    # sigma = 2^M >= n max(s)
+            np.add(s, 2.0 ** M, out=q)    # q = (s + sigma) - sigma, multiples of 2^(M-52): Q exact
+            q -= 2.0 ** M
+            s -= q    # the exact rests, below 2^(M-53): R is within delta = 2^(2c+M-106)
+            Q, R = float(q.sum()), float(s.sum())
+            t = Q + R    # whose error is exactly R - (t - Q), as |R| <= Q
+            if abs(R - (t - Q)) + 2.0 ** (2 * c + M - 106) < (t - math.nextafter(t, 0)) / 2:
+                return t    # the exact sum lies within half the gap below t
+    return _exact_sum_of_squares(x)
+
+
+def _exact_sum_of_squares(x: np.ndarray) -> float:
     """The correctly rounded sum of the squares of 1-D float64 x, inf on overflow, with
     no Python float per sample: bincount sums the halves of the squares' integer
     mantissas per exponent, and a Python int sums those buckets exactly, rounded once."""

@@ -217,23 +217,24 @@ def _score(config: SensingConfig, detectors, count: int, buffers) -> np.ndarray:
     kernel BLOCK_ROWS at a time; no metric depends on the block boundaries."""
     values = np.empty((len(detectors), count))
     row_of = {detector: d for d, detector in enumerate(detectors)}
-    # Rows hold samples, then their spectra: the transform runs in place, with
-    # no complex copy of a real block.  A one-shot decision gets one row:
-    # freeing four rows at once would let glibc trim the heap, and every next
-    # decision would fault ~120 pages back in.
+    # Rows hold samples, then their spectra: the transform runs in place, with no
+    # complex copy of a real block.  A one-shot decision gets one row, and energy
+    # sums share one scratch: freeing four rows at once, or temporaries per row,
+    # lets glibc trim the heap, and the next call faults the pages back in.
     rows = min(BLOCK_ROWS, count)
     if DetectorKind.CYCLE_FEATURE in row_of:
         work, shift = _cycle_work(config, rows)
     spectra = np.empty((rows, config.n_samples), dtype=np.complex128)
+    squares = np.empty((2, config.n_samples)) if DetectorKind.ENERGY in row_of else None
     buffers = iter(buffers)
     for first in range(0, count, BLOCK_ROWS):
         columns = slice(first, min(first + BLOCK_ROWS, count))
         block = spectra[:columns.stop - first]
         for row, buffer in zip(block, buffers):
             row[:] = buffer.samples
-        # energy a row at a time: whole-block temporaries make glibc trim the heap
         if DetectorKind.ENERGY in row_of:
-            values[row_of[DetectorKind.ENERGY], columns] = [sum_of_squares(r) for r in block.real]
+            values[row_of[DetectorKind.ENERGY], columns] = [
+                sum_of_squares(r, squares) for r in block.real]
         if DetectorKind.CYCLE_FEATURE in row_of:
             np.fft.fft(block, axis=-1, out=block)
             values[row_of[DetectorKind.CYCLE_FEATURE], columns] = work.peaks(

@@ -277,7 +277,8 @@ def smoothed_slices(spectra: np.ndarray, shifts, work: SliceWork) -> np.ndarray:
             np.multiply(block, work.transform, out=block)
             np.fft.ifft(block, axis=-1, out=block)
             values = block[:, work.window.half:work.window.half + n]
-        np.divide(values, work.window.length, out=values)
+        # numpy divides by L + 0j as (re + im*0) * fl(1/L): the same bits but a zero's sign
+        np.multiply(values, 1.0 / work.window.length, out=values)
         np.multiply(values, work.scale, out=values)
     for row, shift in zip(values, shifts):
         if shift < 0:

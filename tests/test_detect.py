@@ -15,6 +15,7 @@ from cyclosense import (CalibrationError, ConfigurationError, Decision,
                         required_calibration_trials, scd_slice)
 from cyclosense import detect
 from cyclosense.detect import sum_of_squares
+from cyclosense.harness import SensingConfig, calibrate_at_noise
 
 
 def tone_slice(n=64, cycles=8, amplitude=1.0, seed=None):
@@ -129,6 +130,8 @@ def blocks(draw):
 class TestSumOfSquares:
     """The engine's energy sum against math.fsum, bit for bit."""
 
+    routine = staticmethod(sum_of_squares)
+
     @pytest.mark.parametrize("chunk", [None, 3], ids=["one_chunk", "chunks_of_3"])
     @settings(max_examples=300, deadline=None)
     @given(blocks())
@@ -136,14 +139,14 @@ class TestSumOfSquares:
         with pytest.MonkeyPatch.context() as patch:
             if chunk is not None:
                 patch.setattr(detect, "_SUM_CHUNK", chunk)
-            got = [sum_of_squares(row) for row in block.real]
+            got = [self.routine(row) for row in block.real]
         assert got == [fsum_of_squares(row) for row in block.real]
 
     def test_fsum_overflow_gives_inf(self):
         row = np.full(16, 1.3e154)    # each square is finite, their sum is not
         with pytest.raises(OverflowError):
             math.fsum(np.square(row).tolist())
-        assert sum_of_squares(row) == math.inf
+        assert self.routine(row) == math.inf
 
     def test_overflowing_energy_metric_refused(self):
         # inf, refused as a ConfigurationError; math.fsum would raise
@@ -163,13 +166,83 @@ class TestSumOfSquares:
         assert sum(Fraction(float(v)) ** 2 for v in row) == 2 ** 1024 - 2 ** 970 + excess
         with pytest.raises(OverflowError):
             math.fsum(np.square(row).tolist())
-        assert sum_of_squares(row) == want
+        assert self.routine(row) == want
 
     def test_subnormal_squares_and_total(self):
         # squares of 2^-1074, 9 * 2^-1076 (rounded to 2^-1073) and 2^-1060
         row = np.array([2.0 ** -537, 3 * 2.0 ** -538, 2.0 ** -530, 0.0])
         exact = sum(map(Fraction, np.square(row).tolist()))
-        assert sum_of_squares(row) == float(exact) == fsum_of_squares(row)
+        assert self.routine(row) == float(exact) == fsum_of_squares(row)
+
+
+class TestExactSumOfSquares(TestSumOfSquares):
+    """Every case again on the exact routine alone, the fast path's fallback:
+    most rows above take the fast path and never reach it."""
+
+    routine = staticmethod(detect._exact_sum_of_squares)
+
+
+class TestSumOfSquaresInScratch(TestSumOfSquares):
+    """Every case again with the engine's reused scratch, longer than the row
+    and holding stale values."""
+
+    @staticmethod
+    def routine(row):
+        return sum_of_squares(row, np.full((2, row.size + 3), np.nan))
+
+
+@pytest.fixture
+def exact_calls(monkeypatch):
+    """The rows that sum_of_squares hands to its exact routine."""
+    calls, exact = [], detect._exact_sum_of_squares
+
+    def spy(row):
+        calls.append(row.size)
+        return exact(row)
+    monkeypatch.setattr(detect, "_exact_sum_of_squares", spy)
+    return calls
+
+
+class TestFastSumFallback:
+    """Which rows the exact routine decides, and that both paths agree there."""
+
+    def test_midpoint_decided_by_the_exact_routine(self, exact_calls):
+        # squares 1, 2^-54 and 2^-54 sum to 1 + 2^-53, the midpoint after 1 (no
+        # float squares to 2^-53 itself); ties to even give 1.0
+        row = np.array([1.0, 2.0 ** -27, 2.0 ** -27])
+        assert sum_of_squares(row) == 1.0 == fsum_of_squares(row)
+        assert exact_calls == [3]
+
+    @pytest.mark.parametrize("largest, exact", [
+        (2.0 ** -450, True),                    # max square 2^-900, the open lower edge
+        (math.nextafter(2.0 ** -450, 1.0), False),
+        (2.0 ** 499, True),                     # 2^998 = 2^(1000 - c) at 4 samples
+        (math.nextafter(2.0 ** 499, 0.0), False),
+    ])
+    def test_range_edges(self, exact_calls, largest, exact):
+        row = np.array([largest, -largest / 3, largest / 7, 0.0])
+        assert sum_of_squares(row) == fsum_of_squares(row)
+        assert exact_calls == ([4] if exact else [])
+
+    def test_empty_row(self, exact_calls):
+        assert sum_of_squares(np.empty(0)) == 0.0 == fsum_of_squares(np.empty(0))
+        assert exact_calls == [0]
+
+    def test_length_cap(self, exact_calls, monkeypatch):
+        # the real cap is 2^25 samples; a cap of 8 tries both sides of it cheaply
+        monkeypatch.setattr(detect, "_FAST_SUM_MAX", 8)
+        row = np.random.default_rng(5).normal(size=9)
+        assert sum_of_squares(row[:8]) == fsum_of_squares(row[:8])
+        assert sum_of_squares(row) == fsum_of_squares(row)
+        assert exact_calls == [9]
+
+    def test_reference_calibration_takes_the_fast_path(self, exact_calls):
+        # 200 energy trials at the reference scenario: every row is summed by
+        # the fast path, so the engine pays nothing for the exact routine
+        config = SensingConfig(calibration_trials=200)
+        threshold = calibrate_at_noise(config, DetectorKind.ENERGY, 0.1, 1.0)
+        assert threshold.value > 0.0
+        assert exact_calls == []
 
 
 class TestRequiredCalibrationTrials:

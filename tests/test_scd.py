@@ -327,6 +327,22 @@ class TestBlockKernel:
         want = scd_bins_direct(buf, alpha, window, out_bins)
         assert np.max(np.abs(values[out_bins] - want)) <= 1e-9 * np.max(np.abs(values))
 
+    def test_reciprocal_scaling_matches_division(self):
+        # the kernel scales by a multiply with 1/L, as numpy's complex division
+        # by L + 0j does; if a numpy release divides otherwise, this fails
+        # rather than a golden moving. Only a zero component's sign may differ.
+        rng = np.random.default_rng(12)
+        for length in range(1, 4098, 2):
+            parts = np.ldexp(rng.normal(size=(2, 64)), rng.integers(-1074, 1020, (2, 64)))
+            parts[:, :4] = [[0.0, -0.0, 0.0, -0.0], [0.0, 0.0, -0.0, -0.0]]
+            block = np.empty(64, dtype=np.complex128)
+            block.real, block.imag = parts
+            got = np.multiply(block, 1.0 / length)
+            want = np.divide(block, length)
+            assert np.array_equal(got, want)
+            got, want = got.view(np.float64), want.view(np.float64)
+            assert np.array_equal(got[want != 0], want[want != 0])
+
     def test_profile_equals_per_alpha_slices(self):
         # unsorted, with repeats, and not a whole number of blocks
         buf = white_buffer(96, seed=5, rate=96.0)
