@@ -95,21 +95,27 @@ def _modulation_from_args(args) -> ModulationSpec:
     )
 
 
-def config_from_args(args) -> SensingConfig:
-    """Map parsed flags onto a SensingConfig (defaults mirror the parser's)."""
+def config_from_args(args, detector=None, shape=None) -> SensingConfig:
+    """Map parsed flags onto a SensingConfig (defaults mirror the parser's).
+
+    With no detector, roc's sweep of both detectors.  With one, the config
+    of one-shot calibration and decisions, which reads no sweep flag.  The
+    energy detector reads no modulation or window flag either, so those
+    fields keep their defaults and cannot make it fail.  shape holds
+    n_samples and sample_rate_hz, by default from --n and --fs-hz.
+    """
+    trials = args.calibration_trials
+    fields = dict(shape or _shape(args), master_seed=args.seed, calibration_trials=(
+        SensingConfig.calibration_trials if trials is None else trials))
+    if detector is not DetectorKind.ENERGY:
+        fields.update(modulation=_modulation_from_args(args), smoothing_len=args.smoothing_len,
+                      window_kind=WindowKind(args.window))
+    if detector is not None:
+        return SensingConfig(detectors=(detector,), **fields)
     return SensingConfig(
-        **_shape(args),
-        modulation=_modulation_from_args(args),
-        smoothing_len=args.smoothing_len,
         snr_db_list=tuple(args.snr_db or SensingConfig.snr_db_list),
         target_pf_list=tuple(args.target_pf or SensingConfig.target_pf_list),
-        trials=args.trials,
-        calibration_trials=(SensingConfig.calibration_trials if args.calibration_trials is None
-                            else args.calibration_trials),
-        master_seed=args.seed,
-        window_kind=WindowKind(args.window),
-        h1_trials=args.h1_trials,
-    )
+        trials=args.trials, h1_trials=args.h1_trials, **fields)
 
 
 def _single_value(values, default, flag):
@@ -128,31 +134,13 @@ def _shape(args, buffer=None) -> dict:
                 sample_rate_hz=rate if args.fs_hz is None else args.fs_hz)
 
 
-def _oneshot_config(args, detector, shape) -> SensingConfig:
-    """Config for one-shot calibration and decisions, from the flags they read.
-
-    The cycle detector monitors twice the carrier of the modulation the
-    flags describe.  The energy detector reads no modulation or window
-    flags, so those fields keep neutral values and cannot make it fail.
-    shape holds n_samples and sample_rate_hz.
-    """
-    trials = args.calibration_trials
-    common = dict(shape, master_seed=args.seed, calibration_trials=(
-        SensingConfig.calibration_trials if trials is None else trials))
-    if detector is DetectorKind.ENERGY:
-        return SensingConfig(smoothing_len=1, **common)
-    return SensingConfig(modulation=_modulation_from_args(args),
-                         smoothing_len=args.smoothing_len,
-                         window_kind=WindowKind(args.window), **common)
-
-
-def _calibrate(args, config, detector):
+def _calibrate(args, config):
     if args.noise_variance is None:
         raise ConfigurationError(
             "--noise-variance is required when no threshold file is given"
         )
     target_pf = _single_value(args.target_pf, 0.1, "--target-pf")
-    return calibrate_at_noise(config, detector, target_pf, args.noise_variance)
+    return calibrate_at_noise(config, target_pf, args.noise_variance)[0]
 
 
 def _cmd_profile(args) -> int:
@@ -178,9 +166,8 @@ def _cmd_profile(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
-    detector = DetectorKind(args.detector)
-    config = _oneshot_config(args, detector, _shape(args))
-    write_threshold_file(_calibrate(args, config, detector), args.out)
+    config = config_from_args(args, DetectorKind(args.detector))
+    write_threshold_file(_calibrate(args, config), args.out)
     return 0
 
 
@@ -195,11 +182,11 @@ def _cmd_detect(args) -> int:
             raise ConfigurationError(f"{args.threshold_file}: threshold is for "
                                      f"{threshold.detector.value}, not --detector {detector.value}")
     buffer = read_signal_file(args.input)
-    config = _oneshot_config(args, detector, _shape(args, buffer))
+    config = config_from_args(args, detector, _shape(args, buffer))
     # scored first: measure refuses a --n or --fs-hz unlike the file's before any trial
-    metric = measure(config, detector, buffer)
+    (metric,) = measure(config, buffer)
     if args.threshold_file is None:
-        threshold = _calibrate(args, config, detector)
+        threshold = _calibrate(args, config)
     decision = decide(metric, threshold)
     print(f"decision={decision.value} detector={detector.value} "
           f"metric={metric.value!r} threshold={threshold.value!r}")

@@ -62,7 +62,9 @@ class SensingConfig:
     Defaults describe the reference scenario: 4096-sample buffers at
     3 MHz sampling, AM primary user on a 1 MHz carrier with 10 kHz
     message bandwidth, Hamming smoothing of length 1301, -22 dB SNR.
-    h1_trials defaults to trials when left None.
+    h1_trials defaults to trials when left None.  detectors, a tuple of
+    distinct kinds, names what run_roc, calibrate_at_noise and measure
+    score, in order; the window is checked only when CYCLE_FEATURE is one.
     """
 
     modulation: ModulationSpec = ModulationSpec(ModulationKind.AM, 1e6, 10e3)
@@ -76,12 +78,18 @@ class SensingConfig:
     master_seed: int = 0
     window_kind: WindowKind = WindowKind.HAMMING
     h1_trials: int | None = None
+    detectors: tuple = DETECTORS
 
     def __post_init__(self):
         if not isinstance(self.modulation, ModulationSpec):
             raise ConfigurationError("modulation must be a ModulationSpec")
         check_length_and_rate(self.n_samples, self.sample_rate_hz)
-        check_window(self.window_kind, self.smoothing_len, self.n_samples)
+        if not (isinstance(self.detectors, tuple) and self.detectors
+                and all(isinstance(d, DetectorKind) for d in self.detectors)
+                and len(set(self.detectors)) == len(self.detectors)):
+            raise ConfigurationError("detectors must be a nonempty tuple of distinct DetectorKind")
+        if DetectorKind.CYCLE_FEATURE in self.detectors:
+            check_window(self.window_kind, self.smoothing_len, self.n_samples)
         snrs = tuple(float(s) for s in self.snr_db_list)
         pfs = tuple(float(p) for p in self.target_pf_list)
         if not (snrs and pfs):
@@ -211,12 +219,12 @@ def _cycle_work(config: SensingConfig, rows: int):
     return work, shift
 
 
-def _score(config: SensingConfig, detectors, count: int, buffers) -> np.ndarray:
-    """Metrics of `count` buffers, one row per detector: the one scorer of ROC
-    trials, calibrations and one-shot decisions.  Buffers go through the slice
-    kernel BLOCK_ROWS at a time; no metric depends on the block boundaries."""
-    values = np.empty((len(detectors), count))
-    row_of = {detector: d for d, detector in enumerate(detectors)}
+def _score(config: SensingConfig, count: int, buffers) -> np.ndarray:
+    """Metrics of `count` buffers, one row per detector of config: the one scorer
+    of ROC trials, calibrations and one-shot decisions.  Buffers go through the
+    slice kernel BLOCK_ROWS at a time; no metric depends on the block boundaries."""
+    values = np.empty((len(config.detectors), count))
+    row_of = {detector: d for d, detector in enumerate(config.detectors)}
     # Rows hold samples, then their spectra: the transform runs in place, with no
     # complex copy of a real block.  A one-shot decision gets one row, and energy
     # sums share one scratch: freeing four rows at once, or temporaries per row,
@@ -247,9 +255,8 @@ def _score(config: SensingConfig, detectors, count: int, buffers) -> np.ndarray:
 
 
 def _compute_phase_range(config: SensingConfig, phase: int, snr_db: float | None,
-                         start: int, stop: int, detectors=DETECTORS,
-                         noise_variance: float | None = None) -> np.ndarray:
-    """Metrics for trials [start, stop) of one phase, one row per detector.
+                         start: int, stop: int, noise_variance: float | None = None) -> np.ndarray:
+    """Metrics for trials [start, stop) of one phase, one row per detector of config.
 
     Runs in workers.  noise_variance replaces the noise level derived from
     snr_db; one-shot calibration has no SNR, passes snr_db=None and seeds
@@ -269,11 +276,11 @@ def _compute_phase_range(config: SensingConfig, phase: int, snr_db: float | None
             return SampleBuffer(np.zeros(n), rate)
         return noise_only(n, variance, seed(t, 0), rate)
 
-    return _score(config, detectors, stop - start, map(trial, range(start, stop)))
+    return _score(config, stop - start, map(trial, range(start, stop)))
 
 
 def run_roc(config: SensingConfig, workers: int = 1):
-    """Calibrate and measure both detectors over the configured sweep.
+    """Calibrate and measure config.detectors over the configured sweep.
 
     Per SNR: calibration_trials noise-only buffers fix the thresholds (one
     per target Pf per detector, all from the same calibration sample),
@@ -287,7 +294,8 @@ def run_roc(config: SensingConfig, workers: int = 1):
     for target_pf in config.target_pf_list:
         check_target_pf(target_pf, config.calibration_trials)
     # refused before the first trial, not at the first H1 trial; 0 rows allocate no block
-    _cycle_work(config, 0)
+    if DetectorKind.CYCLE_FEATURE in config.detectors:
+        _cycle_work(config, 0)
     check_waveform(config.modulation, config.n_samples, config.sample_rate_hz)
 
     # a fork pool starts all its workers at the first task, and the output
@@ -314,7 +322,7 @@ def run_roc(config: SensingConfig, workers: int = 1):
     points = []
     for snr_db in config.snr_db_list:
         calibration, h0, h1 = (np.concatenate(metrics[snr_db, p], axis=1) for p, _ in phases)
-        per_detector = tuple(zip(DETECTORS, calibration, h0, h1))
+        per_detector = tuple(zip(config.detectors, calibration, h0, h1))
         for target_pf in config.target_pf_list:
             for detector, cal_values, h0_values, h1_values in per_detector:
                 threshold = calibrate_threshold(cal_values, target_pf, detector)
@@ -331,9 +339,9 @@ def run_roc(config: SensingConfig, workers: int = 1):
     return points
 
 
-def calibrate_at_noise(config: SensingConfig, detector: DetectorKind, target_pf: float,
-                       noise_variance: float) -> Threshold:
-    """Threshold from config.calibration_trials noise-only buffers.
+def calibrate_at_noise(config: SensingConfig, target_pf: float, noise_variance: float) -> tuple:
+    """One Threshold per detector of config, in order, from the same
+    config.calibration_trials noise-only buffers.
 
     One-shot decisions on external signals have no SNR handle, so the noise
     level is given directly.  Trial t is seeded
@@ -342,15 +350,17 @@ def calibrate_at_noise(config: SensingConfig, detector: DetectorKind, target_pf:
     check_noise_variance(noise_variance)
     check_target_pf(target_pf, config.calibration_trials)
     values = _compute_phase_range(config, PHASE_ONESHOT, None, 0, config.calibration_trials,
-                                  (detector,), noise_variance)
-    return calibrate_threshold(values[0], target_pf, detector)
+                                  noise_variance)
+    return tuple(calibrate_threshold(row, target_pf, detector)
+                 for detector, row in zip(config.detectors, values))
 
 
-def measure(config: SensingConfig, detector: DetectorKind,
-            buffer: SampleBuffer) -> SensingMetric:
-    """One detector's metric on a buffer of config's length and rate."""
+def measure(config: SensingConfig, buffer: SampleBuffer) -> tuple:
+    """One SensingMetric per detector of config, in order, on a buffer of
+    config's length and rate."""
     check_buffer_shape(buffer, config.n_samples, config.sample_rate_hz)
-    return SensingMetric(float(_score(config, (detector,), 1, [buffer])[0, 0]), detector)
+    return tuple(SensingMetric(float(value), detector)
+                 for detector, value in zip(config.detectors, _score(config, 1, [buffer])[:, 0]))
 
 
 def profile_seed(master_seed: int, snr_db: float | None, slot: int) -> int:

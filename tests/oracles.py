@@ -9,7 +9,8 @@ reaches the reference size N = 4096, L = 1301 that the O(N^2) oracle cannot.
 reference_phase_range is the per-trial engine that the blocked one
 replaced: one buffer, one dft and one scd_slice per trial.  It shares
 seeding, generation and the slice definition with the package, and checks
-that blocking trials changes no bit of any metric.
+that blocking trials changes no bit of any metric.  only(config, detector)
+is config with that one detector, for the calls that score one.
 
 read_signal_file_lines is the signal-file reader that the one-pass one
 replaced: strip and float() line by line, straight from the open file.
@@ -19,13 +20,14 @@ before scd.SliceWork.grid took it over, with the bin width and the largest
 shift written out.
 """
 
+import dataclasses
+
 import numpy as np
 
 from cyclosense import (ChannelSpec, ConfigurationError, DetectorKind, SampleBuffer,
                         ScdSlice, SmoothingWindow, add_awgn, cycle_metric, energy_metric,
                         generate_signal, make_window, noise_only, scd_slice)
-from cyclosense.harness import (DETECTORS, PHASE_H1, _noise_variance, _snr_token,
-                                derive_seed)
+from cyclosense.harness import PHASE_H1, _noise_variance, _snr_token, derive_seed
 from cyclosense.siggen import _SIGNAL_FILE_HEADER, open_text
 
 
@@ -113,13 +115,20 @@ def _metrics(buffer: SampleBuffer, detectors, alpha_hz: float, window) -> list:
             for detector in detectors]
 
 
+def only(config, detector):
+    """config scoring detector alone."""
+    return dataclasses.replace(config, detectors=(detector,))
+
+
 def reference_phase_range(config, phase: int, snr_db: float | None,
-                          start: int, stop: int, detectors=DETECTORS,
+                          start: int, stop: int,
                           noise_variance: float | None = None) -> np.ndarray:
-    """Metrics for trials [start, stop) of one phase, one row per detector,
-    one trial at a time (same contract as harness._compute_phase_range)."""
+    """Metrics for trials [start, stop) of one phase, one row per detector of
+    config, one trial at a time (same contract as harness._compute_phase_range)."""
+    detectors = config.detectors
     values = np.empty((len(detectors), stop - start))
-    window = make_window(config.window_kind, config.smoothing_len)
+    window = (make_window(config.window_kind, config.smoothing_len)
+              if DetectorKind.CYCLE_FEATURE in detectors else None)
     token = 0 if snr_db is None else _snr_token(snr_db)
     variance = _noise_variance(snr_db) if noise_variance is None else noise_variance
     for i, trial in enumerate(range(start, stop)):

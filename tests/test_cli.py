@@ -70,6 +70,14 @@ class TestArgumentMapping:
         assert config.master_seed == 9
         assert config.effective_h1_trials == 25
 
+    def test_energy_config_reads_no_waveform_or_window_flag(self):
+        args = build_parser().parse_args([
+            "calibrate", "--fc-hz", "-1", "--bandwidth-hz", "0", "--smoothing-len", "4",
+            "--window", "rectangular", "--n", "1", "--seed", "3", "--calibration-trials", "50"])
+        assert config_from_args(args, DetectorKind.ENERGY) == SensingConfig(
+            n_samples=1, master_seed=3, calibration_trials=50,
+            detectors=(DetectorKind.ENERGY,))
+
     def test_unknown_flag_exits_2(self, capsys):
         assert main(["roc", "--does-not-exist"]) == 2
         assert "usage" in capsys.readouterr().err
@@ -854,8 +862,8 @@ class TestNoEvidenceRefused:
     def test_zero_calibrated_threshold(self, tmp_path, monkeypatch, capsys):
         # no positive, finite noise variance calibrates to 0.0 in practice,
         # so the calibration is replaced: decide alone holds the rule
-        monkeypatch.setattr(cli, "calibrate_at_noise", lambda config, detector, pf, variance:
-                            Threshold(0.0, pf, config.calibration_trials, detector))
+        monkeypatch.setattr(cli, "calibrate_at_noise", lambda config, pf, variance: tuple(
+            Threshold(0.0, pf, config.calibration_trials, d) for d in config.detectors))
         assert main(["detect", *TINY, "--detector", "energy", "--noise-variance", "1",
                      "--input", tone_file(tmp_path / "tone.txt")]) == 2
         assert_one_error(capsys.readouterr(), "threshold 0.0 ")
@@ -1035,6 +1043,35 @@ class TestEnergyCalibration:
                 "--symbol-rate-hz", "0"]
         assert main(argv) == 0
         assert capsys.readouterr().out == (GOLDEN_DIR / "calibrate_energy.txt").read_text()
+
+
+class TestOneSampleBuffer:
+    """The energy detector reads no window, so it decides on a one-sample
+    buffer; the cycle detector, whose default window is 1301 long, refuses it."""
+
+    ON_THE_SPOT = ["--noise-variance", "1", "--calibration-trials", "100", "--target-pf", "0.1"]
+
+    def argv(self, command, detector, tmp_path):
+        if command == "calibrate":
+            return ["calibrate", "--detector", detector, "--n", "1", *self.ON_THE_SPOT]
+        path = tmp_path / "one.txt"
+        write_signal_file(SampleBuffer(np.array([0.7]), 3e6), path)
+        return ["detect", "--detector", detector, "--input", str(path), *self.ON_THE_SPOT]
+
+    def test_energy_detector_decides(self, tmp_path, capsys):
+        assert main(self.argv("calibrate", "energy", tmp_path)) == 0
+        detector, target_pf, value = capsys.readouterr().out.strip().split(",")
+        assert (detector, target_pf) == ("energy", "0.1")
+        assert main(self.argv("detect", "energy", tmp_path)) == 0
+        # the file's rate is calibrate's default, so both draw the same trials
+        assert capsys.readouterr().out == (
+            f"decision=h0_inactive detector=energy metric={0.7 * 0.7!r} threshold={value}\n")
+
+    @pytest.mark.parametrize("command", ["calibrate", "detect"])
+    def test_cycle_detector_refused(self, command, tmp_path, capsys):
+        assert main(self.argv(command, "cycle_feature", tmp_path)) == 2
+        assert capsys.readouterr().err == (
+            "error: window length 1301 must be below the transform size 1\n")
 
 
 class TestNumericInputs:

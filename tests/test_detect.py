@@ -16,6 +16,7 @@ from cyclosense import (CalibrationError, ConfigurationError, Decision,
 from cyclosense import detect
 from cyclosense.detect import sum_of_squares
 from cyclosense.harness import SensingConfig, calibrate_at_noise
+from oracles import only
 
 
 def tone_slice(n=64, cycles=8, amplitude=1.0, seed=None):
@@ -240,7 +241,7 @@ class TestFastSumFallback:
         # 200 energy trials at the reference scenario: every row is summed by
         # the fast path, so the engine pays nothing for the exact routine
         config = SensingConfig(calibration_trials=200)
-        threshold = calibrate_at_noise(config, DetectorKind.ENERGY, 0.1, 1.0)
+        (threshold,) = calibrate_at_noise(only(config, DetectorKind.ENERGY), 0.1, 1.0)
         assert threshold.value > 0.0
         assert exact_calls == []
 

@@ -1,6 +1,7 @@
 """Monte Carlo harness, complexity model, and serialization tests."""
 
 import concurrent.futures
+import dataclasses
 import io
 import math
 import multiprocessing
@@ -20,7 +21,7 @@ from cyclosense import (CalibrationError, ChannelSpec, ConfigurationError, Detec
 from cyclosense.harness import (DETECTORS, PHASE_CALIBRATION, PHASE_H0, PHASE_H1,
                                 PHASE_ONESHOT, ROC_CSV_HEADER, _compute_phase_range,
                                 _score, calibrate_at_noise, derive_seed, measure)
-from oracles import reference_phase_range
+from oracles import only, reference_phase_range
 
 
 def tiny_config(**kwargs):
@@ -122,6 +123,22 @@ class TestSensingConfig:
     def test_target_pf_refusal_names_the_value(self):
         with pytest.raises(ConfigurationError, match=r"got 1\.5$"):
             tiny_config(target_pf_list=(0.5, 1.5))
+
+    @pytest.mark.parametrize("detectors", [
+        (),
+        (DetectorKind.ENERGY, DetectorKind.ENERGY),
+        (DetectorKind.ENERGY, "cycle_feature"),
+    ], ids=["empty", "repeated", "not_a_kind"])
+    def test_detectors_refused(self, detectors):
+        with pytest.raises(ConfigurationError, match="detectors"):
+            tiny_config(detectors=detectors)
+
+    @pytest.mark.parametrize("length", [65, 4])
+    def test_energy_detector_reads_no_window(self, length):
+        # the default detectors refuse these lengths at N = 64 (see above)
+        config = tiny_config(smoothing_len=length, detectors=(DetectorKind.ENERGY,))
+        assert config.smoothing_len == length
+        assert tiny_config().detectors == DETECTORS
 
 
 class TestComplexityModel:
@@ -335,8 +352,8 @@ class TestBlockedEngine:
     @pytest.mark.parametrize("length", [1, 5, 31])
     def test_matches_per_trial_engine(self, length, phase, snr_db, variance, detectors,
                                       start, stop):
-        config = tiny_config(smoothing_len=length)
-        args = (config, phase, snr_db, start, stop, detectors, variance)
+        config = tiny_config(smoothing_len=length, detectors=detectors)
+        args = (config, phase, snr_db, start, stop, variance)
         assert np.array_equal(_compute_phase_range(*args), reference_phase_range(*args))
 
     @pytest.mark.parametrize("phase", [PHASE_H0, PHASE_H1])
@@ -347,8 +364,8 @@ class TestBlockedEngine:
     @pytest.mark.parametrize("phase, snr_db, variance", PHASES)
     def test_split_ranges_concatenate(self, phase, snr_db, variance):
         config = tiny_config(smoothing_len=5)
-        whole = _compute_phase_range(config, phase, snr_db, 0, 37, DETECTORS, variance)
-        parts = [_compute_phase_range(config, phase, snr_db, a, b, DETECTORS, variance)
+        whole = _compute_phase_range(config, phase, snr_db, 0, 37, variance)
+        parts = [_compute_phase_range(config, phase, snr_db, a, b, variance)
                  for a, b in [(0, 5), (5, 21), (21, 37)]]
         assert np.array_equal(whole, np.concatenate(parts, axis=1))
 
@@ -375,11 +392,11 @@ class TestBlockedEngine:
 
     def test_energy_only_memory_stays_within_budget(self):
         # without the cycle detector the block buffer alone remains, 0.25 MiB
-        config = SensingConfig()
-        _compute_phase_range(config, PHASE_H1, -22.0, 0, 1, (ENERGY,))
+        config = only(SensingConfig(), ENERGY)
+        _compute_phase_range(config, PHASE_H1, -22.0, 0, 1)
         tracemalloc.start()
         try:
-            _compute_phase_range(config, PHASE_H1, -22.0, 0, 64, (ENERGY,))
+            _compute_phase_range(config, PHASE_H1, -22.0, 0, 64)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -392,7 +409,7 @@ class TestBlockedEngine:
         rng = np.random.default_rng(11)
         buffers = [SampleBuffer(scale * rng.normal(size=config.n_samples),
                                 config.sample_rate_hz) for scale in (1e-150, 1.0, 1e150, 0.0)]
-        values = _score(config, (ENERGY,), len(buffers), buffers)
+        values = _score(only(config, ENERGY), len(buffers), buffers)
         assert values[0].tolist() == [energy_metric(buffer).value for buffer in buffers]
 
     def test_energy_overflow_refused_as_configuration_error(self):
@@ -401,7 +418,7 @@ class TestBlockedEngine:
         config = tiny_config(n_samples=16, sample_rate_hz=8.0)
         buffer = SampleBuffer(np.full(16, 1.3e154), 8.0)
         with pytest.raises(ConfigurationError, match="non-finite"):
-            measure(config, ENERGY, buffer)
+            measure(only(config, ENERGY), buffer)
 
 
 class TestOneScorer:
@@ -412,24 +429,25 @@ class TestOneScorer:
                              ids=["tiny", "reference"])
     def test_measure_equals_engine(self, config, detector):
         count = 6
-        engine = _compute_phase_range(config, PHASE_ONESHOT, None, 0, count, (detector,), 2.0)
+        config = only(config, detector)
+        engine = _compute_phase_range(config, PHASE_ONESHOT, None, 0, count, 2.0)
         for k in range(count):
             buffer = noise_only(config.n_samples, 2.0,
                                 derive_seed(config.master_seed, PHASE_ONESHOT, 0, k, 0),
                                 config.sample_rate_hz)
-            metric = measure(config, detector, buffer)
+            (metric,) = measure(config, buffer)
             assert metric.detector is detector
             assert metric.value == engine[0, k]
 
     def test_decision_memory_stays_within_budget(self):
         # One row of block buffers, transformed in place: 0.29 MiB at
         # N = 4096, L = 1301.  Four rows would take 1.2 MiB.
-        config = SensingConfig()
+        config = only(SensingConfig(), CYCLE)
         buffer = noise_only(config.n_samples, 1.0, 5, config.sample_rate_hz)
-        measure(config, CYCLE, buffer)   # caches and lazy imports
+        measure(config, buffer)   # caches and lazy imports
         tracemalloc.start()
         try:
-            measure(config, CYCLE, buffer)
+            measure(config, buffer)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -447,7 +465,46 @@ class TestOneScorer:
                           ChannelSpec(0.0, 12))
         window = make_window(kind, length)
         library = cycle_metric(scd_slice(buffer, config.alpha0_hz, window))
-        assert measure(config, CYCLE, buffer) == library
+        (metric,) = measure(only(config, CYCLE), buffer)
+        assert metric == library
+
+
+class TestDetectorsInOneConfig:
+    """Scoring two detectors in one config changes neither one's numbers."""
+
+    CONFIGS = [tiny_config(calibration_trials=100), SensingConfig(calibration_trials=100)]
+
+    @pytest.mark.parametrize("config", CONFIGS, ids=["tiny", "reference"])
+    def test_calibrate_at_noise(self, config):
+        alone = tuple(calibrate_at_noise(only(config, d), 0.1, 2.0)[0] for d in DETECTORS)
+        assert calibrate_at_noise(config, 0.1, 2.0) == alone
+        assert [t.detector for t in alone] == list(DETECTORS)
+
+    @pytest.mark.parametrize("config", CONFIGS, ids=["tiny", "reference"])
+    def test_measure(self, config):
+        buffer = add_awgn(generate_signal(config.modulation, config.n_samples,
+                                          config.sample_rate_hz, 11), ChannelSpec(0.0, 12))
+        alone = tuple(measure(only(config, d), buffer)[0] for d in DETECTORS)
+        assert measure(config, buffer) == alone
+        assert [m.detector for m in alone] == list(DETECTORS)
+        reversed_order = dataclasses.replace(config, detectors=(ENERGY, CYCLE))
+        assert measure(reversed_order, buffer) == alone[::-1]
+
+    def test_energy_only_roc_is_the_energy_rows(self, monkeypatch):
+        both = io.StringIO()
+        write_roc_csv(run_roc(tiny_config(snr_db_list=(0.0, 10.0))), both)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an energy-only sweep built a SliceWork")
+        monkeypatch.setattr(harness, "SliceWork", refuse)
+        energy = io.StringIO()
+        # a window too long for N = 64, which the energy detector never reads
+        write_roc_csv(run_roc(tiny_config(snr_db_list=(0.0, 10.0), smoothing_len=65,
+                                          detectors=(ENERGY,))), energy)
+        header, *rows = both.getvalue().splitlines(keepends=True)
+        assert len(rows) == 4
+        assert energy.getvalue() == header + "".join(
+            row for row in rows if row.startswith("energy,"))
 
 
 class TestRocCsv:
@@ -570,7 +627,7 @@ class TestCalibrateAtNoise:
             raise AssertionError("calibrate_at_noise ran a trial")
         monkeypatch.setattr(harness, "noise_only", refuse)
         with pytest.raises(error, match="target_pf"):
-            calibrate_at_noise(tiny_config(calibration_trials=trials), detector,
+            calibrate_at_noise(only(tiny_config(calibration_trials=trials), detector),
                                target_pf, 1.0)
 
     @pytest.mark.parametrize("variance", [0.0, math.nan, math.inf])
@@ -580,7 +637,7 @@ class TestCalibrateAtNoise:
             raise AssertionError("calibrate_at_noise ran a trial")
         monkeypatch.setattr(harness, "noise_only", refuse)
         with pytest.raises(ConfigurationError, match="noise variance"):
-            calibrate_at_noise(tiny_config(), detector, 0.5, variance)
+            calibrate_at_noise(only(tiny_config(), detector), 0.5, variance)
 
 
 class TestRocPointType:
