@@ -191,7 +191,7 @@ def complexity_model(n: int, l: int) -> ComplexityReport:
 def _snr_token(snr_db: float) -> int:
     """Nonnegative integer identifying an SNR, to 0.001 dB, in seed derivations."""
     check_snr_db(snr_db)
-    return 2 ** 40 if snr_db == math.inf else int(round(snr_db * 1000.0)) + _SNR_TOKEN_OFFSET
+    return int(round(snr_db * 1000.0)) + _SNR_TOKEN_OFFSET
 
 
 def derive_seed(master_seed: int, phase: int, snr_token: int, index: int, slot: int) -> int:
@@ -271,9 +271,6 @@ def _compute_phase_range(config: SensingConfig, phase: int, snr_db: float | None
         if phase == PHASE_H1:
             return add_awgn(generate_signal(config.modulation, n, rate, seed(t, 0)),
                             ChannelSpec(snr_db, seed(t, 1)))
-        if variance == 0.0:
-            # noise disabled: the H0 waveform is identically zero
-            return SampleBuffer(np.zeros(n), rate)
         return noise_only(n, variance, seed(t, 0), rate)
 
     return _score(config, stop - start, map(trial, range(start, stop)))

@@ -35,8 +35,9 @@ __all__ = [
 
 _SIGNAL_FILE_HEADER = "# sample_rate_hz="
 
-# Largest finite |SNR|: 10^(snr_db/10) stays well inside the float range,
-# so noise variances derived from it neither overflow nor underflow.
+# Largest |SNR|, and every SNR is finite: 10^(snr_db/10) stays well inside the
+# float range, so a noise variance derived from it for a unit-power signal lies
+# in [1e-300, 1e300] and every trial draws noise.
 SNR_DB_LIMIT = 3000.0
 
 
@@ -69,10 +70,6 @@ class SampleBuffer:
 
     def __len__(self) -> int:
         return self.samples.size
-
-    @property
-    def duration_s(self) -> float:
-        return self.samples.size / self.sample_rate_hz
 
     @property
     def average_power(self) -> float:
@@ -130,10 +127,10 @@ def read_only(arr: np.ndarray) -> np.ndarray:
 
 
 def check_snr_db(snr_db) -> None:
-    """The SNR rule: +inf (no noise) or finite to +-SNR_DB_LIMIT; -inf makes no finite buffer."""
-    if not (abs(snr_db) <= SNR_DB_LIMIT or snr_db == math.inf):
-        raise ConfigurationError(
-            f"snr_db must be +inf or within +-{SNR_DB_LIMIT} dB, got {snr_db!r}")
+    """The SNR rule: finite, within +-SNR_DB_LIMIT.  -inf makes no finite buffer,
+    and +inf draws no noise to calibrate a threshold on."""
+    if not abs(snr_db) <= SNR_DB_LIMIT:
+        raise ConfigurationError(f"snr_db must be within +-{SNR_DB_LIMIT} dB, got {snr_db!r}")
 
 
 def check_noise_variance(variance) -> None:
@@ -257,12 +254,10 @@ def add_awgn(signal: SampleBuffer, channel: ChannelSpec) -> SampleBuffer:
 
     Noise variance is P_signal / 10^(snr_db / 10) with P_signal measured
     from the buffer, so scaling the input by c scales the noise variance
-    by c^2 and the SNR is invariant.  Infinite SNR returns the input
-    samples unchanged.
+    by c^2 and the SNR is invariant.  Noise is always drawn: a zero-power
+    buffer gets zero-variance noise and keeps its values.
     """
     variance = signal.average_power / (10.0 ** (channel.snr_db / 10.0))
-    if variance == 0.0:
-        return SampleBuffer(signal.samples, signal.sample_rate_hz)
     rng = np.random.default_rng(channel.seed)
     noise = rng.normal(0.0, math.sqrt(variance), signal.samples.size)
     return SampleBuffer(signal.samples + noise, signal.sample_rate_hz)

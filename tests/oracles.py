@@ -138,9 +138,6 @@ def reference_phase_range(config, phase: int, snr_db: float | None,
                 derive_seed(config.master_seed, phase, token, trial, 0))
             buffer = add_awgn(signal, ChannelSpec(
                 snr_db, derive_seed(config.master_seed, phase, token, trial, 1)))
-        elif variance == 0.0:
-            # noise disabled: the H0 waveform is identically zero
-            buffer = SampleBuffer(np.zeros(config.n_samples), config.sample_rate_hz)
         else:
             buffer = noise_only(
                 config.n_samples, variance,

@@ -872,7 +872,10 @@ class TestNoEvidenceRefused:
         ["profile", *TINY, "--snr-db=-inf"],
         ["roc", *TINY, "--snr-db=-inf", "--trials", "20", "--calibration-trials", "100",
          "--target-pf", "0.1"],
-    ], ids=["profile", "roc"])
+        ["profile", *TINY, "--snr-db=inf"],
+        ["roc", *TINY, "--snr-db=inf", "--trials", "20", "--calibration-trials", "100",
+         "--target-pf", "0.1"],
+    ], ids=["profile", "roc", "profile-plus-inf", "roc-plus-inf"])
     def test_minus_infinite_snr(self, argv, refuse_trials, capsys):
         assert main(argv) == 2
         assert_one_error(capsys.readouterr(), "snr_db")

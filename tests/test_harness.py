@@ -105,6 +105,7 @@ class TestSensingConfig:
         dict(snr_db_list=(-math.inf,)),         # infinite noise: no finite buffer
         dict(snr_db_list=(-22.0, -22.0004)),     # same seeds at 0.001 dB
         dict(snr_db_list=(5.0, 5.0)),
+        dict(snr_db_list=(math.inf,)),          # no noise: nothing to calibrate on
     ])
     def test_invalid_fields_rejected(self, kwargs):
         with pytest.raises(ConfigurationError):
@@ -202,6 +203,11 @@ class TestDeriveSeed:
         with pytest.raises(ConfigurationError, match="snr_db"):
             harness.profile_seed(0, -math.inf, 0)
 
+    def test_profile_seed_refuses_plus_infinite_snr(self):
+        # no noise to draw: every SNR a seed names is finite
+        with pytest.raises(ConfigurationError, match="snr_db"):
+            harness.profile_seed(0, math.inf, 0)
+
 
 class TestRunRoc:
     def test_point_layout(self):
@@ -223,9 +229,11 @@ class TestRunRoc:
         for p in points:
             assert p.measured_pd == 1.0
 
-    def test_infinite_snr_is_noise_free(self):
-        points = run_roc(tiny_config(snr_db_list=(math.inf,)))
+    def test_highest_snr_still_calibrates_on_noise(self):
+        # at the +3000 dB edge every trial still draws noise, so no threshold is 0
+        points = run_roc(tiny_config(snr_db_list=(3000.0,)))
         for p in points:
+            assert p.threshold > 0.0
             assert p.measured_pd == 1.0
 
     def test_repeat_run_identical(self):
