@@ -14,7 +14,6 @@ Exit codes: 0 success, 2 configuration/usage error, 3 I/O error.
 """
 
 import argparse
-import math
 import sys
 from functools import lru_cache
 
@@ -145,10 +144,6 @@ def _calibrate(args, config):
 
 def _cmd_profile(args) -> int:
     snr_db = _single_value(args.snr_db, None, "--snr-db")
-    for flag, value in (("--alpha-max-hz", args.alpha_max_hz),
-                        ("--alpha-step-hz", args.alpha_step_hz)):
-        if value is not None and not (value > 0 and math.isfinite(value)):
-            raise ConfigurationError(f"{flag} must be positive and finite")
     if args.input is not None:
         buffer = read_signal_file(args.input)
         check_buffer_shape(buffer, **_shape(args, buffer))

@@ -9,6 +9,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
@@ -28,7 +29,7 @@ __all__ = [
     "decide",
 ]
 
-_SUM_CHUNK = 1 << 26    # per bucket, 2^26 halves of up to 27 bits sum exactly in float64
+_SUM_CHUNK = 1 << 16    # squares the exact routine holds as Python floats at once
 _FAST_SUM_MAX = 1 << 25    # n <= 2^25 keeps R's error within delta, and |R| <= Q (t's error exact)
 
 
@@ -104,23 +105,20 @@ def sum_of_squares(x: np.ndarray, scratch: np.ndarray | None = None) -> float:
     return _exact_sum_of_squares(x)
 
 
+@np.errstate(over="ignore")    # an inf square makes the sum inf
 def _exact_sum_of_squares(x: np.ndarray) -> float:
-    """The correctly rounded sum of the squares of 1-D float64 x, inf on overflow, with
-    no Python float per sample: bincount sums the halves of the squares' integer
-    mantissas per exponent, and a Python int sums those buckets exactly, rounded once."""
-    total = 0
-    for start in range(0, x.size, _SUM_CHUNK):
-        with np.errstate(over="ignore"):    # an inf square counts as 2^1024
-            bits = np.square(x[start:start + _SUM_CHUNK]).view(np.int64)
-        bucket = np.maximum(bits >> 52, 1)    # a subnormal: exponent 1, no implicit bit
-        bits -= (bucket - 1) << 52            # the 53-bit integer mantissa
-        halves = np.array([np.bincount(bucket, bits >> 26),
-                           np.bincount(bucket, bits & (1 << 26) - 1)], dtype=np.int64)
-        lowest = int(bucket.min())
-        total += sum(((h << 26) + l) << b for b, (h, l)
-                     in enumerate(halves[:, lowest:].T.tolist())) << lowest
-    # a square is its mantissa * 2^(bucket - 1075); from DBL_MAX + ulp/2 up, the sum is inf
-    return total / (1 << 1075) if total < (1 << 2099) - (1 << 2045) else math.inf
+    """The correctly rounded sum of the squares of 1-D float64 x, inf on overflow: math.fsum,
+    and where fsum's partials overflow, near DBL_MAX, the exact rational sum rounded once."""
+    def squares():    # _SUM_CHUNK at a time, never one Python list per row
+        return chain.from_iterable(np.square(x[start:start + _SUM_CHUNK]).tolist()
+                                   for start in range(0, x.size, _SUM_CHUNK))
+    try:
+        return math.fsum(squares())
+    except OverflowError:
+        try:
+            return float(sum(map(Fraction, squares())))
+        except OverflowError:    # an inf square, or a sum from DBL_MAX + ulp/2 up
+            return math.inf
 
 
 def required_calibration_trials(target_pf: float) -> int:

@@ -222,7 +222,11 @@ class SliceWork:
 
     def grid(self, alpha_max_hz=None, alpha_step_hz=None) -> np.ndarray:
         """profile's cycle frequencies 2 a Fs: every round(alpha_step_hz / (2 Fs))-th
-        shift a in -max_shift .. max_shift with 2 |a| Fs <= alpha_max_hz (default: all)."""
+        shift a in -max_shift .. max_shift with 2 |a| Fs <= alpha_max_hz (default: all).
+        Either bound, if given, must be positive and finite."""
+        for name, value in (("alpha_max_hz", alpha_max_hz), ("alpha_step_hz", alpha_step_hz)):
+            if value is not None and not 0.0 < value < math.inf:
+                raise ConfigurationError(f"{name} must be positive and finite, got {value!r}")
         step = 2.0 * self.bin_width
         top = self.max_shift
         # clamped to the grid before int() and round(), which overflow at tiny rates

@@ -82,8 +82,8 @@ class ModulationSpec:
     """Parameters of the primary-user waveform.
 
     bandwidth_hz is the one-sided message bandwidth for AM (occupied RF
-    bandwidth is twice that).  am_mod_index applies to AM only and
-    symbol_rate_hz to BPSK only; the unused field is ignored.
+    bandwidth is twice that).  bandwidth_hz and am_mod_index apply to AM and
+    symbol_rate_hz to BPSK; the other kind's fields are neither read nor checked.
     """
 
     kind: ModulationKind
@@ -97,14 +97,15 @@ class ModulationSpec:
             raise ConfigurationError("kind must be a ModulationKind")
         if not self.carrier_hz > 0.0:
             raise ConfigurationError("carrier_hz must be positive")
-        if not self.bandwidth_hz > 0.0:
-            raise ConfigurationError("bandwidth_hz must be positive")
-        if not self.bandwidth_hz < self.carrier_hz:
-            raise ConfigurationError("bandwidth_hz must be smaller than carrier_hz")
-        if not 0.0 <= self.am_mod_index <= 1.0:
-            raise ConfigurationError("am_mod_index must lie in [0, 1]")
-        if not self.symbol_rate_hz > 0.0:
+        if self.kind is ModulationKind.BPSK and not self.symbol_rate_hz > 0.0:
             raise ConfigurationError("symbol_rate_hz must be positive")
+        if self.kind is ModulationKind.AM:
+            if not self.bandwidth_hz > 0.0:
+                raise ConfigurationError("bandwidth_hz must be positive")
+            if not self.bandwidth_hz < self.carrier_hz:
+                raise ConfigurationError("bandwidth_hz must be smaller than carrier_hz")
+            if not 0.0 <= self.am_mod_index <= 1.0:
+                raise ConfigurationError("am_mod_index must lie in [0, 1]")
 
 
 @dataclass(frozen=True)

@@ -776,6 +776,28 @@ class TestRocCommand:
         assert "share seeds" in capsys.readouterr().err
 
 
+class TestModulationFields:
+    """Each modulation kind checks only the fields it reads, so another kind's
+    flag, even out of range, changes nothing."""
+
+    BPSK = ["--modulation", "bpsk", "--n", "64", "--fs-hz", "64", "--fc-hz", "16",
+            "--symbol-rate-hz", "8", "--smoothing-len", "5"]
+    ROC = ["--trials", "10", "--calibration-trials", "100", "--target-pf", "0.1"]
+
+    @pytest.mark.parametrize("argv, ignored", [
+        (["roc", *BPSK, *ROC], ["--bandwidth-hz", "4"]),    # the AM default 1e4 is above f_c
+        (["profile", *BPSK], ["--am-mod-index", "7"]),
+        (["roc", *TINY, *ROC], ["--symbol-rate-hz", "0"]),
+    ], ids=["bpsk_roc_bandwidth", "bpsk_profile_mod_index", "am_roc_symbol_rate"])
+    def test_other_kinds_flag_ignored(self, argv, ignored, capsys):
+        outputs = []
+        for extra in ([], ignored):
+            assert main([*argv, *extra]) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1]
+        assert outputs[0].err == "" and outputs[0].out.count("\n") > 2
+
+
 class TestRocRefusedBeforeTrials:
     """A request no trial could run is refused before the first one, at the
     default trial counts, so no noise or signal buffer is ever drawn."""

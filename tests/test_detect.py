@@ -15,7 +15,7 @@ from cyclosense import (CalibrationError, ConfigurationError, Decision,
                         required_calibration_trials, scd_slice)
 from cyclosense import detect
 from cyclosense.detect import sum_of_squares
-from cyclosense.harness import SensingConfig, calibrate_at_noise
+from cyclosense.harness import SensingConfig, calibrate_at_noise, measure, run_roc
 from oracles import only
 
 
@@ -84,7 +84,8 @@ class TestEnergyMetric:
 def fsum_of_squares(row):
     """The oracle: math.fsum of the squares, and where fsum overflows, the
     exact rational sum rounded once (inf beyond the float range).  fsum also
-    overflows on a few sums that round to the largest float."""
+    overflows on a few sums that round to the largest float.  The exact
+    routine shares this algorithm; fraction_of_squares does not."""
     with np.errstate(over="ignore"):
         squares = np.square(row).tolist()
     try:
@@ -94,6 +95,17 @@ def fsum_of_squares(row):
             return float(sum(map(Fraction, squares)))
         except OverflowError:
             return math.inf
+
+
+def fraction_of_squares(row):
+    """The independent oracle: the exact rational sum of the squares, rounded
+    once, and inf where that overflows (an inf square included)."""
+    with np.errstate(over="ignore"):
+        squares = np.square(row).tolist()
+    try:
+        return float(sum(map(Fraction, squares)))
+    except OverflowError:
+        return math.inf
 
 
 def squares_summing_to(total, unit_exponent):
@@ -142,12 +154,13 @@ class TestSumOfSquares:
                 patch.setattr(detect, "_SUM_CHUNK", chunk)
             got = [self.routine(row) for row in block.real]
         assert got == [fsum_of_squares(row) for row in block.real]
+        assert got == [fraction_of_squares(row) for row in block.real]
 
     def test_fsum_overflow_gives_inf(self):
         row = np.full(16, 1.3e154)    # each square is finite, their sum is not
         with pytest.raises(OverflowError):
             math.fsum(np.square(row).tolist())
-        assert self.routine(row) == math.inf
+        assert self.routine(row) == math.inf == fraction_of_squares(row)
 
     def test_overflowing_energy_metric_refused(self):
         # inf, refused as a ConfigurationError; math.fsum would raise
@@ -167,13 +180,19 @@ class TestSumOfSquares:
         assert sum(Fraction(float(v)) ** 2 for v in row) == 2 ** 1024 - 2 ** 970 + excess
         with pytest.raises(OverflowError):
             math.fsum(np.square(row).tolist())
-        assert self.routine(row) == want
+        assert self.routine(row) == want == fraction_of_squares(row)
 
     def test_subnormal_squares_and_total(self):
         # squares of 2^-1074, 9 * 2^-1076 (rounded to 2^-1073) and 2^-1060
         row = np.array([2.0 ** -537, 3 * 2.0 ** -538, 2.0 ** -530, 0.0])
         exact = sum(map(Fraction, np.square(row).tolist()))
         assert self.routine(row) == float(exact) == fsum_of_squares(row)
+        assert self.routine(row) == fraction_of_squares(row)
+
+    def test_nan_row_gives_nan(self):
+        # no SampleBuffer holds a NaN, but a raw row with one sums to NaN, which
+        # energy_metric and the trial engine refuse as they refuse inf
+        assert math.isnan(self.routine(np.array([1.0, math.nan, 2.0])))
 
 
 class TestExactSumOfSquares(TestSumOfSquares):
@@ -244,6 +263,45 @@ class TestFastSumFallback:
         (threshold,) = calibrate_at_noise(only(config, DetectorKind.ENERGY), 0.1, 1.0)
         assert threshold.value > 0.0
         assert exact_calls == []
+
+    def test_sweep_takes_the_fast_path(self, exact_calls):
+        # the shape of perfbench's roc_sweep_w2, smaller: L = 1, four SNRs,
+        # calibration, H0 and H1 rows
+        config = SensingConfig(smoothing_len=1, snr_db_list=(-22.0, -18.0, -14.0, -10.0),
+                               trials=50, h1_trials=50, calibration_trials=100,
+                               target_pf_list=(0.1,))
+        assert len(run_roc(config)) == 8
+        assert exact_calls == []
+
+    @pytest.mark.parametrize("variance, exact", [
+        (1e-275, True), (1e-270, False), (1e295, False), (1e297, True)])
+    def test_noise_variances_the_fast_path_covers(self, exact_calls, variance, exact):
+        # at N = 4096 the exact routine sums every row below about 1e-270 and
+        # above about 1e295, where the largest square leaves (2^-900, 2^988)
+        config = only(SensingConfig(calibration_trials=200), DetectorKind.ENERGY)
+        calibrate_at_noise(config, 0.1, variance)
+        assert exact_calls == ([4096] * 200 if exact else [])
+
+
+class TestNanRowRefused:
+    """A NaN row sums to NaN; a buffer holding one, forced past SampleBuffer's
+    check, is refused as before."""
+
+    @staticmethod
+    def poisoned():
+        buffer = SampleBuffer(np.ones(4096), 3e6)
+        object.__setattr__(buffer, "samples", np.append(np.ones(4095), math.nan))
+        return buffer
+
+    def test_energy_metric(self):
+        with pytest.raises(ConfigurationError,
+                           match="metric value must be finite and nonnegative"):
+            energy_metric(self.poisoned())
+
+    def test_trial_engine(self):
+        config = only(SensingConfig(), DetectorKind.ENERGY)
+        with pytest.raises(ConfigurationError, match="a metric overflowed"):
+            measure(config, self.poisoned())
 
 
 class TestRequiredCalibrationTrials:

@@ -286,6 +286,14 @@ class TestGrid:
                 got = work.grid(alpha_max, alpha_step)
                 assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("name", ["alpha_max_hz", "alpha_step_hz"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, -5.0, math.nan, math.inf, -math.inf])
+    def test_bound_not_positive_and_finite_refused(self, name, value):
+        work = SliceWork(0, 64, 64.0, make_window(WindowKind.RECTANGULAR, 1))
+        with pytest.raises(ConfigurationError,
+                           match=f"^{name} must be positive and finite, got {value!r}$"):
+            work.grid(**{name: value})
+
     def test_reference_full_grid(self):
         # perfbench's profile_grid(): 2.0 * arange(-max_shift, max_shift + 1) * fs / N
         work = SliceWork(0, 4096, 3e6, make_window(WindowKind.HAMMING, 1301))

@@ -211,6 +211,22 @@ class TestModulationSpec:
         am_spec(am_mod_index=0.0)
         am_spec(am_mod_index=1.0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("bandwidth_hz", 2e6), ("bandwidth_hz", 0.0), ("bandwidth_hz", math.nan),
+        ("am_mod_index", 7.0), ("am_mod_index", -0.1)])
+    def test_bpsk_checks_no_am_field(self, field, value):
+        spec = bpsk_spec(**{field: value})
+        want = generate_bpsk(bpsk_spec(), 64, 3e6, seed=0).samples
+        assert generate_bpsk(spec, 64, 3e6, seed=0).samples.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan])
+    def test_symbol_rate_checked_for_bpsk_only(self, value):
+        with pytest.raises(ConfigurationError, match="symbol_rate_hz must be positive"):
+            bpsk_spec(symbol_rate_hz=value)
+        spec = am_spec(symbol_rate_hz=value)
+        want = generate_am(am_spec(), 4096, 3e6, seed=0).samples
+        assert generate_am(spec, 4096, 3e6, seed=0).samples.tobytes() == want.tobytes()
+
 
 class TestGenerateBpsk:
     def test_same_seed_bit_identical(self):
