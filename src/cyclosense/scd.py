@@ -188,7 +188,10 @@ class SliceWork:
     buffer has, a bin width, a window and a scale 1 / ((n-1) * Ts) the grid cannot hold.
 
     Reusing one across calls spares each slice its ~100 KB temporaries,
-    which glibc would otherwise map, fault in and unmap every time.
+    which glibc would otherwise map, fault in and unmap every time.  glibc
+    raises its mmap threshold only on freeing a mapped block (mallopt(3)), so
+    a products-sized block is freed untouched first: numpy's batched-FFT scratch
+    then stays on the heap from the first call, not from the first SliceWork's death.
     """
 
     def __init__(self, rows: int, n: int, sample_rate_hz: float, window: SmoothingWindow):
@@ -207,6 +210,7 @@ class SliceWork:
         nfft = n if window.length == 1 else _next_pow2(n + window.length - 1)
         self.transform = None if window.length == 1 else _window_transform(window, nfft)
         self.centered = np.empty(n, dtype=np.complex128)
+        np.empty((rows, nfft), dtype=np.complex128)  # freed untouched; see the docstring
         self.products = np.empty((rows, nfft), dtype=np.complex128)
         self.magnitudes = np.empty((rows, n))
 

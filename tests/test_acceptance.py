@@ -10,6 +10,7 @@ feeds criteria 4 and 6 plus the detector-dominance invariant.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -156,6 +157,16 @@ def test_criterion_5_complexity_numbers(capsys):
 
 
 def test_criterion_6_calibration_fidelity(reference_roc, capsys):
+    """Each H0 exceedance count lies in the 99 % binomial band at its target Pf.
+
+    That band covers less than 99 %.  The threshold is itself an order
+    statistic of 2000 calibration trials, so its true Pf is a Beta variate
+    and the count is beta-binomial, not binomial.  Under that law each of
+    the four checks falls outside its band with probability 6.91 % at Pf
+    0.01 ([10, 32]) and 6.52 % at Pf 0.1 ([166, 235]); the 99 %
+    beta-binomial bands are [7, 40] and [154, 252].  The band is kept as
+    it is; test_criterion_6_band_coverage pins these numbers.
+    """
     trials = 2000
     parts = []
     ok = True
@@ -176,6 +187,24 @@ def test_criterion_6_calibration_fidelity(reference_roc, capsys):
             count = int(round(point.measured_pf * point.h0_trials))
             assert point.h0_trials == trials
             assert lo <= count <= hi, (detector, target, count)
+
+
+@pytest.mark.parametrize("target, band, miss, exact_band", [
+    (0.01, (10, 32), 0.0691, (7, 40)),
+    (0.1, (166, 235), 0.0652, (154, 252))])
+def test_criterion_6_band_coverage(target, band, miss, exact_band):
+    # calibrate_threshold returns the r-th smallest of K noise metrics,
+    # r = ceil((1 - Pf) K); for a continuous H0 law its true Pf is exactly
+    # Beta(K - r + 1, r), so a count over n fresh trials is
+    # beta-binomial(n, K - r + 1, r) (David & Nagaraja, Order Statistics)
+    trials = 2000
+    r = math.ceil((1 - Fraction(target)) * trials)
+    binomial = stats.binom(trials, target)
+    law = stats.betabinom(trials, trials - r + 1, r)
+    assert (int(binomial.ppf(0.005)), int(binomial.ppf(0.995))) == band
+    lo, hi = band
+    assert 1.0 - (law.cdf(hi) - law.cdf(lo - 1)) == pytest.approx(miss, abs=5e-5)
+    assert (int(law.ppf(0.005)), int(law.ppf(0.995))) == exact_band
 
 
 def test_criterion_7_parallel_determinism(tmp_path, capsys):
