@@ -14,7 +14,6 @@ from itertools import chain
 import numpy as np
 
 from .errors import CalibrationError, ConfigurationError
-from .scd import ScdSlice
 from .siggen import SampleBuffer
 
 __all__ = [
@@ -72,10 +71,13 @@ class Threshold:
             raise ConfigurationError("calibration_trials must be positive")
 
 
-def cycle_metric(slice_: ScdSlice) -> SensingMetric:
-    """Max magnitude of the slice over frequency."""
-    value = float(np.abs(slice_.values).max())
-    return SensingMetric(value, DetectorKind.CYCLE_FEATURE)
+def cycle_metric(values: np.ndarray) -> SensingMetric:
+    """Max magnitude over frequency of a slice's values, a nonempty 1-D array as
+    scd_slice returns."""
+    values = np.asarray(values)
+    if values.ndim != 1 or values.size == 0:
+        raise ConfigurationError("slice values must be a nonempty 1-D sequence")
+    return SensingMetric(float(np.abs(values).max()), DetectorKind.CYCLE_FEATURE)
 
 
 def energy_metric(signal: SampleBuffer) -> SensingMetric:

@@ -18,8 +18,9 @@ within L/2 bins of the band edges are averaged over fewer terms.
 
 SliceWork alone owns the grid of N samples at rate fs: bin width Fs = fs/N, scale
 1/((N-1) Ts) at Ts = 1/fs, the shift a = round(alpha / (2 Fs)) (ties to even) of
-a cycle frequency, reported as alpha_effective_hz = 2 a Fs and refused when |a| >
-(N-1)/2 as no two in-band bins are further apart, and profile's grid of 2 a Fs.
+a cycle frequency, refused when |a| > (N-1)/2 as no two in-band bins are further
+apart, and profile's grid of 2 a Fs.  scd_slice returns values only; a caller
+reads the quantized cycle frequency 2 a Fs and the scale from a SliceWork.
 """
 
 import math
@@ -40,7 +41,6 @@ BLOCK_ROWS = 4
 __all__ = [
     "WindowKind",
     "SmoothingWindow",
-    "ScdSlice",
     "CycleProfile",
     "SliceWork",
     "dft",
@@ -81,32 +81,6 @@ class SmoothingWindow:
     @property
     def half(self) -> int:
         return (self.weights.size - 1) // 2
-
-
-@dataclass(frozen=True)
-class ScdSlice:
-    """Smoothed spectral correlation over frequency at one cycle frequency.
-
-    values[l] follows DFT bin order (l=0 is DC); scale is the fixed
-    1 / ((N-1) Ts) factor already applied to the values.
-    """
-
-    values: np.ndarray
-    alpha_requested_hz: float
-    alpha_effective_hz: float
-    scale: float
-
-    def __post_init__(self):
-        arr = np.array(self.values, dtype=np.complex128)
-        if arr.ndim != 1 or arr.size == 0:
-            raise ConfigurationError("slice values must be a nonempty 1-D sequence")
-        if not self.scale > 0.0:
-            raise ConfigurationError("scale must be positive")
-        object.__setattr__(self, "values", read_only(arr))
-
-    @property
-    def n(self) -> int:
-        return self.values.size
 
 
 @dataclass(frozen=True)
@@ -294,25 +268,19 @@ def smoothed_slices(spectra: np.ndarray, shifts, work: SliceWork) -> np.ndarray:
     return values
 
 
-def scd_slice(signal: SampleBuffer, alpha_hz: float, window: SmoothingWindow) -> ScdSlice:
-    """Frequency-smoothed spectral correlation of signal at one cycle frequency.
+def scd_slice(signal: SampleBuffer, alpha_hz: float, window: SmoothingWindow) -> np.ndarray:
+    """Frequency-smoothed spectral correlation of signal at one cycle frequency,
+    read-only, in DFT bin order (index 0 is DC):
 
     values[l] = scale * (1/L) * sum_v X<s(l)+a+v> * conj(X<s(l)-a+v>) * W(v)
 
     where X<i> is dft(signal) on signed bins (zero outside the band), s(l) is
     the signed bin l, and the buffer's grid, work = SliceWork(1, N, rate, window),
     gives a = work.shift(alpha_hz), scale = work.scale and Fs = work.bin_width.
-    The quantized cycle frequency 2*a*Fs is reported as alpha_effective_hz.
     """
     work = SliceWork(1, len(signal), signal.sample_rate_hz, window)
-    shift = work.shift(alpha_hz)
-    values = smoothed_slices(dft(signal), [shift], work)[0]
-    return ScdSlice(
-        values=np.fft.ifftshift(values),
-        alpha_requested_hz=float(alpha_hz),
-        alpha_effective_hz=2.0 * shift * work.bin_width,
-        scale=work.scale,
-    )
+    row = smoothed_slices(dft(signal), [work.shift(alpha_hz)], work)[0]
+    return read_only(np.fft.ifftshift(row))
 
 
 def cycle_profile(signal: SampleBuffer, alphas_hz, window: SmoothingWindow) -> CycleProfile:

@@ -1,10 +1,13 @@
 """Reference implementations the fast paths are tested against.
 
 dft_naive and scd_slice_naive are O(N^2) oracles for the estimator.  They
-share no code with the package beyond the type definitions, so a defect
-in the FFT path cannot hide in both.  scd_bins_direct evaluates the same
-definition term by term at chosen output bins, from numpy's transform, which
-reaches the reference size N = 4096, L = 1301 that the O(N^2) oracle cannot.
+share no code with the package beyond reading its SampleBuffer and
+SmoothingWindow, so a defect in the FFT path cannot hide in both.  They
+return plain arrays; naive_shift and naive_scale are their own rules for the
+bin shift and the scale, which tests compare with SliceWork's.
+scd_bins_direct evaluates the same definition term by term at chosen output
+bins, from numpy's transform, which reaches the reference size N = 4096,
+L = 1301 that the O(N^2) oracle cannot.
 
 reference_phase_range is the per-trial engine that the blocked one
 replaced: one buffer, one dft and one scd_slice per trial.  It shares
@@ -25,7 +28,7 @@ import dataclasses
 import numpy as np
 
 from cyclosense import (ChannelSpec, ConfigurationError, DetectorKind, SampleBuffer,
-                        ScdSlice, SmoothingWindow, add_awgn, cycle_metric, energy_metric,
+                        SmoothingWindow, add_awgn, cycle_metric, energy_metric,
                         generate_signal, make_window, noise_only, scd_slice)
 from cyclosense.harness import PHASE_H1, _noise_variance, _snr_token, derive_seed
 from cyclosense.siggen import _SIGNAL_FILE_HEADER, open_text
@@ -42,13 +45,23 @@ def dft_naive(signal: SampleBuffer) -> np.ndarray:
     return bins
 
 
+def naive_shift(signal: SampleBuffer, alpha_hz: float) -> int:
+    """The bin shift of alpha_hz as the definition writes it: alpha / (2 fs/N),
+    rounded half to even; 2 * shift * fs/N is the quantized cycle frequency."""
+    return int(round(alpha_hz / (2.0 * (signal.sample_rate_hz / signal.samples.size))))
+
+
+def naive_scale(signal: SampleBuffer) -> float:
+    """The definition's scale 1 / ((N-1) Ts) at Ts = 1/fs."""
+    return 1.0 / ((signal.samples.size - 1) * (1.0 / signal.sample_rate_hz))
+
+
 def scd_slice_naive(signal: SampleBuffer, alpha_hz: float,
-                    window: SmoothingWindow) -> ScdSlice:
+                    window: SmoothingWindow) -> np.ndarray:
     """Same mathematical definition as scd_slice, evaluated the slow way.
 
     Explicit per-term loops over the naive DFT; independent oracle with no
-    shared code beyond the type definitions.  O(N^2) transform plus
-    O(N*L) smoothing, so keep N small.
+    shared code.  O(N^2) transform plus O(N*L) smoothing, so keep N small.
     """
     n = signal.samples.size
     length = window.length
@@ -56,27 +69,16 @@ def scd_slice_naive(signal: SampleBuffer, alpha_hz: float,
         raise ConfigurationError(
             f"window length {length} must be below the transform size {n}"
         )
-    fres = signal.sample_rate_hz / n
-    shift = int(round(alpha_hz / (2.0 * fres)))
-    ts = 1.0 / signal.sample_rate_hz
-    scale = 1.0 / ((n - 1) * ts)
-    values = _definition(dft_naive(signal), shift, window, scale, range(n))
-    return ScdSlice(
-        values=values,
-        alpha_requested_hz=float(alpha_hz),
-        alpha_effective_hz=2.0 * shift * fres,
-        scale=scale,
-    )
+    return _definition(dft_naive(signal), naive_shift(signal, alpha_hz), window,
+                       naive_scale(signal), range(n))
 
 
 def scd_bins_direct(signal: SampleBuffer, alpha_hz: float, window: SmoothingWindow,
                     out_bins) -> np.ndarray:
     """scd_slice's values at the DFT-order bins out_bins, evaluated term by
     term from np.fft.fft bins: O(L) per output bin."""
-    n = signal.samples.size
-    shift = int(round(alpha_hz / (2.0 * (signal.sample_rate_hz / n))))
-    scale = 1.0 / ((n - 1) * (1.0 / signal.sample_rate_hz))
-    return _definition(np.fft.fft(signal.samples), shift, window, scale, out_bins)
+    return _definition(np.fft.fft(signal.samples), naive_shift(signal, alpha_hz), window,
+                       naive_scale(signal), out_bins)
 
 
 def _definition(bins: np.ndarray, shift: int, window: SmoothingWindow, scale: float,

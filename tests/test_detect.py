@@ -33,13 +33,21 @@ class TestCycleMetric:
     def test_value_is_max_magnitude(self):
         piece = tone_slice()
         metric = cycle_metric(piece)
-        assert metric.value == float(np.abs(piece.values).max())
+        assert metric.value == float(np.abs(piece).max())
         assert metric.detector is DetectorKind.CYCLE_FEATURE
 
     def test_amplitude_scaling_is_exactly_quadratic(self):
         one = cycle_metric(tone_slice(amplitude=1.0))
         four = cycle_metric(tone_slice(amplitude=2.0))
         assert four.value == 4.0 * one.value
+
+    @pytest.mark.parametrize("values", [
+        np.array([], dtype=complex), np.ones((2, 4), dtype=complex), np.complex128(1.0)],
+        ids=["empty", "2-D", "0-D"])
+    def test_empty_or_not_1d_refused(self, values):
+        with pytest.raises(ConfigurationError,
+                           match="^slice values must be a nonempty 1-D sequence$"):
+            cycle_metric(values)
 
     def test_signal_plus_noise_exceeds_noise(self):
         noisy = cycle_metric(tone_slice(amplitude=3.0, seed=1))

@@ -19,12 +19,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cyclosense import (ChannelSpec, ConfigurationError, CycleProfile, ModulationKind,
-                        ModulationSpec, SampleBuffer, ScdSlice, SmoothingWindow, WindowKind,
+                        ModulationSpec, SampleBuffer, SmoothingWindow, WindowKind,
                         add_awgn, cycle_profile, dft, generate_signal, make_window, scd_slice,
                         write_profile_csv)
 from cyclosense import scd
 from cyclosense.scd import BLOCK_ROWS, SliceWork, smoothed_slices
-from oracles import dft_naive, profile_grid_arithmetic, scd_bins_direct, scd_slice_naive
+from oracles import (dft_naive, naive_scale, naive_shift, profile_grid_arithmetic,
+                     scd_bins_direct, scd_slice_naive)
 
 
 def rel_err(got, want):
@@ -81,9 +82,8 @@ class TestDft:
         assert abs(lhs - rhs) <= 1e-9 * rhs
 
     def test_frequency_resolution(self):
-        buf = white_buffer(32, seed=0, rate=3e6)
-        piece = scd_slice(buf, 6 * 3e6 / 32, make_window(WindowKind.RECTANGULAR, 1))
-        assert piece.alpha_effective_hz == 2 * 3 * (3e6 / 32)
+        work = SliceWork(1, 32, 3e6, make_window(WindowKind.RECTANGULAR, 1))
+        assert 2.0 * work.shift(6 * 3e6 / 32) * work.bin_width == 2 * 3 * (3e6 / 32)
 
     def test_bins_read_only(self):
         bins = dft(white_buffer(4, seed=0))
@@ -204,20 +204,21 @@ class TestSliceAgainstReference:
         alpha = 2.0 * shift * (buf.sample_rate_hz / n)
         fast = scd_slice(buf, alpha, window)
         slow = scd_slice_naive(buf, alpha, window)
-        assert rel_err(fast.values, slow.values) < 1e-9
-        assert fast.alpha_effective_hz == slow.alpha_effective_hz
-        assert fast.scale == slow.scale
+        assert rel_err(fast, slow) < 1e-9
+        work = SliceWork(1, n, buf.sample_rate_hz, window)
+        assert work.shift(alpha) == naive_shift(buf, alpha)
+        assert work.scale == naive_scale(buf)
 
     def test_reference_and_fast_quantize_ties_to_even(self):
         buf = white_buffer(16, seed=7, rate=16.0)
         window = make_window(WindowKind.RECTANGULAR, 3)
+        work = SliceWork(1, 16, 16.0, window)
         # resolution is 1 Hz, so the half-bin boundary sits at odd alphas
         for alpha, effective in [(1.0, 0.0), (3.0, 4.0), (-1.0, 0.0), (-3.0, -4.0)]:
-            fast = scd_slice(buf, alpha, window)
-            slow = scd_slice_naive(buf, alpha, window)
-            assert fast.alpha_effective_hz == effective
-            assert slow.alpha_effective_hz == effective
-            assert fast.alpha_requested_hz == alpha
+            assert 2.0 * work.shift(alpha) * work.bin_width == effective
+            assert naive_shift(buf, alpha) == work.shift(alpha)
+            assert scd_slice(buf, alpha, window).tobytes() == scd_slice(
+                buf, effective, window).tobytes()
 
 
 @st.composite
@@ -240,15 +241,15 @@ class TestCycleShiftRule:
         buf = white_buffer(n, seed=seed, rate=rate)
         window = make_window(kind, length)
         slow = scd_slice_naive(buf, alpha, window)
-        if np.all(slow.values == 0.0):
+        if np.all(slow == 0.0):
             with pytest.raises(ConfigurationError, match="cycle frequency"):
                 scd_slice(buf, alpha, window)
             with pytest.raises(ConfigurationError, match="cycle frequency"):
                 cycle_profile(buf, [alpha], window)
         else:
             fast = scd_slice(buf, alpha, window)
-            assert rel_err(fast.values, slow.values) < 1e-9
-            assert fast.alpha_effective_hz == slow.alpha_effective_hz
+            assert rel_err(fast, slow) < 1e-9
+            assert SliceWork(1, n, rate, window).shift(alpha) == naive_shift(buf, alpha)
             cycle_profile(buf, [alpha], window)
 
     @pytest.mark.parametrize("alpha", [math.inf, -math.inf, math.nan])
@@ -318,7 +319,7 @@ class TestBlockKernel:
         values = smoothed_slices(spectra, shifts, work)
         for row, buf, shift in zip(values, buffers, shifts):
             slow = scd_slice_naive(buf, 2.0 * shift, window)
-            assert rel_err(np.fft.ifftshift(row), slow.values) < 1e-9
+            assert rel_err(np.fft.ifftshift(row), slow) < 1e-9
 
     @pytest.mark.parametrize("alpha", [2e6, -2e6, 0.0])
     @pytest.mark.parametrize("source", ["noise", "am"])
@@ -335,9 +336,26 @@ class TestBlockKernel:
         signed = [0, 1333, 1334, -1333, -1334, -2048, 2047]
         signed += list(np.random.default_rng(10).integers(-2048, 2048, 13))
         out_bins = np.array(signed) % n
-        values = scd_slice(buf, alpha, window).values
+        values = scd_slice(buf, alpha, window)
         want = scd_bins_direct(buf, alpha, window, out_bins)
         assert np.max(np.abs(values[out_bins] - want)) <= 1e-9 * np.max(np.abs(values))
+
+    @pytest.mark.parametrize("shift", [1365, -1365])
+    def test_slice_is_one_kernel_row(self, shift):
+        # scd_slice is the shared kernel's row at the reference size, in DFT
+        # order, bit for bit, and read-only
+        n, rate = 4096, 3e6
+        am = generate_signal(ModulationSpec(ModulationKind.AM, 1e6, 10e3), n, rate, seed=3)
+        buf = add_awgn(am, ChannelSpec(-22.0, 4))
+        window = make_window(WindowKind.HAMMING, 1301)
+        work = SliceWork(1, n, rate, window)
+        alpha = 2.0 * shift * work.bin_width
+        assert work.shift(alpha) == shift
+        piece = scd_slice(buf, alpha, window)
+        want = np.fft.ifftshift(smoothed_slices(dft(buf), [shift], work)[0])
+        assert piece.shape == (n,) and piece.dtype == np.complex128
+        assert piece.tobytes() == want.tobytes()
+        assert not piece.flags.writeable
 
     def test_reciprocal_scaling_matches_division(self):
         # the kernel scales by a multiply with 1/L, as numpy's complex division
@@ -362,7 +380,7 @@ class TestBlockKernel:
         alphas = [30.0, -2.0, 0.0, 30.0, 94.0, -94.0, 12.0, -2.0, 4.0, 62.0, -30.0]
         assert len(alphas) % BLOCK_ROWS
         profile = cycle_profile(buf, alphas, window)
-        expected = [np.abs(scd_slice(buf, alpha, window).values).max()
+        expected = [np.abs(scd_slice(buf, alpha, window)).max()
                     for alpha in alphas]
         assert np.array_equal(profile.magnitudes, expected)
 
@@ -395,7 +413,7 @@ class TestProfileMirror:
         mirrored = cycle_profile(buf, -alphas, window)
         assert profile.magnitudes.tobytes() == mirrored.magnitudes.tobytes()
         for alpha, got in zip(alphas, profile.magnitudes):
-            want = np.abs(scd_slice_naive(buf, alpha, window).values).max()
+            want = np.abs(scd_slice_naive(buf, alpha, window)).max()
             assert abs(got - want) <= 1e-9 * want
 
     @pytest.mark.parametrize("n, length", [(32, 7), (33, 5), (64, 1)])
@@ -405,7 +423,7 @@ class TestProfileMirror:
         for shift in range(1, (n - 1) // 2 + 1):
             plus = scd_slice(buf, 2.0 * shift, window)
             minus = scd_slice(buf, -2.0 * shift, window)
-            assert minus.values.tobytes() == np.conj(plus.values).tobytes()
+            assert minus.tobytes() == np.conj(plus).tobytes()
 
     def test_full_grid_sends_each_shift_through_the_kernel_once(self, monkeypatch):
         # the profile command's default grid at N = 4096: shifts -2047 .. 2047
@@ -432,7 +450,7 @@ class TestSliceValues:
     def test_zero_signal_gives_zero_slice(self):
         buf = SampleBuffer(np.zeros(32), 32.0)
         piece = scd_slice(buf, 4.0, make_window(WindowKind.HAMMING, 5))
-        assert np.all(piece.values == 0.0)
+        assert np.all(piece == 0.0)
 
     def test_tone_feature_lands_at_dc_bin(self):
         # single line at bin +-4: the correlation at alpha = 2 * tone freq
@@ -442,20 +460,19 @@ class TestSliceValues:
         window = make_window(WindowKind.RECTANGULAR, 1)
         piece = scd_slice(buf, 8.0, window)
         scale = 16.0 / 15.0
-        assert piece.scale == pytest.approx(scale, rel=1e-15)
+        assert SliceWork(1, n, 16.0, window).scale == pytest.approx(scale, rel=1e-15)
         want_peak = scale * (n / 2) ** 2
-        assert abs(piece.values[0] - want_peak) < 1e-9 * want_peak
-        rest = np.abs(piece.values[1:])
+        assert abs(piece[0] - want_peak) < 1e-9 * want_peak
+        rest = np.abs(piece[1:])
         assert np.all(rest < 1e-9 * want_peak)
 
     def test_alpha_zero_is_smoothed_periodogram(self):
         buf = white_buffer(64, seed=5, rate=64.0)
         window = make_window(WindowKind.RECTANGULAR, 1)
         piece = scd_slice(buf, 0.0, window)
-        want = piece.scale * np.abs(np.fft.fft(buf.samples)) ** 2
-        assert rel_err(piece.values, want) < 1e-12
-        assert float(np.max(np.abs(piece.values.imag))) < 1e-12 * float(
-            np.max(piece.values.real))
+        want = SliceWork(1, 64, 64.0, window).scale * np.abs(np.fft.fft(buf.samples)) ** 2
+        assert rel_err(piece, want) < 1e-12
+        assert float(np.max(np.abs(piece.imag))) < 1e-12 * float(np.max(piece.real))
 
     def test_input_scaling_is_exactly_quadratic(self):
         # doubling the samples multiplies every value by exactly 4.0:
@@ -465,14 +482,14 @@ class TestSliceValues:
         window = make_window(WindowKind.HAMMING, 5)
         one = scd_slice(buf, 6.0, window)
         four = scd_slice(doubled, 6.0, window)
-        assert np.array_equal(four.values, 4.0 * one.values)
+        assert np.array_equal(four, 4.0 * one)
 
     def test_negated_alpha_conjugates_the_slice(self):
         buf = white_buffer(32, seed=3, rate=32.0)
         window = make_window(WindowKind.HAMMING, 7)
         plus = scd_slice(buf, 10.0, window)
         minus = scd_slice(buf, -10.0, window)
-        assert rel_err(minus.values, np.conj(plus.values)) < 1e-12
+        assert rel_err(minus, np.conj(plus)) < 1e-12
 
     def test_shift_beyond_band_overlap_gives_zeros(self):
         # bins +-shift only overlap the band for |shift| <= (n-1)/2;
@@ -480,7 +497,7 @@ class TestSliceValues:
         # returns zeros there, and the fast path refuses the shift
         buf = white_buffer(16, seed=4, rate=16.0)
         window = make_window(WindowKind.RECTANGULAR, 3)
-        assert np.all(scd_slice_naive(buf, 30.0, window).values == 0.0)
+        assert np.all(scd_slice_naive(buf, 30.0, window) == 0.0)
         with pytest.raises(ConfigurationError, match="cycle frequency"):
             scd_slice(buf, 30.0, window)
 
@@ -488,7 +505,7 @@ class TestSliceValues:
         buf = white_buffer(64, seed=2, rate=64.0)
         ham = scd_slice(buf, 6.0, make_window(WindowKind.HAMMING, 9))
         rect = scd_slice(buf, 6.0, make_window(WindowKind.RECTANGULAR, 9))
-        assert not np.array_equal(ham.values, rect.values)
+        assert not np.array_equal(ham, rect)
 
     def test_window_must_fit_transform(self):
         buf = white_buffer(8, seed=0)
@@ -506,13 +523,14 @@ class TestSliceValues:
 
     def test_slice_metadata(self):
         buf = white_buffer(32, seed=1, rate=32.0)
-        piece = scd_slice(buf, 6.0, make_window(WindowKind.HAMMING, 3))
-        assert piece.n == 32
-        assert piece.alpha_requested_hz == 6.0
-        assert piece.alpha_effective_hz == 6.0
-        assert piece.scale == pytest.approx(32.0 / 31.0, rel=1e-15)
+        window = make_window(WindowKind.HAMMING, 3)
+        piece = scd_slice(buf, 6.0, window)
+        assert piece.shape == (32,) and piece.dtype == np.complex128
+        work = SliceWork(1, 32, 32.0, window)
+        assert 2.0 * work.shift(6.0) * work.bin_width == 6.0
+        assert work.scale == pytest.approx(32.0 / 31.0, rel=1e-15)
         with pytest.raises(ValueError):
-            piece.values[0] = 0.0
+            piece[0] = 0.0
 
 
 class TestCycleProfile:
@@ -667,20 +685,15 @@ class TestProfileCsv:
         assert np.array_equal(back_mag, profile.magnitudes)
 
 
-class TestScdSliceType:
-    def test_scale_positive(self):
-        with pytest.raises(ConfigurationError):
-            ScdSlice(np.ones(4, dtype=complex), 0.0, 0.0, 0.0)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ScdSlice(np.array([], dtype=complex), 0.0, 0.0, 1.0)
-
-
 class TestCycleProfileType:
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(ConfigurationError):
             CycleProfile(np.zeros(3), np.zeros(2))
+
+    def test_zero_points_rejected(self):
+        with pytest.raises(ConfigurationError,
+                           match="^profile must contain at least one point$"):
+            CycleProfile(np.zeros(0), np.zeros(0))
 
     def test_negative_magnitude_rejected(self):
         with pytest.raises(ConfigurationError):

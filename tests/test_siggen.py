@@ -34,6 +34,10 @@ class TestSampleBuffer:
         with pytest.raises(ConfigurationError):
             SampleBuffer(np.array([]), 1.0)
 
+    def test_rejects_two_dimensional(self):
+        with pytest.raises(ConfigurationError, match="^sample buffer must be a 1-D sequence$"):
+            SampleBuffer(np.ones((2, 4)), 1.0)
+
     def test_rejects_nonfinite(self):
         with pytest.raises(ConfigurationError):
             SampleBuffer(np.array([1.0, np.nan]), 1.0)
@@ -199,6 +203,11 @@ class TestLengthAndRate:
 
 
 class TestModulationSpec:
+    @pytest.mark.parametrize("kind", ["am", 0, None])
+    def test_kind_must_be_a_modulation_kind(self, kind):
+        with pytest.raises(ConfigurationError, match="^kind must be a ModulationKind$"):
+            ModulationSpec(kind, 1e6, 10e3)
+
     def test_bandwidth_must_be_below_carrier(self):
         with pytest.raises(ConfigurationError):
             am_spec(bandwidth_hz=2e6)
