@@ -12,8 +12,8 @@ from .detect import (Decision, DetectorKind, SensingMetric, Threshold,
 from .errors import CalibrationError, ConfigurationError, CyclosenseError
 from .harness import (ComplexityReport, RocPoint, SensingConfig, complexity_model,
                       read_threshold_file, run_roc, write_roc_csv, write_threshold_file)
-from .scd import (CycleProfile, SmoothingWindow, WindowKind, cycle_profile, dft, make_window,
-                  scd_slice, write_profile_csv)
+from .scd import (SmoothingWindow, WindowKind, cycle_profile, dft, make_window, scd_slice,
+                  write_profile_csv)
 from .siggen import (ChannelSpec, ModulationKind, ModulationSpec, SampleBuffer,
                      add_awgn, generate_am, generate_bpsk, generate_signal,
                      noise_only, read_signal_file, write_signal_file)
@@ -25,7 +25,6 @@ __all__ = [
     "ChannelSpec",
     "ComplexityReport",
     "ConfigurationError",
-    "CycleProfile",
     "CyclosenseError",
     "Decision",
     "DetectorKind",

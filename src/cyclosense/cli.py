@@ -156,7 +156,7 @@ def _cmd_profile(args) -> int:
     window = make_window(WindowKind(args.window), args.smoothing_len, n)
     work = SliceWork(0, n, buffer.sample_rate_hz, window)
     alphas = work.grid(args.alpha_max_hz, args.alpha_step_hz)
-    write_profile_csv(cycle_profile(buffer, alphas, window), args.out)
+    write_profile_csv(alphas, cycle_profile(buffer, alphas, window), args.out)
     return 0
 
 
@@ -277,10 +277,10 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return globals()[f"_cmd_{args.command}"](args)
-    except (CyclosenseError, ArithmeticError) as exc:
-        # ArithmeticError: a numeric input the checks above let through
-        # overflowed; it is still the input's fault, not the program's
-        print(f"error: {exc}", file=sys.stderr)
+    except (CyclosenseError, ArithmeticError, MemoryError) as exc:
+        # a numeric input the checks above let through overflowed, or asked for
+        # more memory than the host holds; either is the input's fault, not the program's
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -23,8 +23,8 @@ from .detect import DetectorKind, SensingMetric, Threshold, calibrate_threshold,
 from .errors import ConfigurationError
 from .scd import BLOCK_ROWS, SliceWork, WindowKind, check_window, make_window, smoothed_slices
 from .siggen import ChannelSpec, ModulationKind, ModulationSpec, SampleBuffer, \
-    add_awgn, check_buffer_shape, check_length_and_rate, check_noise_variance, check_seed, \
-    check_snr_db, check_waveform, generate_signal, noise_only, open_text, write_lines
+    add_awgn, check_buffer_shape, check_count, check_length_and_rate, check_noise_variance, \
+    check_seed, check_snr_db, check_waveform, generate_signal, noise_only, open_text, write_lines
 
 __all__ = [
     "SensingConfig",
@@ -101,11 +101,9 @@ class SensingConfig:
         for pf in pfs:
             check_target_pf(pf)
         for name in ("trials", "calibration_trials"):
-            if not isinstance(getattr(self, name), (int, np.integer)) or getattr(self, name) < 1:
-                raise ConfigurationError(f"{name} must be a positive integer")
-        if self.h1_trials is not None and (
-                not isinstance(self.h1_trials, (int, np.integer)) or self.h1_trials < 1):
-            raise ConfigurationError("h1_trials must be a positive integer or None")
+            check_count(name, getattr(self, name))
+        if self.h1_trials is not None:
+            check_count("h1_trials", self.h1_trials)
         check_seed(self.master_seed)
         object.__setattr__(self, "snr_db_list", snrs)
         object.__setattr__(self, "target_pf_list", pfs)

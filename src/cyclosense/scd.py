@@ -41,7 +41,6 @@ BLOCK_ROWS = 4
 __all__ = [
     "WindowKind",
     "SmoothingWindow",
-    "CycleProfile",
     "SliceWork",
     "dft",
     "make_window",
@@ -81,28 +80,6 @@ class SmoothingWindow:
     @property
     def half(self) -> int:
         return (self.weights.size - 1) // 2
-
-
-@dataclass(frozen=True)
-class CycleProfile:
-    """Max slice magnitude over frequency, per cycle frequency."""
-
-    alphas_hz: np.ndarray
-    magnitudes: np.ndarray
-
-    def __post_init__(self):
-        alphas = np.array(self.alphas_hz, dtype=np.float64)
-        mags = np.array(self.magnitudes, dtype=np.float64)
-        if alphas.ndim != 1 or mags.ndim != 1 or alphas.size != mags.size:
-            raise ConfigurationError("profile arrays must be 1-D and equally long")
-        if alphas.size == 0:
-            raise ConfigurationError("profile must contain at least one point")
-        if not np.all(np.isfinite(mags) & (mags >= 0.0)):
-            raise ConfigurationError(
-                "profile magnitudes must be finite and nonnegative; "
-                "the spectral correlation overflowed")
-        object.__setattr__(self, "alphas_hz", read_only(alphas))
-        object.__setattr__(self, "magnitudes", read_only(mags))
 
 
 def dft(signal: SampleBuffer) -> np.ndarray:
@@ -283,8 +260,8 @@ def scd_slice(signal: SampleBuffer, alpha_hz: float, window: SmoothingWindow) ->
     return read_only(np.fft.ifftshift(row))
 
 
-def cycle_profile(signal: SampleBuffer, alphas_hz, window: SmoothingWindow) -> CycleProfile:
-    """Max slice magnitude over frequency per requested cycle frequency; each |alpha| runs once."""
+def cycle_profile(signal: SampleBuffer, alphas_hz, window: SmoothingWindow) -> np.ndarray:
+    """Max slice magnitude over frequency per alpha in alphas_hz, read-only; each |alpha| once."""
     alphas = np.asarray(alphas_hz, dtype=np.float64)
     if alphas.ndim != 1 or alphas.size == 0:
         raise ConfigurationError("alphas_hz must be a nonempty 1-D sequence")
@@ -296,10 +273,19 @@ def cycle_profile(signal: SampleBuffer, alphas_hz, window: SmoothingWindow) -> C
     for first in range(0, len(distinct), BLOCK_ROWS):
         block = distinct[first:first + BLOCK_ROWS]
         peaks[block] = work.peaks(smoothed_slices(bins, block, work))
-    return CycleProfile(alphas, peaks[shifts])
+    magnitudes = peaks[shifts]
+    if not np.isfinite(magnitudes).all():
+        raise ConfigurationError("profile magnitudes must be finite and nonnegative; "
+                                 "the spectral correlation overflowed")
+    return read_only(magnitudes)
 
 
-def write_profile_csv(profile: CycleProfile, path_or_stream) -> None:
-    """Emit `alpha_hz,i_alpha` rows at full precision (see siggen.write_lines)."""
+def write_profile_csv(alphas_hz, magnitudes, path_or_stream) -> None:
+    """Emit `alpha_hz,i_alpha` rows at full precision (see siggen.write_lines).
+    Refuses, before writing, arrays that are not 1-D and equally long."""
+    alphas = np.asarray(alphas_hz, dtype=np.float64)
+    mags = np.asarray(magnitudes, dtype=np.float64)
+    if alphas.ndim != 1 or alphas.shape != mags.shape:
+        raise ConfigurationError("profile arrays must be 1-D and equally long")
     write_lines(["alpha_hz,i_alpha\n", *(f"{alpha!r},{mag!r}\n" for alpha, mag in zip(
-        profile.alphas_hz.tolist(), profile.magnitudes.tolist()))], path_or_stream)
+        alphas.tolist(), mags.tolist()))], path_or_stream)

@@ -146,10 +146,17 @@ def check_seed(seed) -> None:
         raise ConfigurationError(f"seed must be a nonnegative integer, got {seed!r}")
 
 
+def check_count(name, count) -> None:
+    """The rule every sample or trial count meets: an integer in [1, 2**53).  float64
+    holds each such count exactly and numpy can shape an array of it, so a count that
+    the host cannot hold fails with a MemoryError, not a ValueError."""
+    if not isinstance(count, (int, np.integer)) or not 1 <= count < 2**53:
+        raise ConfigurationError(f"{name} must be a positive integer below 2**53, got {count!r}")
+
+
 def check_length_and_rate(n_samples, sample_rate_hz) -> None:
-    """The rule every buffer meets: a positive integer length, a positive finite rate."""
-    if not isinstance(n_samples, (int, np.integer)) or n_samples < 1:
-        raise ConfigurationError("n_samples must be a positive integer")
+    """The rule every buffer meets: a count of samples, a positive finite rate."""
+    check_count("n_samples", n_samples)
     if not (sample_rate_hz > 0.0 and math.isfinite(sample_rate_hz)):
         raise ConfigurationError("sample_rate_hz must be positive and finite")
 

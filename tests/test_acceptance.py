@@ -115,8 +115,8 @@ def test_criterion_3_tone_feature_location(capsys):
     buf = SampleBuffer(np.cos(2.0 * np.pi * (f0 / rate) * k), rate)
     window = make_window(WindowKind.HAMMING, 1301)
     shifts = np.arange(1, n // 2)
-    profile = cycle_profile(buf, 2.0 * shifts * fres, window)
-    best = float(profile.alphas_hz[np.argmax(profile.magnitudes)])
+    alphas = 2.0 * shifts * fres
+    best = float(alphas[np.argmax(cycle_profile(buf, alphas, window))])
     expected = 2.0 * tone_bin * fres
     ok = best == expected
     report(capsys, 3, ok,

@@ -938,6 +938,55 @@ class TestOversizedWindow:
                                 f"transform size {n}\n")
 
 
+class TestOversizedCounts:
+    """A sample or trial count of 2**53 or more is refused by the count rule,
+    with exit 2 and one error line, before any array is shaped from it."""
+
+    @pytest.mark.parametrize("argv, name, value", [
+        (["calibrate", "--detector", "energy", "--noise-variance", "1", "--n", "64",
+          "--fs-hz", "64", "--calibration-trials", "{value}"], "calibration_trials", 10**18),
+        (["calibrate", "--detector", "energy", "--noise-variance", "1", "--n", "64",
+          "--fs-hz", "64", "--calibration-trials", "{value}"], "calibration_trials", 10**20),
+        (["detect", *TINY, "--input", "{tone}", "--noise-variance", "1",
+          "--calibration-trials", "{value}"], "calibration_trials", 10**18),
+        (["roc", *TINY, "--trials", "{value}"], "trials", 10**18),
+        (["roc", *TINY, "--h1-trials", "{value}"], "h1_trials", 10**18),
+        (["roc", *TINY, "--calibration-trials", "{value}"], "calibration_trials", 10**18),
+        (["profile", "--n", "{value}", "--smoothing-len", "1"], "n_samples", 2**62),
+        (["roc", "--n", "{value}", "--smoothing-len", "1"], "n_samples", 2**62),
+        (["calibrate", "--noise-variance", "1", "--n", "{value}"], "n_samples", 2**62),
+    ], ids=["calibrate", "calibrate_beyond_int64", "detect", "roc_trials", "roc_h1_trials",
+            "roc_calibration_trials", "profile_n", "roc_n", "calibrate_n"])
+    def test_exits_2_naming_the_bound(self, argv, name, value, tmp_path, capsys):
+        tone = tone_file(tmp_path / "tone.txt")
+        assert main([arg.format(value=value, tone=tone) for arg in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {name} must be a positive integer below 2**53, "
+                                f"got {value}\n")
+
+    @pytest.mark.parametrize("message, err", [
+        ("Unable to allocate 745. GiB for an array with shape (100000000000,) and data "
+         "type int64", "Unable to allocate 745. GiB for an array with shape (100000000000,) "
+         "and data type int64"),
+        ("", "out of memory"),
+    ], ids=["numpy", "bare"])
+    @pytest.mark.parametrize("argv, callee", [
+        (["profile", *TINY], "cycle_profile"),
+        (["roc", *TINY], "run_roc"),
+        (["calibrate", *TINY, "--noise-variance", "1"], "calibrate_at_noise"),
+    ], ids=["profile", "roc", "calibrate"])
+    def test_memory_error_exits_2(self, argv, callee, message, err, monkeypatch, capsys):
+        # a count below the bound that the host cannot hold, without allocating it
+        def exhaust(*args, **kwargs):
+            raise MemoryError(message)
+        monkeypatch.setattr(cli, callee, exhaust)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {err}\n"
+
+
 # Exact outputs of the small configurations, recorded at the commit before
 # roc, calibrate and detect were moved onto one trial engine.  "{signal}"
 # is a 64-sample tone-plus-noise file at 64 Hz and "{golden}" this
@@ -1176,6 +1225,18 @@ class TestOverflow:
         assert_one_error_line(proc)
         assert "finite" in proc.stderr
         assert "RuntimeWarning" not in proc.stderr
+
+    def test_profile_input_refused_without_output(self, tmp_path):
+        # |X|^2 of 64 samples of 1e160 exceeds the float range
+        signal = tmp_path / "loud.txt"
+        write_signal_file(SampleBuffer(np.full(64, 1e160), 64.0), signal)
+        out = tmp_path / "profile.csv"
+        proc = run_fresh(["profile", "--input", str(signal), "--smoothing-len", "5",
+                          "--out", str(out)])
+        assert_one_error_line(proc)
+        assert proc.stderr == ("error: profile magnitudes must be finite and nonnegative; "
+                               "the spectral correlation overflowed\n")
+        assert not out.exists()
 
 
 class TestUndecodableFile:

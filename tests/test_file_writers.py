@@ -5,9 +5,8 @@ import io
 
 import pytest
 
-from cyclosense import (CycleProfile, DetectorKind, RocPoint, SampleBuffer, Threshold,
-                        write_profile_csv, write_roc_csv, write_signal_file,
-                        write_threshold_file)
+from cyclosense import (DetectorKind, RocPoint, SampleBuffer, Threshold, write_profile_csv,
+                        write_roc_csv, write_signal_file, write_threshold_file)
 
 POINTS = [RocPoint(DetectorKind.ENERGY, -22.0, 0.1, 1.25, 0.09, 0.8, 100, 50),
           RocPoint(DetectorKind.CYCLE_FEATURE, 0.0, 0.01, 2.0 / 3.0, 0.0, 1.0, 100, 50)]
@@ -21,7 +20,9 @@ CASES = {
                 b"energy,-22.0,0.1,1.25,0.09,0.8,100,50\n"),
     "threshold_file": (write_threshold_file, Threshold(2.0 / 3.0, 0.1, 100, DetectorKind.ENERGY),
                        b"energy,0.1,0.6666666666666666\n"),
-    "profile_csv": (write_profile_csv, CycleProfile([-2.0, 0.0, 2.0], [0.1, 1e-300, 3.5]),
+    # write_profile_csv takes its two columns apart, ahead of the target
+    "profile_csv": (lambda columns, target: write_profile_csv(*columns, target),
+                    ([-2.0, 0.0, 2.0], [0.1, 1e-300, 3.5]),
                     b"alpha_hz,i_alpha\n-2.0,0.1\n0.0,1e-300\n2.0,3.5\n"),
     "signal_file": (write_signal_file, SampleBuffer([1.0, -2.5, 1e-300], 48000.0),
                     b"# sample_rate_hz=48000.0\n1.0\n-2.5\n1e-300\n"),

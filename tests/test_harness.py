@@ -111,6 +111,16 @@ class TestSensingConfig:
         with pytest.raises(ConfigurationError):
             tiny_config(**kwargs)
 
+    @pytest.mark.parametrize("name", ["n_samples", "trials", "calibration_trials", "h1_trials"])
+    def test_counts_below_2_to_the_53(self, name):
+        # the largest count allocates nothing here; only the buffers and trials would
+        assert getattr(tiny_config(**{name: 2**53 - 1}), name) == 2**53 - 1
+        with pytest.raises(ConfigurationError,
+                           match=rf"^{name} must be a positive integer below 2\*\*53, got 2\.5$"):
+            tiny_config(**{name: 2.5})
+        with pytest.raises(ConfigurationError, match=rf"below 2\*\*53, got {2**53}$"):
+            tiny_config(**{name: 2**53})
+
     @pytest.mark.parametrize("kind, length", [
         (WindowKind.HAMMING, 4), (WindowKind.HAMMING, 0), (WindowKind.HAMMING, 5.0),
         ("hamming", 5),

@@ -18,10 +18,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclosense import (ChannelSpec, ConfigurationError, CycleProfile, ModulationKind,
-                        ModulationSpec, SampleBuffer, SmoothingWindow, WindowKind,
-                        add_awgn, cycle_profile, dft, generate_signal, make_window, scd_slice,
-                        write_profile_csv)
+from cyclosense import (ChannelSpec, ConfigurationError, ModulationKind, ModulationSpec,
+                        SampleBuffer, SmoothingWindow, WindowKind, add_awgn, cycle_profile, dft,
+                        generate_signal, make_window, scd_slice, write_profile_csv)
 from cyclosense import scd
 from cyclosense.scd import BLOCK_ROWS, SliceWork, smoothed_slices
 from oracles import (dft_naive, naive_scale, naive_shift, profile_grid_arithmetic,
@@ -379,10 +378,10 @@ class TestBlockKernel:
         window = make_window(WindowKind.HAMMING, 9)
         alphas = [30.0, -2.0, 0.0, 30.0, 94.0, -94.0, 12.0, -2.0, 4.0, 62.0, -30.0]
         assert len(alphas) % BLOCK_ROWS
-        profile = cycle_profile(buf, alphas, window)
+        magnitudes = cycle_profile(buf, alphas, window)
         expected = [np.abs(scd_slice(buf, alpha, window)).max()
                     for alpha in alphas]
-        assert np.array_equal(profile.magnitudes, expected)
+        assert np.array_equal(magnitudes, expected)
 
 
 @st.composite
@@ -409,10 +408,10 @@ class TestProfileMirror:
         buf = white_buffer(n, seed=seed, rate=float(n))
         window = make_window(kind, length)
         alphas = 2.0 * np.array(shifts, dtype=np.float64)
-        profile = cycle_profile(buf, alphas, window)
+        magnitudes = cycle_profile(buf, alphas, window)
         mirrored = cycle_profile(buf, -alphas, window)
-        assert profile.magnitudes.tobytes() == mirrored.magnitudes.tobytes()
-        for alpha, got in zip(alphas, profile.magnitudes):
+        assert magnitudes.tobytes() == mirrored.tobytes()
+        for alpha, got in zip(alphas, magnitudes):
             want = np.abs(scd_slice_naive(buf, alpha, window)).max()
             assert abs(got - want) <= 1e-9 * want
 
@@ -540,26 +539,26 @@ class TestCycleProfile:
         n = 256
         buf = cosine_buffer(n, cycles=32)
         alphas = np.arange(-120.0, 121.0, 8.0)
-        profile = cycle_profile(buf, alphas, make_window(WindowKind.HAMMING, 5))
-        positive = profile.alphas_hz > 0.0
-        best = np.argmax(profile.magnitudes[positive])
-        assert profile.alphas_hz[positive][best] == 64.0
+        magnitudes = cycle_profile(buf, alphas, make_window(WindowKind.HAMMING, 5))
+        positive = alphas > 0.0
+        best = np.argmax(magnitudes[positive])
+        assert alphas[positive][best] == 64.0
 
     def test_off_feature_alphas_are_suppressed(self):
         n = 256
         buf = cosine_buffer(n, cycles=32)
         alphas = np.arange(8.0, 120.0, 8.0)
-        profile = cycle_profile(buf, alphas, make_window(WindowKind.HAMMING, 5))
-        peak = profile.magnitudes[profile.alphas_hz == 64.0][0]
-        off = profile.magnitudes[profile.alphas_hz != 64.0]
+        magnitudes = cycle_profile(buf, alphas, make_window(WindowKind.HAMMING, 5))
+        peak = magnitudes[alphas == 64.0][0]
+        off = magnitudes[alphas != 64.0]
         assert np.all(off < 1e-6 * peak)
 
     def test_symmetric_in_alpha(self):
         buf = white_buffer(128, seed=12, rate=128.0)
         alphas = np.array([-40.0, -16.0, 16.0, 40.0])
-        profile = cycle_profile(buf, alphas, make_window(WindowKind.HAMMING, 9))
-        assert profile.magnitudes[2] == pytest.approx(profile.magnitudes[1], rel=1e-12)
-        assert profile.magnitudes[3] == pytest.approx(profile.magnitudes[0], rel=1e-12)
+        magnitudes = cycle_profile(buf, alphas, make_window(WindowKind.HAMMING, 9))
+        assert magnitudes[2] == pytest.approx(magnitudes[1], rel=1e-12)
+        assert magnitudes[3] == pytest.approx(magnitudes[0], rel=1e-12)
 
     def test_alpha_must_stay_inside_twice_nyquist(self):
         # at n = fs = 32, 31.9 Hz is a shift of 16 = n/2 bins, one past (n-1)//2
@@ -569,6 +568,23 @@ class TestCycleProfile:
             with pytest.raises(ConfigurationError, match="cycle frequency"):
                 cycle_profile(buf, [0.0, alpha], window)
         cycle_profile(buf, [29.9, -29.9], window)
+
+    def test_read_only_float64_in_the_order_of_alphas(self):
+        buf = white_buffer(64, seed=3, rate=64.0)
+        window = make_window(WindowKind.HAMMING, 5)
+        alphas = [12, -4, 0]
+        magnitudes = cycle_profile(buf, alphas, window)
+        assert (magnitudes.dtype, magnitudes.shape) == (np.float64, (3,))
+        assert not magnitudes.flags.writeable
+        for alpha, got in zip(alphas, magnitudes):
+            assert got == np.abs(scd_slice(buf, alpha, window)).max()
+
+    @pytest.mark.parametrize("amplitude", [1e160, 1e300])
+    def test_overflow_refused(self, amplitude):
+        # |X|^2 of 64 samples of 1e160 or more exceeds the float range
+        buf = SampleBuffer(np.full(64, amplitude), 64.0)
+        with pytest.raises(ConfigurationError, match="the spectral correlation overflowed$"):
+            cycle_profile(buf, [0.0, 2.0], make_window(WindowKind.HAMMING, 5))
 
     def test_empty_grid_rejected(self):
         buf = white_buffer(32, seed=0, rate=32.0)
@@ -665,9 +681,8 @@ class TestSliceScale:
 
 class TestProfileCsv:
     def test_format_and_full_precision(self):
-        profile = CycleProfile(np.array([0.0, 0.1]), np.array([1.5, 2.0 / 3.0]))
         out = io.StringIO()
-        write_profile_csv(profile, out)
+        write_profile_csv(np.array([0.0, 0.1]), np.array([1.5, 2.0 / 3.0]), out)
         lines = out.getvalue().splitlines()
         assert lines[0] == "alpha_hz,i_alpha"
         assert lines[1] == "0.0,1.5"
@@ -675,31 +690,28 @@ class TestProfileCsv:
 
     def test_round_trip_precision(self):
         rng = np.random.default_rng(6)
-        profile = CycleProfile(rng.normal(size=5), np.abs(rng.normal(size=5)))
+        alphas, magnitudes = rng.normal(size=5), np.abs(rng.normal(size=5))
         out = io.StringIO()
-        write_profile_csv(profile, out)
+        write_profile_csv(alphas, magnitudes, out)
         rows = [line.split(",") for line in out.getvalue().splitlines()[1:]]
         back_alpha = np.array([float(a) for a, _ in rows])
         back_mag = np.array([float(m) for _, m in rows])
-        assert np.array_equal(back_alpha, profile.alphas_hz)
-        assert np.array_equal(back_mag, profile.magnitudes)
+        assert np.array_equal(back_alpha, alphas)
+        assert np.array_equal(back_mag, magnitudes)
 
-
-class TestCycleProfileType:
-    def test_mismatched_lengths_rejected(self):
-        with pytest.raises(ConfigurationError):
-            CycleProfile(np.zeros(3), np.zeros(2))
-
-    def test_zero_points_rejected(self):
+    @pytest.mark.parametrize("alphas, magnitudes", [
+        (np.zeros(3), np.zeros(2)),
+        (np.zeros(2), np.zeros(3)),
+        (np.zeros((2, 2)), np.zeros((2, 2))),
+        (np.zeros(2), np.zeros((2, 1))),
+        (0.0, 1.0),
+    ], ids=["short_magnitudes", "short_alphas", "2d", "2d_magnitudes", "scalars"])
+    @pytest.mark.parametrize("target", ["path", "stream"])
+    def test_refused_before_writing(self, alphas, magnitudes, target, tmp_path):
+        path = tmp_path / "profile.csv"
+        stream = io.StringIO()
         with pytest.raises(ConfigurationError,
-                           match="^profile must contain at least one point$"):
-            CycleProfile(np.zeros(0), np.zeros(0))
-
-    def test_negative_magnitude_rejected(self):
-        with pytest.raises(ConfigurationError):
-            CycleProfile(np.zeros(2), np.array([1.0, -0.5]))
-
-    @pytest.mark.parametrize("value", [math.nan, math.inf])
-    def test_non_finite_magnitude_rejected(self, value):
-        with pytest.raises(ConfigurationError):
-            CycleProfile(np.zeros(2), np.array([1.0, value]))
+                           match="^profile arrays must be 1-D and equally long$"):
+            write_profile_csv(alphas, magnitudes, path if target == "path" else stream)
+        assert not path.exists()
+        assert stream.getvalue() == ""
