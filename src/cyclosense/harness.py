@@ -22,9 +22,9 @@ from .detect import DetectorKind, SensingMetric, Threshold, calibrate_threshold,
     check_target_pf, sum_of_squares
 from .errors import ConfigurationError
 from .scd import BLOCK_ROWS, SliceWork, WindowKind, check_window, make_window, smoothed_slices
-from .siggen import ChannelSpec, ModulationKind, ModulationSpec, SampleBuffer, \
-    add_awgn, check_buffer_shape, check_count, check_length_and_rate, check_noise_variance, \
-    check_seed, check_snr_db, check_waveform, generate_signal, noise_only, open_text, write_lines
+from .siggen import ChannelSpec, ModulationKind, ModulationSpec, SampleBuffer, add_awgn, \
+    check_buffer_shape, check_count, check_length_and_rate, check_noise_variance, check_seed, \
+    check_snr_db, check_waveform, generate_signal, noise_only, open_text, seed_words, write_lines
 
 __all__ = [
     "SensingConfig",
@@ -194,8 +194,7 @@ def _snr_token(snr_db: float) -> int:
 
 def derive_seed(master_seed: int, phase: int, snr_token: int, index: int, slot: int) -> int:
     """128-bit per-trial seed, a pure function of its coordinates."""
-    ss = np.random.SeedSequence(
-        (int(master_seed), int(phase), int(snr_token), int(index), int(slot)))
+    ss = np.random.SeedSequence(seed_words(master_seed, phase, snr_token, index, slot))
     lo, hi = ss.generate_state(2, np.uint64)
     return (int(hi) << 64) | int(lo)
 
@@ -223,27 +222,27 @@ def _score(config: SensingConfig, count: int, buffers) -> np.ndarray:
     slice kernel BLOCK_ROWS at a time; no metric depends on the block boundaries."""
     values = np.empty((len(config.detectors), count))
     row_of = {detector: d for d, detector in enumerate(config.detectors)}
-    # Rows hold samples, then their spectra: the transform runs in place, with no
-    # complex copy of a real block.  A one-shot decision gets one row, and energy
-    # sums share one scratch: freeing four rows at once, or temporaries per row,
-    # lets glibc trim the heap, and the next call faults the pages back in.
+    energy, cycle = row_of.get(DetectorKind.ENERGY), row_of.get(DetectorKind.CYCLE_FEATURE)
+    # Energy sums read each buffer's samples and share one scratch; cycle rows hold samples,
+    # then their spectra, transformed in place.  A one-shot decision gets one row: freeing
+    # four rows at once, or temporaries per row, lets glibc trim the heap and refault it.
     rows = min(BLOCK_ROWS, count)
-    if DetectorKind.CYCLE_FEATURE in row_of:
+    if cycle is not None:
         work, shift = _cycle_work(config, rows)
-    spectra = np.empty((rows, config.n_samples), dtype=np.complex128)
-    squares = np.empty((2, config.n_samples)) if DetectorKind.ENERGY in row_of else None
+        spectra = np.empty((rows, config.n_samples), dtype=np.complex128)
+    squares = np.empty((2, config.n_samples)) if energy is not None else None
     buffers = iter(buffers)
     for first in range(0, count, BLOCK_ROWS):
         columns = slice(first, min(first + BLOCK_ROWS, count))
-        block = spectra[:columns.stop - first]
-        for row, buffer in zip(block, buffers):
-            row[:] = buffer.samples
-        if DetectorKind.ENERGY in row_of:
-            values[row_of[DetectorKind.ENERGY], columns] = [
-                sum_of_squares(r, squares) for r in block.real]
-        if DetectorKind.CYCLE_FEATURE in row_of:
+        for column, buffer in zip(range(first, columns.stop), buffers):
+            if energy is not None:
+                values[energy, column] = sum_of_squares(buffer.samples, squares)
+            if cycle is not None:
+                spectra[column - first] = buffer.samples
+        if cycle is not None:
+            block = spectra[:columns.stop - first]
             np.fft.fft(block, axis=-1, out=block)
-            values[row_of[DetectorKind.CYCLE_FEATURE], columns] = work.peaks(
+            values[cycle, columns] = work.peaks(
                 smoothed_slices(block, [shift] * len(block), work))
         if not np.all(np.isfinite(values[:, columns])):
             raise ConfigurationError(

@@ -50,23 +50,25 @@ class ModulationKind(Enum):
 class SampleBuffer:
     """Real-valued time series together with its sampling rate.
 
-    The sample array is copied on construction and marked read-only, so
-    buffers can be shared freely between concurrent trial workers.
+    Samples are read-only, so buffers can be shared between trial workers.  A caller's
+    samples are copied and checked; a buffer the package draws holds the array it made.
     """
 
     samples: np.ndarray
     sample_rate_hz: float
 
     def __post_init__(self):
-        arr = np.array(self.samples, dtype=np.float64)
+        try:
+            if (arr := np.array(self.samples)).dtype.kind == "c":    # astype drops .imag
+                raise TypeError("complex samples")
+            arr = arr.astype(np.float64, copy=False)
+        except (TypeError, ValueError) as exc:
+            raise ConfigurationError("sample buffer must be a sequence of real numbers") from exc
         if arr.ndim != 1:
             raise ConfigurationError("sample buffer must be a 1-D sequence")
         rate = float(self.sample_rate_hz)
         check_length_and_rate(arr.size, rate)
-        if not np.all(np.isfinite(arr)):
-            raise ConfigurationError("sample buffer contains non-finite values")
-        object.__setattr__(self, "samples", read_only(arr))
-        object.__setattr__(self, "sample_rate_hz", rate)
+        vars(self).update(samples=read_only(_finite(arr)), sample_rate_hz=rate)    # past frozen
 
     def __len__(self) -> int:
         return self.samples.size
@@ -119,6 +121,35 @@ class ChannelSpec:
     def __post_init__(self):
         check_snr_db(self.snr_db)
         check_seed(self.seed)
+
+
+def _finite(arr: np.ndarray) -> np.ndarray:
+    if not np.all(np.isfinite(arr)):
+        raise ConfigurationError("sample buffer contains non-finite values")
+    return arr
+
+
+def _adopt(arr: np.ndarray, sample_rate_hz: float) -> SampleBuffer:
+    """A SampleBuffer around arr, a 1-D float64 array of checked length and rate that
+    this module just made and no caller holds: marked read-only, not copied or scanned."""
+    buffer = object.__new__(SampleBuffer)
+    vars(buffer).update(samples=read_only(arr), sample_rate_hz=float(sample_rate_hz))
+    return buffer
+
+
+def seed_words(*ints) -> np.ndarray:
+    """SeedSequence entropy of nonnegative ints as numpy coerces them: uint32 words, low first."""
+    words = []
+    for n in map(int, ints):
+        words.append(n & 0xFFFFFFFF)
+        while n := n >> 32:
+            words.append(n & 0xFFFFFFFF)
+    return np.array(words, dtype=np.uint32)
+
+
+def _rng(seed: int):
+    """np.random.default_rng(seed), bit for bit, without numpy's per-int coercion."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed_words(seed))))
 
 
 def read_only(arr: np.ndarray) -> np.ndarray:
@@ -195,7 +226,7 @@ def _modulated(spec, kind, envelope, n_samples, sample_rate_hz, seed) -> SampleB
     check_seed(seed)
     x = (envelope(spec, np.arange(n_samples), sample_rate_hz, seed)
          * _carrier(n_samples, sample_rate_hz, spec.carrier_hz))
-    return SampleBuffer(x / math.sqrt(float(np.mean(np.square(x)))), sample_rate_hz)
+    return _adopt(_finite(x / math.sqrt(float(np.mean(np.square(x))))), sample_rate_hz)
 
 
 @lru_cache(maxsize=16)
@@ -212,7 +243,7 @@ def _stopband(n_samples, sample_rate_hz, bandwidth_hz) -> np.ndarray:
 def _am_envelope(spec, k, sample_rate_hz, seed):
     if spec.am_mod_index == 0.0:
         return 1.0
-    spectrum = np.fft.rfft(np.random.default_rng(seed).normal(size=k.size))
+    spectrum = np.fft.rfft(_rng(seed).normal(size=k.size))
     spectrum[_stopband(k.size, sample_rate_hz, spec.bandwidth_hz)] = 0.0
     message = np.fft.irfft(spectrum, k.size)
     return 1.0 + spec.am_mod_index * (message / math.sqrt(float(np.mean(np.square(message)))))
@@ -220,7 +251,7 @@ def _am_envelope(spec, k, sample_rate_hz, seed):
 
 def _bpsk_envelope(spec, k, sample_rate_hz, seed):
     symbol_index = (k * (spec.symbol_rate_hz / sample_rate_hz)).astype(np.int64)
-    symbols = np.random.default_rng(seed).integers(0, 2, int(symbol_index[-1]) + 1) * 2 - 1
+    symbols = _rng(seed).integers(0, 2, int(symbol_index[-1]) + 1) * 2 - 1
     return symbols[symbol_index]
 
 
@@ -266,9 +297,8 @@ def add_awgn(signal: SampleBuffer, channel: ChannelSpec) -> SampleBuffer:
     buffer gets zero-variance noise and keeps its values.
     """
     variance = signal.average_power / (10.0 ** (channel.snr_db / 10.0))
-    rng = np.random.default_rng(channel.seed)
-    noise = rng.normal(0.0, math.sqrt(variance), signal.samples.size)
-    return SampleBuffer(signal.samples + noise, signal.sample_rate_hz)
+    noise = _rng(channel.seed).normal(0.0, math.sqrt(variance), signal.samples.size)
+    return _adopt(_finite(np.add(noise, signal.samples, out=noise)), signal.sample_rate_hz)
 
 
 def noise_only(n_samples: int, variance: float, seed: int,
@@ -281,8 +311,9 @@ def noise_only(n_samples: int, variance: float, seed: int,
     check_length_and_rate(n_samples, sample_rate_hz)
     check_noise_variance(variance)
     check_seed(seed)
-    rng = np.random.default_rng(seed)
-    return SampleBuffer(rng.normal(0.0, math.sqrt(variance), n_samples), sample_rate_hz)
+    # finite by construction, so not scanned: sigma <= sqrt(DBL_MAX), and numpy's
+    # ziggurat gives |z| < 14 (its tail is r + ln(1/u) / r, r = 3.65, u >= 2^-53)
+    return _adopt(_rng(seed).normal(0.0, math.sqrt(variance), n_samples), sample_rate_hz)
 
 
 def write_lines(lines, path_or_stream) -> None:

@@ -11,6 +11,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cyclosense import (CalibrationError, ChannelSpec, ConfigurationError, DetectorKind,
                         ModulationKind, ModulationSpec, RocPoint, SampleBuffer,
@@ -207,6 +209,28 @@ class TestDeriveSeed:
     def test_range(self):
         value = derive_seed(3, 4, 5, 6, 7)
         assert 0 <= value < 2 ** 128
+
+    @staticmethod
+    def numpys(*coordinates):
+        lo, hi = np.random.SeedSequence(coordinates).generate_state(2, np.uint64)
+        return (int(hi) << 64) | int(lo)
+
+    # master seeds and trial indices of several words, and 0 as one word
+    @pytest.mark.parametrize("coordinates", [
+        (0, 0, 0, 0, 0), (0, PHASE_H0, 2**31 - 22000, 7, 0), (2**32, PHASE_H1, 2**31, 2**32, 1),
+        (2**64 + 1, PHASE_CALIBRATION, 0, 2**53 - 1, 0),
+        (2**128 - 1, PHASE_ONESHOT, 0, 2**32 - 1, 1)])
+    def test_equals_numpys_seed_sequence(self, coordinates):
+        assert derive_seed(*coordinates) == self.numpys(*coordinates)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.tuples(st.integers(min_value=0, max_value=2**130),
+                     st.integers(min_value=1, max_value=5),
+                     st.integers(min_value=0, max_value=2**32),
+                     st.integers(min_value=0, max_value=2**70),
+                     st.integers(min_value=0, max_value=1)))
+    def test_random_coordinates_equal_numpys(self, coordinates):
+        assert derive_seed(*coordinates) == self.numpys(*coordinates)
 
     def test_profile_seed_refuses_minus_infinite_snr(self):
         # infinite noise makes no finite buffer, so no profile seeds its noise
@@ -409,7 +433,7 @@ class TestBlockedEngine:
         assert peak < 2 * 2 ** 20
 
     def test_energy_only_memory_stays_within_budget(self):
-        # without the cycle detector the block buffer alone remains, 0.25 MiB
+        # without the cycle detector no block is allocated, only the energy scratch
         config = only(SensingConfig(), ENERGY)
         _compute_phase_range(config, PHASE_H1, -22.0, 0, 1)
         tracemalloc.start()

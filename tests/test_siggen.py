@@ -57,6 +57,73 @@ class TestSampleBuffer:
         src[0] = 99.0
         assert buf.samples[0] == 1.0
 
+    # a complex array would keep its real parts alone, with a ComplexWarning; a
+    # complex or text list would raise numpy's bare TypeError or ValueError
+    @pytest.mark.parametrize("samples", [np.array([1 + 2j, 3 + 0j]), [1 + 2j], ["a"]],
+                             ids=["complex-array", "complex-list", "text"])
+    def test_rejects_what_is_not_real(self, samples):
+        with pytest.raises(ConfigurationError,
+                           match="^sample buffer must be a sequence of real numbers$"):
+            SampleBuffer(samples, 1.0)
+
+
+# numpy's own seeding is the oracle: multi-word seeds, and 0 as one word
+PINNED_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64, 2**128 - 1, 2**200 + 3, np.uint64(2**64 - 1)]
+
+
+class TestOneSeedingRule:
+    """Every generator and channel draws what np.random.default_rng(seed) draws."""
+
+    @staticmethod
+    def assert_numpys_stream(seed):
+        ours, numpys = siggen._rng(seed), np.random.default_rng(seed)
+        assert ours.bit_generator.state == numpys.bit_generator.state
+        assert np.array_equal(ours.normal(size=64), numpys.normal(size=64))
+
+    @pytest.mark.parametrize("seed", PINNED_SEEDS)
+    def test_pinned_seeds(self, seed):
+        self.assert_numpys_stream(seed)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**128 - 1))
+    def test_random_128_bit_seeds(self, seed):
+        self.assert_numpys_stream(seed)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(min_value=0, max_value=2**130), max_size=6))
+    def test_words_are_numpys_entropy(self, ints):
+        assert np.array_equal(np.random.SeedSequence(siggen.seed_words(*ints)).generate_state(8),
+                              np.random.SeedSequence(tuple(ints)).generate_state(8))
+
+    @pytest.mark.parametrize("seed", PINNED_SEEDS)
+    def test_public_draws(self, seed):
+        signal = SampleBuffer(np.ones(256), 3e6)
+        assert np.array_equal(noise_only(256, 2.0, seed, 3e6).samples,
+                              np.random.default_rng(seed).normal(0.0, math.sqrt(2.0), 256))
+        noise = np.random.default_rng(seed).normal(0.0, 1.0, 256)
+        assert np.array_equal(add_awgn(signal, ChannelSpec(0.0, seed)).samples, 1.0 + noise)
+
+
+class TestDrawnBuffers:
+    """A buffer the package draws holds the array it drew: read-only, not copied."""
+
+    def test_read_only_and_shared_with_nothing(self):
+        signal = SampleBuffer(np.ones(1024), 3e6)
+        drawn = [noise_only(1024, 1.0, 3, 3e6), generate_am(am_spec(), 1024, 3e6, 3),
+                 generate_am(am_spec(am_mod_index=0.0), 1024, 3e6, 3),
+                 generate_bpsk(bpsk_spec(), 1024, 3e6, 3), add_awgn(signal, ChannelSpec(0.0, 3))]
+        held = [signal.samples, siggen._carrier(1024, 3e6, 1e6)]
+        for k, buffer in enumerate(drawn):
+            assert buffer.samples.flags.owndata and not buffer.samples.flags.writeable
+            for other in held + [b.samples for b in drawn[:k] + drawn[k + 1:]]:
+                assert not np.shares_memory(buffer.samples, other)
+
+    def test_noise_at_the_largest_variance_is_finite(self):
+        # noise_only does not scan what it draws: sigma <= sqrt(DBL_MAX), |z| < 14
+        for seed in range(200):
+            samples = noise_only(4096, 1.7976931348623157e308, seed, 3e6).samples
+            assert np.all(np.isfinite(samples))
+
 
 class TestGenerateAm:
     def test_same_seed_bit_identical(self):
