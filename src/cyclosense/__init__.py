@@ -10,20 +10,18 @@ from .detect import (Decision, DetectorKind, SensingMetric, Threshold,
                      calibrate_threshold, cycle_metric, decide, energy_metric,
                      required_calibration_trials)
 from .errors import CalibrationError, ConfigurationError, CyclosenseError
-from .harness import (ComplexityReport, RocPoint, SensingConfig, complexity_model,
-                      read_threshold_file, run_roc, write_roc_csv, write_threshold_file)
+from .harness import (RocPoint, SensingConfig, complexity_model, read_threshold_file, run_roc,
+                      write_roc_csv, write_threshold_file)
 from .scd import (SmoothingWindow, WindowKind, cycle_profile, dft, make_window, scd_slice,
                   write_profile_csv)
-from .siggen import (ChannelSpec, ModulationKind, ModulationSpec, SampleBuffer,
-                     add_awgn, generate_am, generate_bpsk, generate_signal,
-                     noise_only, read_signal_file, write_signal_file)
+from .siggen import (ModulationKind, ModulationSpec, SampleBuffer, add_awgn, generate_am,
+                     generate_bpsk, generate_signal, noise_only, read_signal_file,
+                     write_signal_file)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CalibrationError",
-    "ChannelSpec",
-    "ComplexityReport",
     "ConfigurationError",
     "CyclosenseError",
     "Decision",

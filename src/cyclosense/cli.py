@@ -23,8 +23,8 @@ from .harness import (SensingConfig, calibrate_at_noise, complexity_model, measu
                       profile_seed, read_threshold_file, run_roc, write_roc_csv,
                       write_threshold_file)
 from .scd import SliceWork, WindowKind, cycle_profile, make_window, write_profile_csv
-from .siggen import (ChannelSpec, ModulationKind, ModulationSpec, add_awgn,
-                     check_buffer_shape, generate_signal, read_signal_file)
+from .siggen import (ModulationKind, ModulationSpec, add_awgn, check_buffer_shape,
+                     generate_signal, read_signal_file)
 
 # read by roc, profile, calibrate and detect alike
 _SHARED_FLAGS = ("--modulation", "--fc-hz", "--fs-hz", "--bandwidth-hz", "--am-mod-index",
@@ -151,7 +151,7 @@ def _cmd_profile(args) -> int:
         buffer = generate_signal(_modulation_from_args(args), **_shape(args),
                                  seed=profile_seed(args.seed, snr_db, 0))
     if snr_db is not None:
-        buffer = add_awgn(buffer, ChannelSpec(snr_db, profile_seed(args.seed, snr_db, 1)))
+        buffer = add_awgn(buffer, snr_db, profile_seed(args.seed, snr_db, 1))
     n = len(buffer)
     window = make_window(WindowKind(args.window), args.smoothing_len, n)
     work = SliceWork(0, n, buffer.sample_rate_hz, window)
@@ -194,14 +194,10 @@ def _cmd_roc(args) -> int:
 
 
 def _cmd_complexity(args) -> int:
-    report = complexity_model(args.n, args.smoothing_len)
-    print(f"n={report.n} smoothing_len={report.l}")
-    print(f"proposed_real_mul={report.proposed_real_mul}")
-    print(f"proposed_real_add={report.proposed_real_add}")
-    print(f"energy_real_mul={report.energy_real_mul}")
-    print(f"energy_real_add={report.energy_real_add}")
-    print(f"mul_ratio={report.mul_ratio!r}")
-    print(f"add_ratio={report.add_ratio!r}")
+    counts = complexity_model(args.n, args.smoothing_len)
+    print(f"n={args.n} smoothing_len={args.smoothing_len}")
+    for name, value in counts.items():
+        print(f"{name}={value!r}")
     return 0
 
 

@@ -22,14 +22,13 @@ from .detect import DetectorKind, SensingMetric, Threshold, calibrate_threshold,
     check_target_pf, sum_of_squares
 from .errors import ConfigurationError
 from .scd import BLOCK_ROWS, SliceWork, WindowKind, check_window, make_window, smoothed_slices
-from .siggen import ChannelSpec, ModulationKind, ModulationSpec, SampleBuffer, add_awgn, \
+from .siggen import ModulationKind, ModulationSpec, SampleBuffer, add_awgn, \
     check_buffer_shape, check_count, check_length_and_rate, check_noise_variance, check_seed, \
     check_snr_db, check_waveform, generate_signal, noise_only, open_text, seed_words, write_lines
 
 __all__ = [
     "SensingConfig",
     "RocPoint",
-    "ComplexityReport",
     "run_roc",
     "calibrate_at_noise",
     "measure",
@@ -142,48 +141,27 @@ class RocPoint:
             raise ConfigurationError("threshold must be finite and nonnegative")
 
 
-@dataclass(frozen=True)
-class ComplexityReport:
-    """Closed-form real-operation counts for one sensing decision.
+def complexity_model(n: int, l: int) -> dict:
+    """Closed-form real-operation counts for one sensing decision at transform
+    size n and window length l, by name: proposed_real_mul, proposed_real_add,
+    energy_real_mul and energy_real_add as ints, then mul_ratio and add_ratio,
+    the proposed counts over the energy ones.
 
     proposed: radix-2 transform of n samples (each complex multiply
     counted as 4 real multiplies + 2 adds, butterfly adds 2 each) plus a
     single smoothed correlation at one cycle frequency with an l-point
     window.  energy: n squarings plus the magnitude-squared accumulation.
+    mul_ratio equals log2(n)/2 + 5l/(4n).
     """
-
-    n: int
-    l: int
-    proposed_real_mul: int
-    proposed_real_add: int
-    energy_real_mul: int
-    energy_real_add: int
-
-    @property
-    def mul_ratio(self) -> float:
-        """Equals log2(n)/2 + 5l/(4n)."""
-        return self.proposed_real_mul / self.energy_real_mul
-
-    @property
-    def add_ratio(self) -> float:
-        return self.proposed_real_add / self.energy_real_add
-
-
-def complexity_model(n: int, l: int) -> ComplexityReport:
-    """Evaluate the operation-count formulas at transform size n, window l."""
     if not isinstance(n, (int, np.integer)) or n < 1 or n & (n - 1):
         raise ConfigurationError(f"n must be a power of two, got {n}")
     if not isinstance(l, (int, np.integer)) or l < 1:
         raise ConfigurationError("l must be a positive integer")
-    log2n = int(n).bit_length() - 1
-    return ComplexityReport(
-        n=int(n),
-        l=int(l),
-        proposed_real_mul=2 * n * log2n + 5 * l,
-        proposed_real_add=3 * n * log2n + 3 * l,
-        energy_real_mul=4 * n,
-        energy_real_add=3 * n,
-    )
+    n, l = int(n), int(l)
+    log2n = n.bit_length() - 1
+    mul, add = 2 * n * log2n + 5 * l, 3 * n * log2n + 3 * l
+    return dict(proposed_real_mul=mul, proposed_real_add=add, energy_real_mul=4 * n,
+                energy_real_add=3 * n, mul_ratio=mul / (4 * n), add_ratio=add / (3 * n))
 
 
 def _snr_token(snr_db: float) -> int:
@@ -267,7 +245,7 @@ def _compute_phase_range(config: SensingConfig, phase: int, snr_db: float | None
     def trial(t: int) -> SampleBuffer:
         if phase == PHASE_H1:
             return add_awgn(generate_signal(config.modulation, n, rate, seed(t, 0)),
-                            ChannelSpec(snr_db, seed(t, 1)))
+                            snr_db, seed(t, 1))
         return noise_only(n, variance, seed(t, 0), rate)
 
     return _score(config, stop - start, map(trial, range(start, stop)))

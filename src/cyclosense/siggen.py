@@ -23,7 +23,6 @@ __all__ = [
     "ModulationKind",
     "SampleBuffer",
     "ModulationSpec",
-    "ChannelSpec",
     "generate_am",
     "generate_bpsk",
     "generate_signal",
@@ -59,8 +58,9 @@ class SampleBuffer:
 
     def __post_init__(self):
         try:
-            if (arr := np.array(self.samples)).dtype.kind == "c":    # astype drops .imag
-                raise TypeError("complex samples")
+            # astype would drop .imag and parse text
+            if (arr := np.array(self.samples)).dtype.kind in ("c", "U", "S"):
+                raise TypeError("complex or text samples")
             arr = arr.astype(np.float64, copy=False)
         except (TypeError, ValueError) as exc:
             raise ConfigurationError("sample buffer must be a sequence of real numbers") from exc
@@ -108,19 +108,6 @@ class ModulationSpec:
                 raise ConfigurationError("bandwidth_hz must be smaller than carrier_hz")
             if not 0.0 <= self.am_mod_index <= 1.0:
                 raise ConfigurationError("am_mod_index must lie in [0, 1]")
-
-
-@dataclass(frozen=True)
-class ChannelSpec:
-    """AWGN channel: SNR in dB over the full sampling bandwidth, plus the
-    seed that fully determines the noise realization."""
-
-    snr_db: float
-    seed: int
-
-    def __post_init__(self):
-        check_snr_db(self.snr_db)
-        check_seed(self.seed)
 
 
 def _finite(arr: np.ndarray) -> np.ndarray:
@@ -288,17 +275,28 @@ def generate_signal(spec: ModulationSpec, n_samples: int, sample_rate_hz: float,
     return generate_bpsk(spec, n_samples, sample_rate_hz, seed)
 
 
-def add_awgn(signal: SampleBuffer, channel: ChannelSpec) -> SampleBuffer:
-    """Add white Gaussian noise at the channel's SNR.
+def add_awgn(signal: SampleBuffer, snr_db: float, seed: int) -> SampleBuffer:
+    """Add white Gaussian noise at snr_db, the SNR in dB over the full sampling
+    bandwidth; seed fully determines the noise realization.
 
     Noise variance is P_signal / 10^(snr_db / 10) with P_signal measured
     from the buffer, so scaling the input by c scales the noise variance
     by c^2 and the SNR is invariant.  Noise is always drawn: a zero-power
-    buffer gets zero-variance noise and keeps its values.
+    buffer gets zero-variance noise and keeps its values.  A signal whose power
+    puts the variance beyond the float range is refused before any draw.
     """
-    variance = signal.average_power / (10.0 ** (channel.snr_db / 10.0))
-    noise = _rng(channel.seed).normal(0.0, math.sqrt(variance), signal.samples.size)
-    return _adopt(_finite(np.add(noise, signal.samples, out=noise)), signal.sample_rate_hz)
+    check_snr_db(snr_db)
+    check_seed(seed)
+    with np.errstate(over="ignore"):
+        power = signal.average_power
+    variance = power / (10.0 ** (snr_db / 10.0))
+    if not math.isfinite(variance):
+        raise ConfigurationError(f"signal power {power!r} at snr_db={snr_db!r} puts the "
+                                 f"noise variance beyond the float range")
+    # finite by construction, so not scanned: a finite power bounds every |sample|, and
+    # a finite variance sigma, by sqrt(DBL_MAX), and |z| < 14 (see noise_only)
+    noise = _rng(seed).normal(0.0, math.sqrt(variance), signal.samples.size)
+    return _adopt(np.add(noise, signal.samples, out=noise), signal.sample_rate_hz)
 
 
 def noise_only(n_samples: int, variance: float, seed: int,

@@ -27,9 +27,9 @@ import dataclasses
 
 import numpy as np
 
-from cyclosense import (ChannelSpec, ConfigurationError, DetectorKind, SampleBuffer,
-                        SmoothingWindow, add_awgn, cycle_metric, energy_metric,
-                        generate_signal, make_window, noise_only, scd_slice)
+from cyclosense import (ConfigurationError, DetectorKind, SampleBuffer, SmoothingWindow,
+                        add_awgn, cycle_metric, energy_metric, generate_signal, make_window,
+                        noise_only, scd_slice)
 from cyclosense.harness import PHASE_H1, _noise_variance, _snr_token, derive_seed
 from cyclosense.siggen import _SIGNAL_FILE_HEADER, open_text
 
@@ -138,8 +138,8 @@ def reference_phase_range(config, phase: int, snr_db: float | None,
             signal = generate_signal(
                 config.modulation, config.n_samples, config.sample_rate_hz,
                 derive_seed(config.master_seed, phase, token, trial, 0))
-            buffer = add_awgn(signal, ChannelSpec(
-                snr_db, derive_seed(config.master_seed, phase, token, trial, 1)))
+            buffer = add_awgn(signal, snr_db,
+                              derive_seed(config.master_seed, phase, token, trial, 1))
         else:
             buffer = noise_only(
                 config.n_samples, variance,

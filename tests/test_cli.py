@@ -11,6 +11,7 @@ import io
 import os
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -18,9 +19,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from cyclosense import (DetectorKind, SampleBuffer, SensingConfig, Threshold, cli, harness,
-                        noise_only, scd, write_signal_file, write_threshold_file)
+from cyclosense import (DetectorKind, SampleBuffer, SensingConfig, Threshold, add_awgn, cli,
+                        generate_signal, harness, noise_only, scd, write_signal_file,
+                        write_threshold_file)
 from cyclosense.cli import build_parser, config_from_args, main
+from cyclosense.harness import PHASE_H1, _snr_token, derive_seed
 
 TINY = ["--n", "64", "--fs-hz", "64", "--fc-hz", "16", "--bandwidth-hz", "4",
         "--smoothing-len", "5"]
@@ -321,7 +324,9 @@ class TestComplexityCommand:
 
     def test_non_power_of_two_exits_2(self, capsys):
         assert main(["complexity", "--n", "4095"]) == 2
-        assert "error:" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: n must be a power of two, got 4095\n"
 
 
 class TestProfileCommand:
@@ -775,6 +780,29 @@ class TestRocCommand:
         assert code == 2
         assert "share seeds" in capsys.readouterr().err
 
+    def test_each_h1_trial_adds_noise_once_at_its_seed(self, monkeypatch, capsys):
+        # one add_awgn call per H1 trial, in trial order, on the trial's generated
+        # signal with the SNR and the trial's slot-1 seed
+        argv = ["roc", *TINY, "--trials", "4", "--calibration-trials", "20", "--h1-trials", "3",
+                "--target-pf", "0.5", "--snr-db", "0", "--snr-db", "-3", "--seed", "3"]
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return add_awgn(*args)
+
+        monkeypatch.setattr(harness, "add_awgn", spy)
+        assert main(argv) == 0
+        assert capsys.readouterr().err == ""
+        modulation = config_from_args(build_parser().parse_args(argv)).modulation
+        trials = [(snr_db, t) for snr_db in (0.0, -3.0) for t in range(3)]
+        assert len(calls) == len(trials)
+        for (buffer, *rest), (snr_db, t) in zip(calls, trials):
+            seed = partial(derive_seed, 3, PHASE_H1, _snr_token(snr_db), t)
+            assert rest == [snr_db, seed(1)]
+            assert np.array_equal(buffer.samples,
+                                  generate_signal(modulation, 64, 64.0, seed(0)).samples)
+
 
 class TestModulationFields:
     """Each modulation kind checks only the fields it reads, so another kind's
@@ -1025,6 +1053,7 @@ GOLDEN_CASES = {
         "--threshold-file", "{golden}/calibrate_energy.txt"],
     "detect_energy_default_window_calibrated.txt": [
         "detect", "--input", "{signal}", "--detector", "energy", *CALIBRATION],
+    "complexity.txt": ["complexity", "--n", "4096", "--smoothing-len", "1300"],
 }
 
 
@@ -1048,8 +1077,9 @@ class TestGoldenOutputs:
         assert captured.err == ""
         assert captured.out == (GOLDEN_DIR / name).read_text()
 
+    # detect and complexity print to stdout only
     @pytest.mark.parametrize("name", sorted(n for n in GOLDEN_CASES
-                                            if not n.startswith("detect")))
+                                            if not n.startswith(("detect", "complexity"))))
     def test_out_file_matches_recording(self, name, tmp_path, capsys):
         out = tmp_path / "out"
         assert main([*golden_argv(name, tmp_path), "--out", str(out)]) == 0
@@ -1236,6 +1266,19 @@ class TestOverflow:
         assert_one_error_line(proc)
         assert proc.stderr == ("error: profile magnitudes must be finite and nonnegative; "
                                "the spectral correlation overflowed\n")
+        assert not out.exists()
+
+    def test_profile_input_noise_refused_before_drawing(self, tmp_path):
+        # the signal power of 64 samples of 1e154 overflows; add_awgn names it,
+        # and numpy's overflow warning does not reach stderr
+        signal = tmp_path / "big.txt"
+        write_signal_file(SampleBuffer(np.full(64, 1e154), 64.0), signal)
+        out = tmp_path / "profile.csv"
+        proc = run_fresh(["profile", "--input", str(signal), "--snr-db", "0",
+                          "--smoothing-len", "5", "--out", str(out)])
+        assert_one_error_line(proc)
+        assert proc.stderr == ("error: signal power inf at snr_db=0.0 puts the noise "
+                               "variance beyond the float range\n")
         assert not out.exists()
 
 

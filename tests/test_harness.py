@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclosense import (CalibrationError, ChannelSpec, ConfigurationError, DetectorKind,
+from cyclosense import (CalibrationError, ConfigurationError, DetectorKind,
                         ModulationKind, ModulationSpec, RocPoint, SampleBuffer,
                         SensingConfig, Threshold, WindowKind, add_awgn, complexity_model,
                         cycle_metric, energy_metric, generate_signal, harness, make_window,
@@ -156,28 +156,35 @@ class TestSensingConfig:
 
 class TestComplexityModel:
     def test_reference_operating_point(self):
-        report = complexity_model(4096, 1300)
-        assert report.proposed_real_mul == 104804
-        assert report.proposed_real_add == 151356
-        assert report.energy_real_mul == 16384
-        assert report.energy_real_add == 12288
+        counts = complexity_model(4096, 1300)
+        assert counts["proposed_real_mul"] == 104804
+        assert counts["proposed_real_add"] == 151356
+        assert counts["energy_real_mul"] == 16384
+        assert counts["energy_real_add"] == 12288
+
+    def test_names_in_print_order(self):
+        # counts as Python ints, ratios as the quotients of the counts
+        counts = complexity_model(np.int64(4096), np.int64(1300))
+        assert list(counts) == ["proposed_real_mul", "proposed_real_add", "energy_real_mul",
+                                "energy_real_add", "mul_ratio", "add_ratio"]
+        assert [type(value) for value in counts.values()] == [int] * 4 + [float] * 2
+        assert counts["add_ratio"] == counts["proposed_real_add"] / counts["energy_real_add"]
 
     def test_smallest_transform(self):
-        report = complexity_model(2, 1)
-        assert report.proposed_real_mul == 9
-        assert report.proposed_real_add == 9
-        assert report.energy_real_mul == 8
-        assert report.energy_real_add == 6
+        counts = complexity_model(2, 1)
+        assert counts["proposed_real_mul"] == 9
+        assert counts["proposed_real_add"] == 9
+        assert counts["energy_real_mul"] == 8
+        assert counts["energy_real_add"] == 6
 
     def test_mul_ratio_closed_form(self):
         # log2(n)/2 + 5l/(4n); dyadic at this operating point, so exact
-        report = complexity_model(4096, 1300)
-        assert report.mul_ratio == 6.0 + 6500.0 / 16384.0
+        assert complexity_model(4096, 1300)["mul_ratio"] == 6.0 + 6500.0 / 16384.0
 
     def test_growth_is_n_log_n(self):
-        small = complexity_model(1024, 1)
-        large = complexity_model(2048, 1)
-        assert large.proposed_real_mul - 5 == 2 * (small.proposed_real_mul - 5) * 11 / 10
+        small = complexity_model(1024, 1)["proposed_real_mul"]
+        large = complexity_model(2048, 1)["proposed_real_mul"]
+        assert large - 5 == 2 * (small - 5) * 11 / 10
 
     @pytest.mark.parametrize("n", [0, 3, 6, 4095, 4097])
     def test_non_power_of_two_rejected(self, n):
@@ -187,7 +194,7 @@ class TestComplexityModel:
     def test_even_window_length_accepted_verbatim(self):
         # the estimator itself requires odd lengths, but the formula is
         # evaluated at whatever l the caller quotes
-        assert complexity_model(4096, 1300).l == 1300
+        assert complexity_model(4096, 1300)["proposed_real_mul"] == 2 * 4096 * 12 + 5 * 1300
 
     def test_bad_window_length_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -503,8 +510,7 @@ class TestOneScorer:
         else:
             config = tiny_config(n_samples=n, smoothing_len=length, window_kind=kind)
         rate = config.sample_rate_hz
-        buffer = add_awgn(generate_signal(config.modulation, n, rate, 11),
-                          ChannelSpec(0.0, 12))
+        buffer = add_awgn(generate_signal(config.modulation, n, rate, 11), 0.0, 12)
         window = make_window(kind, length)
         library = cycle_metric(scd_slice(buffer, config.alpha0_hz, window))
         (metric,) = measure(only(config, CYCLE), buffer)
@@ -525,7 +531,7 @@ class TestDetectorsInOneConfig:
     @pytest.mark.parametrize("config", CONFIGS, ids=["tiny", "reference"])
     def test_measure(self, config):
         buffer = add_awgn(generate_signal(config.modulation, config.n_samples,
-                                          config.sample_rate_hz, 11), ChannelSpec(0.0, 12))
+                                          config.sample_rate_hz, 11), 0.0, 12)
         alone = tuple(measure(only(config, d), buffer)[0] for d in DETECTORS)
         assert measure(config, buffer) == alone
         assert [m.detector for m in alone] == list(DETECTORS)

@@ -18,8 +18,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclosense import (ChannelSpec, ConfigurationError, ModulationKind, ModulationSpec,
-                        SampleBuffer, SmoothingWindow, WindowKind, add_awgn, cycle_profile, dft,
+from cyclosense import (ConfigurationError, ModulationKind, ModulationSpec, SampleBuffer,
+                        SmoothingWindow, WindowKind, add_awgn, cycle_profile, dft,
                         generate_signal, make_window, scd_slice, write_profile_csv)
 from cyclosense import scd
 from cyclosense.scd import BLOCK_ROWS, SliceWork, smoothed_slices
@@ -329,7 +329,7 @@ class TestBlockKernel:
         buf = white_buffer(n, seed=8, rate=rate)
         if source == "am":
             am = generate_signal(ModulationSpec(ModulationKind.AM, 1e6, 10e3), n, rate, seed=8)
-            buf = add_awgn(am, ChannelSpec(0.0, 9))
+            buf = add_awgn(am, 0.0, 9)
         window = make_window(WindowKind.HAMMING, 1301)
         # DC, both edges of the nonzero region at |a| = 1365, the band's ends
         signed = [0, 1333, 1334, -1333, -1334, -2048, 2047]
@@ -345,7 +345,7 @@ class TestBlockKernel:
         # order, bit for bit, and read-only
         n, rate = 4096, 3e6
         am = generate_signal(ModulationSpec(ModulationKind.AM, 1e6, 10e3), n, rate, seed=3)
-        buf = add_awgn(am, ChannelSpec(-22.0, 4))
+        buf = add_awgn(am, -22.0, 4)
         window = make_window(WindowKind.HAMMING, 1301)
         work = SliceWork(1, n, rate, window)
         alpha = 2.0 * shift * work.bin_width

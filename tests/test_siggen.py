@@ -1,13 +1,14 @@
 """Waveform generator and channel tests."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cyclosense import (ChannelSpec, ConfigurationError, ModulationKind,
+from cyclosense import (ConfigurationError, ModulationKind,
                         ModulationSpec, SampleBuffer, SensingConfig, add_awgn,
                         generate_am, generate_bpsk, generate_signal, noise_only,
                         read_signal_file, write_signal_file)
@@ -58,9 +59,12 @@ class TestSampleBuffer:
         assert buf.samples[0] == 1.0
 
     # a complex array would keep its real parts alone, with a ComplexWarning; a
-    # complex or text list would raise numpy's bare TypeError or ValueError
-    @pytest.mark.parametrize("samples", [np.array([1 + 2j, 3 + 0j]), [1 + 2j], ["a"]],
-                             ids=["complex-array", "complex-list", "text"])
+    # complex or text list would raise numpy's bare TypeError or ValueError, and
+    # text that parses as numbers would be read as them
+    @pytest.mark.parametrize("samples", [np.array([1 + 2j, 3 + 0j]), [1 + 2j], ["a"],
+                                         ["1.5", "2"], np.array([b"1.5", b"2"])],
+                             ids=["complex-array", "complex-list", "text",
+                                  "numeric-text", "numeric-bytes"])
     def test_rejects_what_is_not_real(self, samples):
         with pytest.raises(ConfigurationError,
                            match="^sample buffer must be a sequence of real numbers$"):
@@ -101,7 +105,7 @@ class TestOneSeedingRule:
         assert np.array_equal(noise_only(256, 2.0, seed, 3e6).samples,
                               np.random.default_rng(seed).normal(0.0, math.sqrt(2.0), 256))
         noise = np.random.default_rng(seed).normal(0.0, 1.0, 256)
-        assert np.array_equal(add_awgn(signal, ChannelSpec(0.0, seed)).samples, 1.0 + noise)
+        assert np.array_equal(add_awgn(signal, 0.0, seed).samples, 1.0 + noise)
 
 
 class TestDrawnBuffers:
@@ -111,7 +115,7 @@ class TestDrawnBuffers:
         signal = SampleBuffer(np.ones(1024), 3e6)
         drawn = [noise_only(1024, 1.0, 3, 3e6), generate_am(am_spec(), 1024, 3e6, 3),
                  generate_am(am_spec(am_mod_index=0.0), 1024, 3e6, 3),
-                 generate_bpsk(bpsk_spec(), 1024, 3e6, 3), add_awgn(signal, ChannelSpec(0.0, 3))]
+                 generate_bpsk(bpsk_spec(), 1024, 3e6, 3), add_awgn(signal, 0.0, 3)]
         held = [signal.samples, siggen._carrier(1024, 3e6, 1e6)]
         for k, buffer in enumerate(drawn):
             assert buffer.samples.flags.owndata and not buffer.samples.flags.writeable
@@ -360,18 +364,45 @@ class TestAddAwgn:
     @pytest.mark.parametrize("snr_db", [3000.0, -3000.0])
     def test_snr_limit_keeps_noise_finite(self, snr_db):
         buf = generate_am(am_spec(), 1024, 3e6, seed=1)
-        out = add_awgn(buf, ChannelSpec(snr_db=snr_db, seed=5))
+        out = add_awgn(buf, snr_db=snr_db, seed=5)
         assert np.all(np.isfinite(out.samples))
 
     # -inf: infinite noise makes no finite buffer; +inf: no noise to calibrate on
     @pytest.mark.parametrize("snr_db", [3000.5, -3e6, math.nan, -math.inf, math.inf])
     def test_snr_beyond_limit_rejected(self, snr_db):
-        with pytest.raises(ConfigurationError):
-            ChannelSpec(snr_db=snr_db, seed=5)
+        buf = generate_am(am_spec(), 1024, 3e6, seed=1)
+        with pytest.raises(ConfigurationError, match="snr_db"):
+            add_awgn(buf, snr_db=snr_db, seed=5)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3", None])
+    def test_bad_seed_rejected(self, seed):
+        buf = generate_am(am_spec(), 1024, 3e6, seed=1)
+        with pytest.raises(ConfigurationError, match="seed"):
+            add_awgn(buf, snr_db=0.0, seed=seed)
+
+    # 64 squares of 1e308 overflow their sum, without numpy's warning; a power
+    # of 1e10 at -3000 dB asks for a noise variance of 1e310
+    @pytest.mark.parametrize("value, snr_db, power", [(1e154, 0.0, "inf"),
+                                                      (1e5, -3000.0, "10000000000.0")])
+    def test_overflowing_noise_variance_refused(self, value, snr_db, power):
+        buf = SampleBuffer(np.full(64, value), 64.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigurationError, match=(
+                    f"^signal power {power} at snr_db={snr_db!r} puts the noise variance "
+                    f"beyond the float range$")):
+                add_awgn(buf, snr_db, 5)
+
+    def test_noise_at_the_largest_variance_is_finite(self):
+        # add_awgn does not scan its sum: a finite power bounds every sample, and a
+        # finite variance sigma, by sqrt(DBL_MAX); here the variance is 1.7e308
+        buf = SampleBuffer(np.full(16, 3.3e153), 8.0)
+        for seed in range(200):
+            assert np.all(np.isfinite(add_awgn(buf, -12.0, seed).samples))
 
     def test_zero_db_noise_variance(self):
         buf = generate_am(am_spec(), 4096, 3e6, seed=1)
-        out = add_awgn(buf, ChannelSpec(snr_db=0.0, seed=77))
+        out = add_awgn(buf, snr_db=0.0, seed=77)
         noise = out.samples - buf.samples
         measured = float(np.var(noise))
         # sample variance of N Gaussians has relative spread sqrt(2/(N-1))
@@ -381,7 +412,7 @@ class TestAddAwgn:
     def test_target_variance_tracks_snr(self):
         buf = generate_am(am_spec(), 4096, 3e6, seed=1)
         snr_db = -12.0
-        out = add_awgn(buf, ChannelSpec(snr_db=snr_db, seed=5))
+        out = add_awgn(buf, snr_db=snr_db, seed=5)
         noise = out.samples - buf.samples
         target = 10.0 ** (-snr_db / 10.0)
         spread = target * math.sqrt(2.0 / (len(buf) - 1))
@@ -390,22 +421,21 @@ class TestAddAwgn:
     def test_zero_power_buffer_keeps_its_values(self):
         # noise is always drawn; a zero-power buffer's has zero variance
         buf = SampleBuffer(np.zeros(1024), 3e6)
-        out = add_awgn(buf, ChannelSpec(snr_db=-3000.0, seed=5))
+        out = add_awgn(buf, snr_db=-3000.0, seed=5)
         assert np.array_equal(out.samples, np.zeros(1024))
 
     def test_snr_invariant_under_input_scaling(self):
         # scaling the signal by 2 scales the same-seed noise by exactly 2
         buf = generate_am(am_spec(), 1024, 3e6, seed=1)
         scaled = SampleBuffer(2.0 * buf.samples, buf.sample_rate_hz)
-        channel = ChannelSpec(snr_db=3.0, seed=21)
-        noise1 = add_awgn(buf, channel).samples - buf.samples
-        noise2 = add_awgn(scaled, channel).samples - scaled.samples
+        noise1 = add_awgn(buf, 3.0, 21).samples - buf.samples
+        noise2 = add_awgn(scaled, 3.0, 21).samples - scaled.samples
         assert np.array_equal(noise2, 2.0 * noise1)
 
     def test_same_seed_reproducible(self):
         buf = generate_am(am_spec(), 512, 3e6, seed=1)
-        a = add_awgn(buf, ChannelSpec(snr_db=5.0, seed=9))
-        b = add_awgn(buf, ChannelSpec(snr_db=5.0, seed=9))
+        a = add_awgn(buf, snr_db=5.0, seed=9)
+        b = add_awgn(buf, snr_db=5.0, seed=9)
         assert np.array_equal(a.samples, b.samples)
 
 
