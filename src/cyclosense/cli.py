@@ -184,7 +184,7 @@ def _cmd_detect(args) -> int:
         threshold = _calibrate(args, config)
     decision = decide(metric, threshold)
     print(f"decision={decision.value} detector={detector.value} "
-          f"metric={metric.value!r} threshold={threshold.value!r}")
+          f"metric={metric!r} threshold={threshold.value!r}")
     return 0
 
 

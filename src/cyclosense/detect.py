@@ -19,7 +19,6 @@ from .siggen import SampleBuffer
 __all__ = [
     "DetectorKind",
     "Decision",
-    "SensingMetric",
     "Threshold",
     "cycle_metric",
     "energy_metric",
@@ -43,18 +42,6 @@ class Decision(Enum):
 
 
 @dataclass(frozen=True)
-class SensingMetric:
-    """Nonnegative scalar test statistic from one received buffer."""
-
-    value: float
-    detector: DetectorKind
-
-    def __post_init__(self):
-        if not (math.isfinite(self.value) and self.value >= 0.0):
-            raise ConfigurationError("metric value must be finite and nonnegative")
-
-
-@dataclass(frozen=True)
 class Threshold:
     """Empirical (1 - target_pf) quantile of a noise-only metric sample."""
 
@@ -71,18 +58,25 @@ class Threshold:
             raise ConfigurationError("calibration_trials must be positive")
 
 
-def cycle_metric(values: np.ndarray) -> SensingMetric:
+def _check_metric(value: float) -> float:
+    """value, refused unless finite and nonnegative, as every metric is."""
+    if not (math.isfinite(value) and value >= 0.0):
+        raise ConfigurationError("metric value must be finite and nonnegative")
+    return value
+
+
+def cycle_metric(values: np.ndarray) -> float:
     """Max magnitude over frequency of a slice's values, a nonempty 1-D array as
     scd_slice returns."""
     values = np.asarray(values)
     if values.ndim != 1 or values.size == 0:
         raise ConfigurationError("slice values must be a nonempty 1-D sequence")
-    return SensingMetric(float(np.abs(values).max()), DetectorKind.CYCLE_FEATURE)
+    return _check_metric(float(np.abs(values).max()))
 
 
-def energy_metric(signal: SampleBuffer) -> SensingMetric:
-    # the correctly rounded sum of the squares at any length, order-free; inf refused
-    return SensingMetric(sum_of_squares(signal.samples), DetectorKind.ENERGY)
+def energy_metric(signal: SampleBuffer) -> float:
+    """The correctly rounded sum of the buffer's squares, a float, order-free; inf refused."""
+    return _check_metric(sum_of_squares(signal.samples))
 
 
 @np.errstate(over="ignore")    # an inf square is left to the exact routine, as 2^1024
@@ -156,15 +150,13 @@ def calibrate_threshold(metric_sample, target_pf: float,
     return Threshold(values[index - 1], float(target_pf), k, detector)
 
 
-def decide(metric: SensingMetric, threshold: Threshold) -> Decision:
-    """H1 iff metric >= threshold (a tie detects); a zero threshold, met by all, is refused."""
-    if metric.detector is not threshold.detector:
-        raise ConfigurationError(
-            f"metric from {metric.detector.value} cannot be compared against a "
-            f"{threshold.detector.value} threshold")
+def decide(metric: float, threshold: Threshold) -> Decision:
+    """H1 iff metric >= threshold (a tie detects); a zero threshold, met by all, is refused.
+    No kind is compared: detect refuses another detector's threshold before it measures."""
+    _check_metric(metric)
     if threshold.value == 0.0:
         raise ConfigurationError(f"threshold {threshold.value!r} is met by every metric, an "
                                  "all-zero buffer's too; it decides on no evidence")
-    if metric.value >= threshold.value:
+    if metric >= threshold.value:
         return Decision.H1_ACTIVE
     return Decision.H0_INACTIVE

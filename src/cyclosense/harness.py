@@ -18,8 +18,8 @@ from functools import partial
 
 import numpy as np
 
-from .detect import DetectorKind, SensingMetric, Threshold, calibrate_threshold, \
-    check_target_pf, sum_of_squares
+from .detect import DetectorKind, Threshold, calibrate_threshold, check_target_pf, \
+    sum_of_squares
 from .errors import ConfigurationError
 from .scd import BLOCK_ROWS, SliceWork, WindowKind, check_window, make_window, smoothed_slices
 from .siggen import ModulationKind, ModulationSpec, SampleBuffer, add_awgn, \
@@ -328,11 +328,10 @@ def calibrate_at_noise(config: SensingConfig, target_pf: float, noise_variance: 
 
 
 def measure(config: SensingConfig, buffer: SampleBuffer) -> tuple:
-    """One SensingMetric per detector of config, in order, on a buffer of
-    config's length and rate."""
+    """One built-in float metric per detector of config, in order, on a buffer
+    of config's length and rate."""
     check_buffer_shape(buffer, config.n_samples, config.sample_rate_hz)
-    return tuple(SensingMetric(float(value), detector)
-                 for detector, value in zip(config.detectors, _score(config, 1, [buffer])[:, 0]))
+    return tuple(_score(config, 1, [buffer])[:, 0].tolist())
 
 
 def profile_seed(master_seed: int, snr_db: float | None, slot: int) -> int:

@@ -58,8 +58,9 @@ class SampleBuffer:
 
     def __post_init__(self):
         try:
-            # astype would drop .imag and parse text
-            if (arr := np.array(self.samples)).dtype.kind in ("c", "U", "S"):
+            # astype would drop .imag and parse text, also text held in an object array
+            if (arr := np.array(self.samples)).dtype.kind in "cUST" or arr.dtype.kind == "O" \
+                    and any(isinstance(v, (str, bytes)) for v in arr.flat):
                 raise TypeError("complex or text samples")
             arr = arr.astype(np.float64, copy=False)
         except (TypeError, ValueError) as exc:

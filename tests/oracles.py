@@ -145,8 +145,7 @@ def reference_phase_range(config, phase: int, snr_db: float | None,
                 config.n_samples, variance,
                 derive_seed(config.master_seed, phase, token, trial, 0),
                 config.sample_rate_hz)
-        values[:, i] = [metric.value for metric in
-                        _metrics(buffer, detectors, config.alpha0_hz, window)]
+        values[:, i] = _metrics(buffer, detectors, config.alpha0_hz, window)
     return values
 
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cyclosense import (CalibrationError, ConfigurationError, Decision,
-                        DetectorKind, SampleBuffer, SensingMetric, Threshold,
+                        DetectorKind, SampleBuffer, Threshold,
                         WindowKind, calibrate_threshold, cycle_metric, decide,
                         energy_metric, make_window, noise_only,
                         required_calibration_trials, scd_slice)
@@ -33,13 +33,13 @@ class TestCycleMetric:
     def test_value_is_max_magnitude(self):
         piece = tone_slice()
         metric = cycle_metric(piece)
-        assert metric.value == float(np.abs(piece).max())
-        assert metric.detector is DetectorKind.CYCLE_FEATURE
+        assert type(metric) is float
+        assert metric == float(np.abs(piece).max())
 
     def test_amplitude_scaling_is_exactly_quadratic(self):
         one = cycle_metric(tone_slice(amplitude=1.0))
         four = cycle_metric(tone_slice(amplitude=2.0))
-        assert four.value == 4.0 * one.value
+        assert four == 4.0 * one
 
     @pytest.mark.parametrize("values", [
         np.array([], dtype=complex), np.ones((2, 4), dtype=complex), np.complex128(1.0)],
@@ -49,13 +49,21 @@ class TestCycleMetric:
                            match="^slice values must be a nonempty 1-D sequence$"):
             cycle_metric(values)
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_slice_refused(self, bad):
+        values = np.ones(8, dtype=complex)
+        values[3] = bad
+        with pytest.raises(ConfigurationError,
+                           match="^metric value must be finite and nonnegative$"):
+            cycle_metric(values)
+
     def test_signal_plus_noise_exceeds_noise(self):
         noisy = cycle_metric(tone_slice(amplitude=3.0, seed=1))
         rng = np.random.default_rng(1)
         noise = SampleBuffer(rng.normal(size=64), 64.0)
         window = make_window(WindowKind.HAMMING, 5)
         quiet = cycle_metric(scd_slice(noise, 16.0, window))
-        assert noisy.value > quiet.value
+        assert noisy > quiet
 
 
 class TestEnergyMetric:
@@ -64,14 +72,14 @@ class TestEnergyMetric:
         buf = SampleBuffer(rng.normal(size=257), 1.0)
         metric = energy_metric(buf)
         exact = sum(Fraction(float(v)) ** 2 for v in buf.samples)
-        assert metric.value == float(exact)
-        assert metric.detector is DetectorKind.ENERGY
+        assert type(metric) is float
+        assert metric == float(exact)
 
     def test_order_independent(self):
         rng = np.random.default_rng(4)
         x = rng.normal(size=100)
-        forward = energy_metric(SampleBuffer(x, 1.0)).value
-        reverse = energy_metric(SampleBuffer(x[::-1].copy(), 1.0)).value
+        forward = energy_metric(SampleBuffer(x, 1.0))
+        reverse = energy_metric(SampleBuffer(x[::-1].copy(), 1.0))
         assert forward == reverse
 
     @settings(max_examples=50, deadline=None)
@@ -83,9 +91,9 @@ class TestEnergyMetric:
         # far below 2^53, so fsum returns the exact value on each piece
         cut = min(cut, len(ints) - 1)
         x = np.array(ints, dtype=np.float64) / 64.0
-        whole = energy_metric(SampleBuffer(x, 1.0)).value
-        left = energy_metric(SampleBuffer(x[:cut].copy(), 1.0)).value
-        right = energy_metric(SampleBuffer(x[cut:].copy(), 1.0)).value
+        whole = energy_metric(SampleBuffer(x, 1.0))
+        left = energy_metric(SampleBuffer(x[:cut].copy(), 1.0))
+        right = energy_metric(SampleBuffer(x[cut:].copy(), 1.0))
         assert whole == left + right
 
 
@@ -414,21 +422,13 @@ class TestDecide:
         self.threshold = Threshold(5.0, 0.1, 100, DetectorKind.CYCLE_FEATURE)
 
     def test_above_is_active(self):
-        metric = SensingMetric(5.5, DetectorKind.CYCLE_FEATURE)
-        assert decide(metric, self.threshold) is Decision.H1_ACTIVE
+        assert decide(5.5, self.threshold) is Decision.H1_ACTIVE
 
     def test_below_is_inactive(self):
-        metric = SensingMetric(4.5, DetectorKind.CYCLE_FEATURE)
-        assert decide(metric, self.threshold) is Decision.H0_INACTIVE
+        assert decide(4.5, self.threshold) is Decision.H0_INACTIVE
 
     def test_tie_counts_as_detection(self):
-        metric = SensingMetric(5.0, DetectorKind.CYCLE_FEATURE)
-        assert decide(metric, self.threshold) is Decision.H1_ACTIVE
-
-    def test_detector_mismatch_rejected(self):
-        metric = SensingMetric(9.0, DetectorKind.ENERGY)
-        with pytest.raises(ConfigurationError):
-            decide(metric, self.threshold)
+        assert decide(5.0, self.threshold) is Decision.H1_ACTIVE
 
     @pytest.mark.parametrize("value", [0.0, -0.0])
     def test_zero_threshold_refused(self, value):
@@ -436,20 +436,22 @@ class TestDecide:
         threshold = Threshold(value, 0.1, 100, DetectorKind.ENERGY)
         for metric in (0.0, 1.0):
             with pytest.raises(ConfigurationError, match=f"threshold {value!r} "):
-                decide(SensingMetric(metric, DetectorKind.ENERGY), threshold)
+                decide(metric, threshold)
 
     def test_smallest_positive_threshold_still_decides(self):
         threshold = Threshold(5e-324, 0.1, 100, DetectorKind.ENERGY)
-        zero, tie = (SensingMetric(v, DetectorKind.ENERGY) for v in (0.0, 5e-324))
-        assert decide(zero, threshold) is Decision.H0_INACTIVE
-        assert decide(tie, threshold) is Decision.H1_ACTIVE
+        assert decide(0.0, threshold) is Decision.H0_INACTIVE
+        assert decide(5e-324, threshold) is Decision.H1_ACTIVE
 
 
 class TestMetricAndThresholdTypes:
     def test_metric_rejects_negative_nan_inf(self):
+        # a metric is a float; decide refuses one that no detector returns
+        threshold = Threshold(1.0, 0.1, 100, DetectorKind.ENERGY)
         for bad in (-1.0, math.nan, math.inf):
-            with pytest.raises(ConfigurationError):
-                SensingMetric(bad, DetectorKind.ENERGY)
+            with pytest.raises(ConfigurationError,
+                               match="^metric value must be finite and nonnegative$"):
+                decide(bad, threshold)
 
     def test_threshold_rejects_bad_fields(self):
         with pytest.raises(ConfigurationError):
@@ -469,7 +471,7 @@ class TestEndToEnd:
         for _ in range(100):
             noise = SampleBuffer(rng.normal(size=n), float(n))
             noise_metrics.append(
-                cycle_metric(scd_slice(noise, 16.0, window)).value)
+                cycle_metric(scd_slice(noise, 16.0, window)))
         threshold = calibrate_threshold(noise_metrics, 0.1)
         loud = cycle_metric(tone_slice(n=n, cycles=8, amplitude=10.0, seed=1))
         assert decide(loud, threshold) is Decision.H1_ACTIVE
@@ -484,6 +486,6 @@ class TestEndToEnd:
         with pytest.raises(ConfigurationError, match="cycle frequency"):
             for seed in range(100):
                 noise = noise_only(n, 1.0, seed=seed, sample_rate_hz=float(n))
-                metrics.append(cycle_metric(scd_slice(noise, 30.0, window)).value)
+                metrics.append(cycle_metric(scd_slice(noise, 30.0, window)))
             calibrate_threshold(metrics, 0.1)
         assert metrics == []

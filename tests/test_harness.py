@@ -459,7 +459,7 @@ class TestBlockedEngine:
         buffers = [SampleBuffer(scale * rng.normal(size=config.n_samples),
                                 config.sample_rate_hz) for scale in (1e-150, 1.0, 1e150, 0.0)]
         values = _score(only(config, ENERGY), len(buffers), buffers)
-        assert values[0].tolist() == [energy_metric(buffer).value for buffer in buffers]
+        assert values[0].tolist() == [energy_metric(buffer) for buffer in buffers]
 
     def test_energy_overflow_refused_as_configuration_error(self):
         # every square is finite, their sum is not: the scorer's finiteness
@@ -485,8 +485,14 @@ class TestOneScorer:
                                 derive_seed(config.master_seed, PHASE_ONESHOT, 0, k, 0),
                                 config.sample_rate_hz)
             (metric,) = measure(config, buffer)
-            assert metric.detector is detector
-            assert metric.value == engine[0, k]
+            assert metric == engine[0, k]
+
+    def test_measure_returns_builtin_floats(self):
+        config = tiny_config()
+        buffer = noise_only(config.n_samples, 1.0, 5, config.sample_rate_hz)
+        metrics = measure(config, buffer)
+        assert type(metrics) is tuple
+        assert [type(metric) for metric in metrics] == [float, float]
 
     def test_decision_memory_stays_within_budget(self):
         # One row of block buffers, transformed in place: 0.29 MiB at
@@ -534,7 +540,10 @@ class TestDetectorsInOneConfig:
                                           config.sample_rate_hz, 11), 0.0, 12)
         alone = tuple(measure(only(config, d), buffer)[0] for d in DETECTORS)
         assert measure(config, buffer) == alone
-        assert [m.detector for m in alone] == list(DETECTORS)
+        # each in its detector's place: the library's metrics, in DETECTORS order
+        window = make_window(config.window_kind, config.smoothing_len)
+        assert alone == (cycle_metric(scd_slice(buffer, config.alpha0_hz, window)),
+                         energy_metric(buffer))
         reversed_order = dataclasses.replace(config, detectors=(ENERGY, CYCLE))
         assert measure(reversed_order, buffer) == alone[::-1]
 

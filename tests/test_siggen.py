@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,6 +16,8 @@ from cyclosense import (ConfigurationError, ModulationKind,
 from cyclosense import siggen
 from cyclosense.siggen import check_buffer_shape, check_noise_variance, check_waveform
 from oracles import read_signal_file_lines
+
+STRING_DTYPE = getattr(getattr(np, "dtypes", None), "StringDType", None)    # numpy >= 2.0
 
 
 def am_spec(**kwargs):
@@ -60,15 +63,24 @@ class TestSampleBuffer:
 
     # a complex array would keep its real parts alone, with a ComplexWarning; a
     # complex or text list would raise numpy's bare TypeError or ValueError, and
-    # text that parses as numbers would be read as them
-    @pytest.mark.parametrize("samples", [np.array([1 + 2j, 3 + 0j]), [1 + 2j], ["a"],
-                                         ["1.5", "2"], np.array([b"1.5", b"2"])],
-                             ids=["complex-array", "complex-list", "text",
-                                  "numeric-text", "numeric-bytes"])
+    # text that parses as numbers would be read as them, in any array that holds it
+    @pytest.mark.parametrize("samples", [
+        np.array([1 + 2j, 3 + 0j]), [1 + 2j], ["a"], ["1.5", "2"], np.array([b"1.5", b"2"]),
+        np.array(["1.5", "2"], dtype=object), np.array([b"1.5", b"2"], dtype=object),
+        [Fraction(3, 2), "2"],
+        pytest.param(np.array(["1.5", "2"], dtype=STRING_DTYPE()) if STRING_DTYPE else None,
+                     marks=pytest.mark.skipif(STRING_DTYPE is None,
+                                              reason="numpy has no StringDType")),
+    ], ids=["complex-array", "complex-list", "text", "numeric-text", "numeric-bytes",
+            "object-text", "object-bytes", "fraction-and-text", "stringdtype-text"])
     def test_rejects_what_is_not_real(self, samples):
         with pytest.raises(ConfigurationError,
                            match="^sample buffer must be a sequence of real numbers$"):
             SampleBuffer(samples, 1.0)
+
+    def test_accepts_numbers_held_as_objects(self):
+        samples = np.array([Fraction(3, 2), Fraction(2), 3], dtype=object)
+        assert SampleBuffer(samples, 1.0).samples.tolist() == [1.5, 2.0, 3.0]
 
 
 # numpy's own seeding is the oracle: multi-word seeds, and 0 as one word
