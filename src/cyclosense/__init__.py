@@ -11,8 +11,7 @@ from .detect import (Decision, DetectorKind, Threshold, calibrate_threshold, cyc
 from .errors import CalibrationError, ConfigurationError, CyclosenseError
 from .harness import (RocPoint, SensingConfig, complexity_model, read_threshold_file, run_roc,
                       write_roc_csv, write_threshold_file)
-from .scd import (SmoothingWindow, WindowKind, cycle_profile, dft, make_window, scd_slice,
-                  write_profile_csv)
+from .scd import WindowKind, cycle_profile, dft, make_window, scd_slice, write_profile_csv
 from .siggen import (ModulationKind, ModulationSpec, SampleBuffer, add_awgn, generate_am,
                      generate_bpsk, generate_signal, noise_only, read_signal_file,
                      write_signal_file)
@@ -30,7 +29,6 @@ __all__ = [
     "RocPoint",
     "SampleBuffer",
     "SensingConfig",
-    "SmoothingWindow",
     "Threshold",
     "WindowKind",
     "add_awgn",

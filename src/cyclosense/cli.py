@@ -22,7 +22,7 @@ from .errors import ConfigurationError, CyclosenseError
 from .harness import (SensingConfig, calibrate_at_noise, complexity_model, measure,
                       profile_seed, read_threshold_file, run_roc, write_roc_csv,
                       write_threshold_file)
-from .scd import SliceWork, WindowKind, cycle_profile, make_window, write_profile_csv
+from .scd import SliceWork, WindowKind, cycle_profile, write_profile_csv
 from .siggen import (ModulationKind, ModulationSpec, add_awgn, check_buffer_shape,
                      generate_signal, read_signal_file)
 
@@ -152,11 +152,10 @@ def _cmd_profile(args) -> int:
                                  seed=profile_seed(args.seed, snr_db, 0))
     if snr_db is not None:
         buffer = add_awgn(buffer, snr_db, profile_seed(args.seed, snr_db, 1))
-    n = len(buffer)
-    window = make_window(WindowKind(args.window), args.smoothing_len, n)
-    work = SliceWork(0, n, buffer.sample_rate_hz, window)
+    window = (WindowKind(args.window), args.smoothing_len)
+    work = SliceWork(0, len(buffer), buffer.sample_rate_hz, *window)
     alphas = work.grid(args.alpha_max_hz, args.alpha_step_hz)
-    write_profile_csv(alphas, cycle_profile(buffer, alphas, window), args.out)
+    write_profile_csv(alphas, cycle_profile(buffer, alphas, *window), args.out)
     return 0
 
 

@@ -21,7 +21,7 @@ import numpy as np
 from .detect import DetectorKind, Threshold, calibrate_threshold, check_target_pf, \
     sum_of_squares
 from .errors import ConfigurationError
-from .scd import BLOCK_ROWS, SliceWork, WindowKind, check_window, make_window, smoothed_slices
+from .scd import BLOCK_ROWS, SliceWork, WindowKind, check_window, smoothed_slices
 from .siggen import ModulationKind, ModulationSpec, SampleBuffer, add_awgn, \
     check_buffer_shape, check_count, check_length_and_rate, check_noise_variance, check_seed, \
     check_snr_db, check_waveform, generate_signal, noise_only, open_text, seed_words, write_lines
@@ -184,8 +184,8 @@ def _noise_variance(snr_db: float) -> float:
 
 def _cycle_work(config: SensingConfig, rows: int):
     """The cycle detector's SliceWork of `rows` rows on config's grid, and its nonzero shift."""
-    work = SliceWork(rows, config.n_samples, config.sample_rate_hz,
-                     make_window(config.window_kind, config.smoothing_len))
+    work = SliceWork(rows, config.n_samples, config.sample_rate_hz, config.window_kind,
+                     config.smoothing_len)
     shift = work.shift(config.alpha0_hz)
     if not shift:
         raise ConfigurationError(

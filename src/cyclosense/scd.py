@@ -24,7 +24,6 @@ reads the quantized cycle frequency 2 a Fs and the scale from a SliceWork.
 """
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
@@ -40,7 +39,6 @@ BLOCK_ROWS = 4
 
 __all__ = [
     "WindowKind",
-    "SmoothingWindow",
     "SliceWork",
     "dft",
     "make_window",
@@ -54,32 +52,6 @@ __all__ = [
 class WindowKind(Enum):
     HAMMING = "hamming"
     RECTANGULAR = "rectangular"
-
-
-@dataclass(frozen=True, eq=False)
-class SmoothingWindow:
-    """Odd-length symmetric spectral smoothing window with unit mean."""
-
-    weights: np.ndarray
-    kind: WindowKind
-
-    def __post_init__(self):
-        arr = np.array(self.weights, dtype=np.float64)
-        if arr.ndim != 1 or arr.size == 0 or arr.size % 2 == 0:
-            raise ConfigurationError("window weights must have odd positive length")
-        if not np.array_equal(arr, arr[::-1]):
-            raise ConfigurationError("window weights must be symmetric")
-        if abs(float(np.mean(arr)) - 1.0) > 1e-12:
-            raise ConfigurationError("window weights must average to 1")
-        object.__setattr__(self, "weights", read_only(arr))
-
-    @property
-    def length(self) -> int:
-        return self.weights.size
-
-    @property
-    def half(self) -> int:
-        return (self.weights.size - 1) // 2
 
 
 def dft(signal: SampleBuffer) -> np.ndarray:
@@ -101,27 +73,25 @@ def check_window(kind: WindowKind, length: int, n: int | None = None) -> None:
         raise ConfigurationError(f"window length {length} must be below the transform size {n}")
 
 
-def make_window(kind: WindowKind, length: int, n: int | None = None) -> SmoothingWindow:
-    """The smoothing window of kind and length (below n if given), normalized to unit mean.
-
-    Windows are immutable, so equal requests share one instance.  Hamming
-    weights are mirrored about the center before normalization so the
-    symmetry invariant holds exactly in floating point.
+def make_window(kind: WindowKind, length: int, n: int | None = None) -> np.ndarray:
+    """The read-only weights of the window of kind and length (below n if given),
+    normalized to unit mean.  Equal requests share one array.  Hamming weights are
+    mirrored about the center before normalization, so they are exactly symmetric.
     """
     check_window(kind, length, n)
     return _window(kind, int(length))
 
 
 @lru_cache(maxsize=16)
-def _window(kind: WindowKind, length: int) -> SmoothingWindow:
+def _window(kind: WindowKind, length: int) -> np.ndarray:
     if kind is WindowKind.RECTANGULAR or length == 1:
-        return SmoothingWindow(np.ones(length), kind)
+        return read_only(np.ones(length))
     j = np.arange(length, dtype=np.float64)
     weights = 0.54 - 0.46 * np.cos(2.0 * np.pi * j / (length - 1))
     half = (length - 1) // 2
     weights[half + 1:] = weights[half - 1::-1]
     weights *= length / weights.sum()
-    return SmoothingWindow(weights, kind)
+    return read_only(weights)
 
 
 def _next_pow2(m: int) -> int:
@@ -129,14 +99,15 @@ def _next_pow2(m: int) -> int:
 
 
 @lru_cache(maxsize=16)
-def _window_transform(window: SmoothingWindow, nfft: int) -> np.ndarray:
-    return read_only(np.fft.fft(window.weights, nfft))
+def _window_transform(kind: WindowKind, length: int, nfft: int) -> np.ndarray:
+    return read_only(np.fft.fft(_window(kind, length), nfft))
 
 
 class SliceWork:
-    """The grid of n samples at sample_rate_hz, and the buffers of smoothed_slices
-    for blocks of up to `rows` slices.  Refuses, in this order, a length or rate no
-    buffer has, a bin width, a window and a scale 1 / ((n-1) * Ts) the grid cannot hold.
+    """The grid of n samples at sample_rate_hz, make_window's weights of kind and length,
+    and the buffers of smoothed_slices for blocks of up to `rows` slices.  Refuses, in this
+    order, a length or rate no buffer has, a bin width, a window (check_window's rule) and
+    a scale 1 / ((n-1) * Ts) the grid cannot hold.
 
     Reusing one across calls spares each slice its ~100 KB temporaries,
     which glibc would otherwise map, fault in and unmap every time.  glibc
@@ -145,11 +116,11 @@ class SliceWork:
     then stays on the heap from the first call, not from the first SliceWork's death.
     """
 
-    def __init__(self, rows: int, n: int, sample_rate_hz: float, window: SmoothingWindow):
+    def __init__(self, rows: int, n: int, sample_rate_hz: float, kind: WindowKind, length: int):
         check_length_and_rate(n, sample_rate_hz)
         if not sample_rate_hz / n:
             raise ConfigurationError(f"bin width {sample_rate_hz!r} Hz / {n} underflows to 0 Hz")
-        check_window(window.kind, window.length, n)
+        weights = make_window(kind, length, n)
         self.scale = 1.0 / ((n - 1) * (1.0 / sample_rate_hz))
         if not 0.0 < self.scale < math.inf:
             raise ConfigurationError(f"slice scale 1/((n-1) Ts) = {self.scale!r} is not "
@@ -157,9 +128,10 @@ class SliceWork:
         self.n = n
         self.bin_width = sample_rate_hz / n
         self.max_shift = (n - 1) // 2
-        self.window = window
-        nfft = n if window.length == 1 else _next_pow2(n + window.length - 1)
-        self.transform = None if window.length == 1 else _window_transform(window, nfft)
+        self.weights = weights
+        length = weights.size
+        nfft = n if length == 1 else _next_pow2(n + length - 1)
+        self.transform = None if length == 1 else _window_transform(kind, length, nfft)
         self.centered = np.empty(n, dtype=np.complex128)
         np.empty((rows, nfft), dtype=np.complex128)  # freed untouched; see the docstring
         self.products = np.empty((rows, nfft), dtype=np.complex128)
@@ -227,17 +199,15 @@ def smoothed_slices(spectra: np.ndarray, shifts, work: SliceWork) -> np.ndarray:
             # the last bit of a large `x * np.conj(y)`
             np.conj(centered[:n - 2 * a], out=row[a:n - a])
             np.multiply(centered[2 * a:], row[a:n - a], out=row[a:n - a])
-        if work.transform is None:
-            # the single weight is 1 only to within SmoothingWindow's tolerance
-            values = block
-            np.multiply(values, work.window.weights[0], out=values)
-        else:
+        length = work.weights.size
+        values = block
+        if work.transform is not None:
             np.fft.fft(block, axis=-1, out=block)
             np.multiply(block, work.transform, out=block)
             np.fft.ifft(block, axis=-1, out=block)
-            values = block[:, work.window.half:work.window.half + n]
+            values = block[:, length // 2:length // 2 + n]
         # numpy divides by L + 0j as (re + im*0) * fl(1/L): the same bits but a zero's sign
-        np.multiply(values, 1.0 / work.window.length, out=values)
+        np.multiply(values, 1.0 / length, out=values)
         np.multiply(values, work.scale, out=values)
     for row, shift in zip(values, shifts):
         if shift < 0:
@@ -245,27 +215,28 @@ def smoothed_slices(spectra: np.ndarray, shifts, work: SliceWork) -> np.ndarray:
     return values
 
 
-def scd_slice(signal: SampleBuffer, alpha_hz: float, window: SmoothingWindow) -> np.ndarray:
+def scd_slice(signal: SampleBuffer, alpha_hz: float, kind: WindowKind, length: int) -> np.ndarray:
     """Frequency-smoothed spectral correlation of signal at one cycle frequency,
     read-only, in DFT bin order (index 0 is DC):
 
     values[l] = scale * (1/L) * sum_v X<s(l)+a+v> * conj(X<s(l)-a+v>) * W(v)
 
     where X<i> is dft(signal) on signed bins (zero outside the band), s(l) is
-    the signed bin l, and the buffer's grid, work = SliceWork(1, N, rate, window),
-    gives a = work.shift(alpha_hz), scale = work.scale and Fs = work.bin_width.
+    the signed bin l, W is make_window(kind, length), L = length, and the
+    buffer's grid, work = SliceWork(1, N, rate, kind, length), gives
+    a = work.shift(alpha_hz), scale = work.scale and Fs = work.bin_width.
     """
-    work = SliceWork(1, len(signal), signal.sample_rate_hz, window)
+    work = SliceWork(1, len(signal), signal.sample_rate_hz, kind, length)
     row = smoothed_slices(dft(signal), [work.shift(alpha_hz)], work)[0]
     return read_only(np.fft.ifftshift(row))
 
 
-def cycle_profile(signal: SampleBuffer, alphas_hz, window: SmoothingWindow) -> np.ndarray:
+def cycle_profile(signal: SampleBuffer, alphas_hz, kind: WindowKind, length: int) -> np.ndarray:
     """Max slice magnitude over frequency per alpha in alphas_hz, read-only; each |alpha| once."""
     alphas = np.asarray(alphas_hz, dtype=np.float64)
     if alphas.ndim != 1 or alphas.size == 0:
         raise ConfigurationError("alphas_hz must be a nonempty 1-D sequence")
-    work = SliceWork(BLOCK_ROWS, len(signal), signal.sample_rate_hz, window)
+    work = SliceWork(BLOCK_ROWS, len(signal), signal.sample_rate_hz, kind, length)
     shifts = [abs(work.shift(alpha)) for alpha in alphas]
     bins = dft(signal)
     distinct = list(dict.fromkeys(shifts))

@@ -2,9 +2,10 @@
 
 dft_naive and scd_slice_naive are O(N^2) oracles for the estimator.  They
 share no code with the package beyond reading its SampleBuffer and
-SmoothingWindow, so a defect in the FFT path cannot hide in both.  They
-return plain arrays; naive_shift and naive_scale are their own rules for the
-bin shift and the scale, which tests compare with SliceWork's.
+make_window's weights, so a defect in the FFT path cannot hide in both.  They
+take a window as its kind and length, as scd_slice does, and return plain
+arrays; naive_shift and naive_scale are their own rules for the bin shift and
+the scale, which tests compare with SliceWork's.
 scd_bins_direct evaluates the same definition term by term at chosen output
 bins, from numpy's transform, which reaches the reference size N = 4096,
 L = 1301 that the O(N^2) oracle cannot.
@@ -27,9 +28,9 @@ import dataclasses
 
 import numpy as np
 
-from cyclosense import (ConfigurationError, DetectorKind, SampleBuffer, SmoothingWindow,
-                        add_awgn, cycle_metric, energy_metric, generate_signal, make_window,
-                        noise_only, scd_slice)
+from cyclosense import (ConfigurationError, DetectorKind, SampleBuffer, WindowKind, add_awgn,
+                        cycle_metric, energy_metric, generate_signal, make_window, noise_only,
+                        scd_slice)
 from cyclosense.harness import PHASE_H1, _noise_variance, _snr_token, derive_seed
 from cyclosense.siggen import _SIGNAL_FILE_HEADER, open_text
 
@@ -56,40 +57,38 @@ def naive_scale(signal: SampleBuffer) -> float:
     return 1.0 / ((signal.samples.size - 1) * (1.0 / signal.sample_rate_hz))
 
 
-def scd_slice_naive(signal: SampleBuffer, alpha_hz: float,
-                    window: SmoothingWindow) -> np.ndarray:
+def scd_slice_naive(signal: SampleBuffer, alpha_hz: float, kind: WindowKind,
+                    length: int) -> np.ndarray:
     """Same mathematical definition as scd_slice, evaluated the slow way.
 
     Explicit per-term loops over the naive DFT; independent oracle with no
     shared code.  O(N^2) transform plus O(N*L) smoothing, so keep N small.
     """
     n = signal.samples.size
-    length = window.length
     if not length < n:
         raise ConfigurationError(
             f"window length {length} must be below the transform size {n}"
         )
-    return _definition(dft_naive(signal), naive_shift(signal, alpha_hz), window,
-                       naive_scale(signal), range(n))
+    return _definition(dft_naive(signal), naive_shift(signal, alpha_hz),
+                       make_window(kind, length), naive_scale(signal), range(n))
 
 
-def scd_bins_direct(signal: SampleBuffer, alpha_hz: float, window: SmoothingWindow,
+def scd_bins_direct(signal: SampleBuffer, alpha_hz: float, kind: WindowKind, length: int,
                     out_bins) -> np.ndarray:
     """scd_slice's values at the DFT-order bins out_bins, evaluated term by
     term from np.fft.fft bins: O(L) per output bin."""
-    return _definition(np.fft.fft(signal.samples), naive_shift(signal, alpha_hz), window,
-                       naive_scale(signal), out_bins)
+    return _definition(np.fft.fft(signal.samples), naive_shift(signal, alpha_hz),
+                       make_window(kind, length), naive_scale(signal), out_bins)
 
 
-def _definition(bins: np.ndarray, shift: int, window: SmoothingWindow, scale: float,
+def _definition(bins: np.ndarray, shift: int, weights: np.ndarray, scale: float,
                 out_bins) -> np.ndarray:
     """scale * (1/L) * sum_v X<s(l)+a+v> * conj(X<s(l)-a+v>) * W(v) at each
     DFT-order bin l of out_bins, one term at a time, where X<i> is bins[i]
     for a signed bin i inside the band and 0 outside it."""
     n = bins.size
-    length = window.length
+    length = weights.size
     half = (length - 1) // 2
-    weights = window.weights
     low = -(n // 2)
     high = n - 1 - (n // 2)
 
@@ -112,7 +111,7 @@ def _definition(bins: np.ndarray, shift: int, window: SmoothingWindow, scale: fl
 
 def _metrics(buffer: SampleBuffer, detectors, alpha_hz: float, window) -> list:
     """Each detector's metric on one buffer, in the order of detectors."""
-    return [cycle_metric(scd_slice(buffer, alpha_hz, window))
+    return [cycle_metric(scd_slice(buffer, alpha_hz, *window))
             if detector is DetectorKind.CYCLE_FEATURE else energy_metric(buffer)
             for detector in detectors]
 
@@ -129,8 +128,7 @@ def reference_phase_range(config, phase: int, snr_db: float | None,
     config, one trial at a time (same contract as harness._compute_phase_range)."""
     detectors = config.detectors
     values = np.empty((len(detectors), stop - start))
-    window = (make_window(config.window_kind, config.smoothing_len)
-              if DetectorKind.CYCLE_FEATURE in detectors else None)
+    window = (config.window_kind, config.smoothing_len)
     token = 0 if snr_db is None else _snr_token(snr_db)
     variance = _noise_variance(snr_db) if noise_variance is None else noise_variance
     for i, trial in enumerate(range(start, stop)):

@@ -6,7 +6,8 @@ full run always shows the verdict for every criterion.
 
 The shared module-scope fixture runs the reference low-SNR sweep once
 (AM defaults, -22 dB, 2000 calibration + 2000 H0 + 500 H1 trials) and
-feeds criteria 4 and 6 plus the detector-dominance invariant.
+feeds criteria 4 and 6, the energy rows' exact-law check and the
+detector-dominance invariant.
 """
 
 import math
@@ -17,7 +18,7 @@ import pytest
 from scipy import stats
 
 from cyclosense import (DetectorKind, SampleBuffer, SensingConfig, WindowKind,
-                        cycle_profile, dft, make_window, run_roc, scd_slice)
+                        cycle_profile, dft, run_roc, scd_slice)
 from cyclosense.cli import main
 from cyclosense.scd import SliceWork
 from oracles import dft_naive, naive_shift, scd_slice_naive
@@ -55,11 +56,11 @@ def test_criterion_1_oracle_equivalence(capsys):
             if length >= n:
                 # both paths must refuse a window that cannot fit
                 buf = SampleBuffer(rng.normal(size=n), 1.0)
-                window = make_window(WindowKind.HAMMING, length)
+                window = (WindowKind.HAMMING, length)
                 with pytest.raises(Exception):
-                    scd_slice(buf, 0.0, window)
+                    scd_slice(buf, 0.0, *window)
                 with pytest.raises(Exception):
-                    scd_slice_naive(buf, 0.0, window)
+                    scd_slice_naive(buf, 0.0, *window)
                 continue
             for case in range(13):
                 rate = float(rng.choice([1.0, 3e6]))
@@ -71,10 +72,10 @@ def test_criterion_1_oracle_equivalence(capsys):
                 else:
                     alpha = float(rng.uniform(-0.95, 0.95)) * rate
                 kind = WindowKind.HAMMING if case % 3 else WindowKind.RECTANGULAR
-                window = make_window(kind, length)
-                fast = scd_slice(buf, alpha, window)
-                slow = scd_slice_naive(buf, alpha, window)
-                assert SliceWork(1, n, rate, window).shift(alpha) == naive_shift(buf, alpha)
+                window = (kind, length)
+                fast = scd_slice(buf, alpha, *window)
+                slow = scd_slice_naive(buf, alpha, *window)
+                assert SliceWork(1, n, rate, *window).shift(alpha) == naive_shift(buf, alpha)
                 worst = max(worst, rel_err(fast, slow))
                 cases += 1
     ok = cases >= 100 and worst < 1e-9
@@ -113,10 +114,9 @@ def test_criterion_3_tone_feature_location(capsys):
     f0 = tone_bin * fres
     k = np.arange(n)
     buf = SampleBuffer(np.cos(2.0 * np.pi * (f0 / rate) * k), rate)
-    window = make_window(WindowKind.HAMMING, 1301)
     shifts = np.arange(1, n // 2)
     alphas = 2.0 * shifts * fres
-    best = float(alphas[np.argmax(cycle_profile(buf, alphas, window))])
+    best = float(alphas[np.argmax(cycle_profile(buf, alphas, WindowKind.HAMMING, 1301))])
     expected = 2.0 * tone_bin * fres
     ok = best == expected
     report(capsys, 3, ok,
@@ -206,6 +206,31 @@ def test_criterion_6_band_coverage(target, band, miss, exact_band):
     lo, hi = band
     assert 1.0 - (law.cdf(hi) - law.cdf(lo - 1)) == pytest.approx(miss, abs=5e-5)
     assert (int(law.ppf(0.005)), int(law.ppf(0.995))) == exact_band
+
+
+def test_energy_rows_follow_the_exact_law(reference_roc):
+    """The energy rows' H0 and H1 counts lie in binomial bands of the exact law.
+
+    Every generator scales its output to unit average power, and at -22 dB the
+    noise variance is sigma^2 = 10^2.2 in both phases.  So E / sigma^2 is
+    chi2(N) under H0 and noncentral chi2(N, lambda), lambda = N * 10^-2.2,
+    under H1, whatever the message draw (Urkowitz, 1967).  The calibration
+    trials are seeded apart from the H0 and H1 trials, so given a row's
+    threshold tau each count is binomial with p = P(E >= tau).  The six bands
+    are Bonferroni-corrected to a family-wise 99.9 %: correct code fails this
+    test with probability at most 0.1 %.
+    """
+    n, variance = 4096, 10.0 ** 2.2
+    laws = (stats.chi2(n), stats.ncx2(n, n * 10.0 ** -2.2))
+    miss = 0.001 / 6
+    for target in (0.01, 0.05, 0.1):
+        point = reference_roc[(DetectorKind.ENERGY, target)]
+        assert (point.h0_trials, point.h1_trials) == (2000, 500)
+        for law, rate, trials in zip(laws, (point.measured_pf, point.measured_pd),
+                                     (point.h0_trials, point.h1_trials)):
+            count = stats.binom(trials, law.sf(point.threshold / variance))
+            band = (count.ppf(miss / 2), count.ppf(1.0 - miss / 2))
+            assert band[0] <= round(rate * trials) <= band[1], (target, rate, band)
 
 
 def test_criterion_7_parallel_determinism(tmp_path, capsys):

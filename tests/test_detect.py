@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from cyclosense import (CalibrationError, ConfigurationError, Decision,
                         DetectorKind, SampleBuffer, Threshold,
                         WindowKind, calibrate_threshold, cycle_metric, decide,
-                        energy_metric, make_window, noise_only,
+                        energy_metric, noise_only,
                         required_calibration_trials, scd_slice)
 from cyclosense import detect
 from cyclosense.detect import sum_of_squares
@@ -25,8 +25,7 @@ def tone_slice(n=64, cycles=8, amplitude=1.0, seed=None):
     if seed is not None:
         x = x + np.random.default_rng(seed).normal(size=n)
     buf = SampleBuffer(x, float(n))
-    window = make_window(WindowKind.HAMMING, 5)
-    return scd_slice(buf, 2.0 * cycles, window)
+    return scd_slice(buf, 2.0 * cycles, WindowKind.HAMMING, 5)
 
 
 class TestCycleMetric:
@@ -61,8 +60,7 @@ class TestCycleMetric:
         noisy = cycle_metric(tone_slice(amplitude=3.0, seed=1))
         rng = np.random.default_rng(1)
         noise = SampleBuffer(rng.normal(size=64), 64.0)
-        window = make_window(WindowKind.HAMMING, 5)
-        quiet = cycle_metric(scd_slice(noise, 16.0, window))
+        quiet = cycle_metric(scd_slice(noise, 16.0, WindowKind.HAMMING, 5))
         assert noisy > quiet
 
 
@@ -465,13 +463,13 @@ class TestMetricAndThresholdTypes:
 class TestEndToEnd:
     def test_strong_tone_flags_active(self):
         n = 64
-        window = make_window(WindowKind.HAMMING, 5)
+        window = (WindowKind.HAMMING, 5)
         rng = np.random.default_rng(0)
         noise_metrics = []
         for _ in range(100):
             noise = SampleBuffer(rng.normal(size=n), float(n))
             noise_metrics.append(
-                cycle_metric(scd_slice(noise, 16.0, window)))
+                cycle_metric(scd_slice(noise, 16.0, *window)))
         threshold = calibrate_threshold(noise_metrics, 0.1)
         loud = cycle_metric(tone_slice(n=n, cycles=8, amplitude=10.0, seed=1))
         assert decide(loud, threshold) is Decision.H1_ACTIVE
@@ -481,11 +479,11 @@ class TestEndToEnd:
         # every slice there would be zero, and so would the calibrated
         # threshold that near-silent noise then meets
         n = 16
-        window = make_window(WindowKind.HAMMING, 5)
+        window = (WindowKind.HAMMING, 5)
         metrics = []
         with pytest.raises(ConfigurationError, match="cycle frequency"):
             for seed in range(100):
                 noise = noise_only(n, 1.0, seed=seed, sample_rate_hz=float(n))
-                metrics.append(cycle_metric(scd_slice(noise, 30.0, window)))
+                metrics.append(cycle_metric(scd_slice(noise, 30.0, *window)))
             calibrate_threshold(metrics, 0.1)
         assert metrics == []

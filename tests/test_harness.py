@@ -517,8 +517,7 @@ class TestOneScorer:
             config = tiny_config(n_samples=n, smoothing_len=length, window_kind=kind)
         rate = config.sample_rate_hz
         buffer = add_awgn(generate_signal(config.modulation, n, rate, 11), 0.0, 12)
-        window = make_window(kind, length)
-        library = cycle_metric(scd_slice(buffer, config.alpha0_hz, window))
+        library = cycle_metric(scd_slice(buffer, config.alpha0_hz, kind, length))
         (metric,) = measure(only(config, CYCLE), buffer)
         assert metric == library
 
@@ -541,8 +540,8 @@ class TestDetectorsInOneConfig:
         alone = tuple(measure(only(config, d), buffer)[0] for d in DETECTORS)
         assert measure(config, buffer) == alone
         # each in its detector's place: the library's metrics, in DETECTORS order
-        window = make_window(config.window_kind, config.smoothing_len)
-        assert alone == (cycle_metric(scd_slice(buffer, config.alpha0_hz, window)),
+        window = (config.window_kind, config.smoothing_len)
+        assert alone == (cycle_metric(scd_slice(buffer, config.alpha0_hz, *window)),
                          energy_metric(buffer))
         reversed_order = dataclasses.replace(config, detectors=(ENERGY, CYCLE))
         assert measure(reversed_order, buffer) == alone[::-1]

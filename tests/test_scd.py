@@ -10,6 +10,7 @@ import io
 import math
 import os
 import platform
+import re
 import subprocess
 import sys
 
@@ -19,8 +20,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cyclosense import (ConfigurationError, ModulationKind, ModulationSpec, SampleBuffer,
-                        SmoothingWindow, WindowKind, add_awgn, cycle_profile, dft,
-                        generate_signal, make_window, scd_slice, write_profile_csv)
+                        WindowKind, add_awgn, cycle_profile, dft, generate_signal, make_window,
+                        scd_slice, write_profile_csv)
 from cyclosense import scd
 from cyclosense.scd import BLOCK_ROWS, SliceWork, smoothed_slices
 from oracles import (dft_naive, naive_scale, naive_shift, profile_grid_arithmetic,
@@ -81,7 +82,7 @@ class TestDft:
         assert abs(lhs - rhs) <= 1e-9 * rhs
 
     def test_frequency_resolution(self):
-        work = SliceWork(1, 32, 3e6, make_window(WindowKind.RECTANGULAR, 1))
+        work = SliceWork(1, 32, 3e6, WindowKind.RECTANGULAR, 1)
         assert 2.0 * work.shift(6 * 3e6 / 32) * work.bin_width == 2 * 3 * (3e6 / 32)
 
     def test_bins_read_only(self):
@@ -92,32 +93,32 @@ class TestDft:
 
 class TestMakeWindow:
     def test_rectangular_is_ones(self):
-        w = make_window(WindowKind.RECTANGULAR, 7)
-        assert np.array_equal(w.weights, np.ones(7))
+        assert np.array_equal(make_window(WindowKind.RECTANGULAR, 7), np.ones(7))
 
     def test_length_one_is_unity_for_both_kinds(self):
         for kind in WindowKind:
-            w = make_window(kind, 1)
-            assert np.array_equal(w.weights, np.array([1.0]))
+            assert np.array_equal(make_window(kind, 1), np.array([1.0]))
 
     def test_hamming_exactly_symmetric(self):
         w = make_window(WindowKind.HAMMING, 1301)
-        assert np.array_equal(w.weights, w.weights[::-1])
+        assert np.array_equal(w, w[::-1])
 
     def test_hamming_unit_mean(self):
         w = make_window(WindowKind.HAMMING, 31)
-        assert abs(float(np.mean(w.weights)) - 1.0) <= 1e-12
+        assert abs(float(np.mean(w)) - 1.0) <= 1e-12
 
     def test_hamming_shape(self):
         w = make_window(WindowKind.HAMMING, 31)
-        assert np.argmax(w.weights) == 15
-        assert np.all(w.weights > 0.0)
-        assert w.weights[0] < w.weights[15]
+        assert np.argmax(w) == 15
+        assert np.all(w > 0.0)
+        assert w[0] < w[15]
 
     def test_half_and_length(self):
-        w = make_window(WindowKind.HAMMING, 31)
-        assert w.length == 31
-        assert w.half == 15
+        # the kernel keeps bins L // 2 .. L // 2 + n of each linear convolution
+        work = SliceWork(1, 64, 1.0, WindowKind.HAMMING, 31)
+        assert work.weights is make_window(WindowKind.HAMMING, 31)
+        assert (work.weights.size, work.weights.size // 2) == (31, 15)
+        assert (work.products.shape, work.transform.shape) == ((1, 128), (128,))
 
     def test_even_length_suggests_neighbors(self):
         with pytest.raises(ConfigurationError, match="1299 or 1301"):
@@ -131,9 +132,9 @@ class TestMakeWindow:
     def test_equal_requests_share_one_read_only_window(self):
         w = make_window(WindowKind.HAMMING, 31)
         assert make_window(WindowKind.HAMMING, np.int64(31)) is w
-        assert not w.weights.flags.writeable
+        assert not w.flags.writeable
         with pytest.raises(ValueError):
-            w.weights[0] = 2.0
+            w[0] = 2.0
         assert make_window(WindowKind.RECTANGULAR, 31) is not w
 
     @pytest.mark.parametrize("kind, length", [
@@ -142,45 +143,40 @@ class TestMakeWindow:
         with pytest.raises(ConfigurationError):
             make_window(kind, length)
 
-
-class TestSmoothingWindowType:
-    def test_asymmetric_rejected(self):
-        with pytest.raises(ConfigurationError):
-            SmoothingWindow(np.array([0.5, 1.0, 1.5]), WindowKind.HAMMING)
-
-    def test_even_length_rejected(self):
-        with pytest.raises(ConfigurationError):
-            SmoothingWindow(np.array([1.0, 1.0]), WindowKind.RECTANGULAR)
-
-    def test_wrong_mean_rejected(self):
-        with pytest.raises(ConfigurationError):
-            SmoothingWindow(np.array([2.0, 2.0, 2.0]), WindowKind.RECTANGULAR)
-
-    def test_compared_and_hashed_by_identity(self):
-        first = SmoothingWindow(np.ones(3), WindowKind.RECTANGULAR)
-        second = SmoothingWindow(np.ones(3), WindowKind.RECTANGULAR)
-        assert first == first and first != second
-        assert len({first, second, first}) == 2
+    @pytest.mark.parametrize("kind, length, message", [
+        ("hamming", 5, "unknown window kind: 'hamming'"),
+        (WindowKind.HAMMING, 4, "window length must be odd; use 3 or 5"),
+        (WindowKind.RECTANGULAR, 17, "window length 17 must be below the transform size 16")])
+    def test_slice_paths_refuse_by_the_window_rule(self, kind, length, message):
+        buf = white_buffer(16, seed=0, rate=16.0)
+        for call in (lambda: scd.check_window(kind, length, 16),
+                     lambda: SliceWork(1, 16, 16.0, kind, length),
+                     lambda: scd_slice(buf, 4.0, kind, length),
+                     lambda: cycle_profile(buf, [4.0], kind, length)):
+            with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+                call()
 
 
 class TestWindowTransformCache:
-    """The window transform is cached per (window, nfft), keyed by the window
-    itself rather than a copy of its weights."""
+    """The window transform is cached per (kind, length, nfft), by value."""
 
     def test_one_entry_per_window(self):
         scd._window_transform.cache_clear()
-        works = [SliceWork(1, 64, 1.0, make_window(WindowKind.HAMMING, 5)) for _ in range(2)]
+        works = [SliceWork(1, 64, 1.0, WindowKind.HAMMING, 5) for _ in range(2)]
         info = scd._window_transform.cache_info()
         assert (info.currsize, info.misses, info.hits) == (1, 1, 1)
         assert works[0].transform is works[1].transform
 
-    def test_equal_weights_give_bit_equal_transforms(self):
-        weights = make_window(WindowKind.HAMMING, 5).weights
-        first, second = (SliceWork(1, 64, 1.0, SmoothingWindow(weights, WindowKind.HAMMING))
-                         for _ in range(2))
-        assert first.transform is not second.transform
-        assert first.transform.tobytes() == second.transform.tobytes()
-        assert first.transform.tobytes() == np.fft.fft(weights, 128).tobytes()
+    def test_equal_windows_share_one_entry(self):
+        # another grid with the same nfft = 128, and a length of another integer type
+        scd._window_transform.cache_clear()
+        first = SliceWork(1, 64, 1.0, WindowKind.HAMMING, 5)
+        second = SliceWork(4, 65, 3e6, WindowKind.HAMMING, np.int64(5))
+        info = scd._window_transform.cache_info()
+        assert (info.currsize, info.misses, info.hits) == (1, 1, 1)
+        assert first.transform is second.transform
+        want = np.fft.fft(make_window(WindowKind.HAMMING, 5), 128)
+        assert first.transform.tobytes() == want.tobytes()
 
 
 @st.composite
@@ -199,25 +195,25 @@ class TestSliceAgainstReference:
     def test_fast_path_matches_reference(self, case):
         n, length, shift, seed, kind = case
         buf = white_buffer(n, seed=seed)
-        window = make_window(kind, length)
+        window = (kind, length)
         alpha = 2.0 * shift * (buf.sample_rate_hz / n)
-        fast = scd_slice(buf, alpha, window)
-        slow = scd_slice_naive(buf, alpha, window)
+        fast = scd_slice(buf, alpha, *window)
+        slow = scd_slice_naive(buf, alpha, *window)
         assert rel_err(fast, slow) < 1e-9
-        work = SliceWork(1, n, buf.sample_rate_hz, window)
+        work = SliceWork(1, n, buf.sample_rate_hz, *window)
         assert work.shift(alpha) == naive_shift(buf, alpha)
         assert work.scale == naive_scale(buf)
 
     def test_reference_and_fast_quantize_ties_to_even(self):
         buf = white_buffer(16, seed=7, rate=16.0)
-        window = make_window(WindowKind.RECTANGULAR, 3)
-        work = SliceWork(1, 16, 16.0, window)
+        window = (WindowKind.RECTANGULAR, 3)
+        work = SliceWork(1, 16, 16.0, *window)
         # resolution is 1 Hz, so the half-bin boundary sits at odd alphas
         for alpha, effective in [(1.0, 0.0), (3.0, 4.0), (-1.0, 0.0), (-3.0, -4.0)]:
             assert 2.0 * work.shift(alpha) * work.bin_width == effective
             assert naive_shift(buf, alpha) == work.shift(alpha)
-            assert scd_slice(buf, alpha, window).tobytes() == scd_slice(
-                buf, effective, window).tobytes()
+            assert scd_slice(buf, alpha, *window).tobytes() == scd_slice(
+                buf, effective, *window).tobytes()
 
 
 @st.composite
@@ -238,37 +234,37 @@ class TestCycleShiftRule:
     def test_refused_exactly_where_the_oracle_is_zero(self, case):
         n, length, alpha, rate, seed, kind = case
         buf = white_buffer(n, seed=seed, rate=rate)
-        window = make_window(kind, length)
-        slow = scd_slice_naive(buf, alpha, window)
+        window = (kind, length)
+        slow = scd_slice_naive(buf, alpha, *window)
         if np.all(slow == 0.0):
             with pytest.raises(ConfigurationError, match="cycle frequency"):
-                scd_slice(buf, alpha, window)
+                scd_slice(buf, alpha, *window)
             with pytest.raises(ConfigurationError, match="cycle frequency"):
-                cycle_profile(buf, [alpha], window)
+                cycle_profile(buf, [alpha], *window)
         else:
-            fast = scd_slice(buf, alpha, window)
+            fast = scd_slice(buf, alpha, *window)
             assert rel_err(fast, slow) < 1e-9
-            assert SliceWork(1, n, rate, window).shift(alpha) == naive_shift(buf, alpha)
-            cycle_profile(buf, [alpha], window)
+            assert SliceWork(1, n, rate, *window).shift(alpha) == naive_shift(buf, alpha)
+            cycle_profile(buf, [alpha], *window)
 
     @pytest.mark.parametrize("alpha", [math.inf, -math.inf, math.nan])
     def test_non_finite_shift_refused(self, alpha):
         buf = white_buffer(16, seed=0, rate=16.0)
-        window = make_window(WindowKind.RECTANGULAR, 3)
+        window = (WindowKind.RECTANGULAR, 3)
         with pytest.raises(ConfigurationError, match="cycle frequency"):
-            scd_slice(buf, alpha, window)
+            scd_slice(buf, alpha, *window)
         with pytest.raises(ConfigurationError, match="cycle frequency"):
-            cycle_profile(buf, [alpha], window)
+            cycle_profile(buf, [alpha], *window)
 
 
 class TestBinWidth:
     def test_underflow_refused_before_any_division(self):
         buf = white_buffer(64, seed=0, rate=5e-324)
-        window = make_window(WindowKind.RECTANGULAR, 3)
+        window = (WindowKind.RECTANGULAR, 3)
         message = "bin width 5e-324 Hz / 64 underflows to 0 Hz"
-        for call in (lambda: SliceWork(0, 64, 5e-324, window),
-                     lambda: scd_slice(buf, 0.0, window),
-                     lambda: cycle_profile(buf, [0.0], window)):
+        for call in (lambda: SliceWork(0, 64, 5e-324, *window),
+                     lambda: scd_slice(buf, 0.0, *window),
+                     lambda: cycle_profile(buf, [0.0], *window)):
             with pytest.raises(ConfigurationError) as info:
                 call()
             assert str(info.value) == message
@@ -283,7 +279,7 @@ class TestGrid:
     @pytest.mark.parametrize("rate", [1.0, 7.3, 64.0, 3e6, 1e-300, 1e300])
     @pytest.mark.parametrize("n", [2, 3, 16, 64, 65, 4096, 4097])
     def test_matches_the_cli_arithmetic(self, n, rate):
-        work = SliceWork(0, n, rate, make_window(WindowKind.RECTANGULAR, 1))
+        work = SliceWork(0, n, rate, WindowKind.RECTANGULAR, 1)
         for alpha_max in self.BOUNDS:
             for alpha_step in self.BOUNDS:
                 want = profile_grid_arithmetic(n, rate, alpha_max, alpha_step)
@@ -293,14 +289,14 @@ class TestGrid:
     @pytest.mark.parametrize("name", ["alpha_max_hz", "alpha_step_hz"])
     @pytest.mark.parametrize("value", [0.0, -1.0, -5.0, math.nan, math.inf, -math.inf])
     def test_bound_not_positive_and_finite_refused(self, name, value):
-        work = SliceWork(0, 64, 64.0, make_window(WindowKind.RECTANGULAR, 1))
+        work = SliceWork(0, 64, 64.0, WindowKind.RECTANGULAR, 1)
         with pytest.raises(ConfigurationError,
                            match=f"^{name} must be positive and finite, got {value!r}$"):
             work.grid(**{name: value})
 
     def test_reference_full_grid(self):
         # perfbench's profile_grid(): 2.0 * arange(-max_shift, max_shift + 1) * fs / N
-        work = SliceWork(0, 4096, 3e6, make_window(WindowKind.HAMMING, 1301))
+        work = SliceWork(0, 4096, 3e6, WindowKind.HAMMING, 1301)
         want = 2.0 * np.arange(-2047, 2048) * (3e6 / 4096)
         assert work.grid().tobytes() == want.tobytes()
 
@@ -311,13 +307,13 @@ class TestBlockKernel:
         # every row its own spectrum and shift: negative, zero and the
         # largest in-band shifts either way
         shifts = [-(n - 1) // 2, -5, 0, 3, (n - 1) // 2]
-        window = make_window(WindowKind.HAMMING, 7)
+        window = (WindowKind.HAMMING, 7)
         buffers = [white_buffer(n, seed=40 + i, rate=float(n)) for i in range(len(shifts))]
         spectra = np.array([dft(buf) for buf in buffers])
-        work = SliceWork(len(shifts), n, float(n), window)
+        work = SliceWork(len(shifts), n, float(n), *window)
         values = smoothed_slices(spectra, shifts, work)
         for row, buf, shift in zip(values, buffers, shifts):
-            slow = scd_slice_naive(buf, 2.0 * shift, window)
+            slow = scd_slice_naive(buf, 2.0 * shift, *window)
             assert rel_err(np.fft.ifftshift(row), slow) < 1e-9
 
     @pytest.mark.parametrize("alpha", [2e6, -2e6, 0.0])
@@ -330,13 +326,13 @@ class TestBlockKernel:
         if source == "am":
             am = generate_signal(ModulationSpec(ModulationKind.AM, 1e6, 10e3), n, rate, seed=8)
             buf = add_awgn(am, 0.0, 9)
-        window = make_window(WindowKind.HAMMING, 1301)
+        window = (WindowKind.HAMMING, 1301)
         # DC, both edges of the nonzero region at |a| = 1365, the band's ends
         signed = [0, 1333, 1334, -1333, -1334, -2048, 2047]
         signed += list(np.random.default_rng(10).integers(-2048, 2048, 13))
         out_bins = np.array(signed) % n
-        values = scd_slice(buf, alpha, window)
-        want = scd_bins_direct(buf, alpha, window, out_bins)
+        values = scd_slice(buf, alpha, *window)
+        want = scd_bins_direct(buf, alpha, *window, out_bins)
         assert np.max(np.abs(values[out_bins] - want)) <= 1e-9 * np.max(np.abs(values))
 
     @pytest.mark.parametrize("shift", [1365, -1365])
@@ -346,11 +342,11 @@ class TestBlockKernel:
         n, rate = 4096, 3e6
         am = generate_signal(ModulationSpec(ModulationKind.AM, 1e6, 10e3), n, rate, seed=3)
         buf = add_awgn(am, -22.0, 4)
-        window = make_window(WindowKind.HAMMING, 1301)
-        work = SliceWork(1, n, rate, window)
+        window = (WindowKind.HAMMING, 1301)
+        work = SliceWork(1, n, rate, *window)
         alpha = 2.0 * shift * work.bin_width
         assert work.shift(alpha) == shift
-        piece = scd_slice(buf, alpha, window)
+        piece = scd_slice(buf, alpha, *window)
         want = np.fft.ifftshift(smoothed_slices(dft(buf), [shift], work)[0])
         assert piece.shape == (n,) and piece.dtype == np.complex128
         assert piece.tobytes() == want.tobytes()
@@ -375,11 +371,11 @@ class TestBlockKernel:
     def test_profile_equals_per_alpha_slices(self):
         # unsorted, with repeats, and not a whole number of blocks
         buf = white_buffer(96, seed=5, rate=96.0)
-        window = make_window(WindowKind.HAMMING, 9)
+        window = (WindowKind.HAMMING, 9)
         alphas = [30.0, -2.0, 0.0, 30.0, 94.0, -94.0, 12.0, -2.0, 4.0, 62.0, -30.0]
         assert len(alphas) % BLOCK_ROWS
-        magnitudes = cycle_profile(buf, alphas, window)
-        expected = [np.abs(scd_slice(buf, alpha, window)).max()
+        magnitudes = cycle_profile(buf, alphas, *window)
+        expected = [np.abs(scd_slice(buf, alpha, *window)).max()
                     for alpha in alphas]
         assert np.array_equal(magnitudes, expected)
 
@@ -406,22 +402,22 @@ class TestProfileMirror:
     def test_bitwise_mirror_symmetric_and_near_the_oracle(self, case):
         n, length, kind, shifts, seed = case
         buf = white_buffer(n, seed=seed, rate=float(n))
-        window = make_window(kind, length)
+        window = (kind, length)
         alphas = 2.0 * np.array(shifts, dtype=np.float64)
-        magnitudes = cycle_profile(buf, alphas, window)
-        mirrored = cycle_profile(buf, -alphas, window)
+        magnitudes = cycle_profile(buf, alphas, *window)
+        mirrored = cycle_profile(buf, -alphas, *window)
         assert magnitudes.tobytes() == mirrored.tobytes()
         for alpha, got in zip(alphas, magnitudes):
-            want = np.abs(scd_slice_naive(buf, alpha, window)).max()
+            want = np.abs(scd_slice_naive(buf, alpha, *window)).max()
             assert abs(got - want) <= 1e-9 * want
 
     @pytest.mark.parametrize("n, length", [(32, 7), (33, 5), (64, 1)])
     def test_negated_alpha_is_the_bitwise_conjugate(self, n, length):
         buf = white_buffer(n, seed=n, rate=float(n))
-        window = make_window(WindowKind.HAMMING, length)
+        window = (WindowKind.HAMMING, length)
         for shift in range(1, (n - 1) // 2 + 1):
-            plus = scd_slice(buf, 2.0 * shift, window)
-            minus = scd_slice(buf, -2.0 * shift, window)
+            plus = scd_slice(buf, 2.0 * shift, *window)
+            minus = scd_slice(buf, -2.0 * shift, *window)
             assert minus.tobytes() == np.conj(plus).tobytes()
 
     def test_full_grid_sends_each_shift_through_the_kernel_once(self, monkeypatch):
@@ -435,10 +431,10 @@ class TestProfileMirror:
             return kernel(spectra, shifts, work)
 
         monkeypatch.setattr(scd, "smoothed_slices", spy)
-        window = make_window(WindowKind.RECTANGULAR, 3)
-        alphas = SliceWork(0, n, float(n), window).grid()
+        window = (WindowKind.RECTANGULAR, 3)
+        alphas = SliceWork(0, n, float(n), *window).grid()
         assert alphas.tobytes() == (2.0 * np.arange(-2047, 2048)).tobytes()
-        cycle_profile(white_buffer(n, seed=1, rate=float(n)), alphas, window)
+        cycle_profile(white_buffer(n, seed=1, rate=float(n)), alphas, *window)
         rows = [shift for block in blocks for shift in block]
         assert len(rows) == 2048
         assert sorted(rows) == list(range(2048))
@@ -448,7 +444,7 @@ class TestProfileMirror:
 class TestSliceValues:
     def test_zero_signal_gives_zero_slice(self):
         buf = SampleBuffer(np.zeros(32), 32.0)
-        piece = scd_slice(buf, 4.0, make_window(WindowKind.HAMMING, 5))
+        piece = scd_slice(buf, 4.0, WindowKind.HAMMING, 5)
         assert np.all(piece == 0.0)
 
     def test_tone_feature_lands_at_dc_bin(self):
@@ -456,10 +452,10 @@ class TestSliceValues:
         # pairs X<4> with X<-4> at slice index 0 and nowhere else
         n = 16
         buf = cosine_buffer(n, cycles=4)
-        window = make_window(WindowKind.RECTANGULAR, 1)
-        piece = scd_slice(buf, 8.0, window)
+        window = (WindowKind.RECTANGULAR, 1)
+        piece = scd_slice(buf, 8.0, *window)
         scale = 16.0 / 15.0
-        assert SliceWork(1, n, 16.0, window).scale == pytest.approx(scale, rel=1e-15)
+        assert SliceWork(1, n, 16.0, *window).scale == pytest.approx(scale, rel=1e-15)
         want_peak = scale * (n / 2) ** 2
         assert abs(piece[0] - want_peak) < 1e-9 * want_peak
         rest = np.abs(piece[1:])
@@ -467,9 +463,9 @@ class TestSliceValues:
 
     def test_alpha_zero_is_smoothed_periodogram(self):
         buf = white_buffer(64, seed=5, rate=64.0)
-        window = make_window(WindowKind.RECTANGULAR, 1)
-        piece = scd_slice(buf, 0.0, window)
-        want = SliceWork(1, 64, 64.0, window).scale * np.abs(np.fft.fft(buf.samples)) ** 2
+        window = (WindowKind.RECTANGULAR, 1)
+        piece = scd_slice(buf, 0.0, *window)
+        want = SliceWork(1, 64, 64.0, *window).scale * np.abs(np.fft.fft(buf.samples)) ** 2
         assert rel_err(piece, want) < 1e-12
         assert float(np.max(np.abs(piece.imag))) < 1e-12 * float(np.max(piece.real))
 
@@ -478,16 +474,16 @@ class TestSliceValues:
         # power-of-two scaling commutes with each FFT rounding step
         buf = white_buffer(64, seed=9, rate=64.0)
         doubled = SampleBuffer(2.0 * buf.samples, 64.0)
-        window = make_window(WindowKind.HAMMING, 5)
-        one = scd_slice(buf, 6.0, window)
-        four = scd_slice(doubled, 6.0, window)
+        window = (WindowKind.HAMMING, 5)
+        one = scd_slice(buf, 6.0, *window)
+        four = scd_slice(doubled, 6.0, *window)
         assert np.array_equal(four, 4.0 * one)
 
     def test_negated_alpha_conjugates_the_slice(self):
         buf = white_buffer(32, seed=3, rate=32.0)
-        window = make_window(WindowKind.HAMMING, 7)
-        plus = scd_slice(buf, 10.0, window)
-        minus = scd_slice(buf, -10.0, window)
+        window = (WindowKind.HAMMING, 7)
+        plus = scd_slice(buf, 10.0, *window)
+        minus = scd_slice(buf, -10.0, *window)
         assert rel_err(minus, np.conj(plus)) < 1e-12
 
     def test_shift_beyond_band_overlap_gives_zeros(self):
@@ -495,37 +491,37 @@ class TestSliceValues:
         # beyond that every product term is out of band: the oracle still
         # returns zeros there, and the fast path refuses the shift
         buf = white_buffer(16, seed=4, rate=16.0)
-        window = make_window(WindowKind.RECTANGULAR, 3)
-        assert np.all(scd_slice_naive(buf, 30.0, window) == 0.0)
+        window = (WindowKind.RECTANGULAR, 3)
+        assert np.all(scd_slice_naive(buf, 30.0, *window) == 0.0)
         with pytest.raises(ConfigurationError, match="cycle frequency"):
-            scd_slice(buf, 30.0, window)
+            scd_slice(buf, 30.0, *window)
 
     def test_window_kind_changes_values(self):
         buf = white_buffer(64, seed=2, rate=64.0)
-        ham = scd_slice(buf, 6.0, make_window(WindowKind.HAMMING, 9))
-        rect = scd_slice(buf, 6.0, make_window(WindowKind.RECTANGULAR, 9))
+        ham = scd_slice(buf, 6.0, WindowKind.HAMMING, 9)
+        rect = scd_slice(buf, 6.0, WindowKind.RECTANGULAR, 9)
         assert not np.array_equal(ham, rect)
 
     def test_window_must_fit_transform(self):
         buf = white_buffer(8, seed=0)
-        window = make_window(WindowKind.RECTANGULAR, 9)
+        window = (WindowKind.RECTANGULAR, 9)
         with pytest.raises(ConfigurationError):
-            scd_slice(buf, 0.0, window)
+            scd_slice(buf, 0.0, *window)
         with pytest.raises(ConfigurationError):
-            scd_slice_naive(buf, 0.0, window)
+            scd_slice_naive(buf, 0.0, *window)
 
     def test_bad_sample_period(self):
         # at 1e-308 Hz, (n-1) Ts overflows to inf and 1 / ((n-1) Ts) is 0
         buf = white_buffer(8, seed=0, rate=1e-308)
         with pytest.raises(ConfigurationError, match="slice scale"):
-            scd_slice(buf, 0.0, make_window(WindowKind.RECTANGULAR, 1))
+            scd_slice(buf, 0.0, WindowKind.RECTANGULAR, 1)
 
     def test_slice_metadata(self):
         buf = white_buffer(32, seed=1, rate=32.0)
-        window = make_window(WindowKind.HAMMING, 3)
-        piece = scd_slice(buf, 6.0, window)
+        window = (WindowKind.HAMMING, 3)
+        piece = scd_slice(buf, 6.0, *window)
         assert piece.shape == (32,) and piece.dtype == np.complex128
-        work = SliceWork(1, 32, 32.0, window)
+        work = SliceWork(1, 32, 32.0, *window)
         assert 2.0 * work.shift(6.0) * work.bin_width == 6.0
         assert work.scale == pytest.approx(32.0 / 31.0, rel=1e-15)
         with pytest.raises(ValueError):
@@ -539,7 +535,7 @@ class TestCycleProfile:
         n = 256
         buf = cosine_buffer(n, cycles=32)
         alphas = np.arange(-120.0, 121.0, 8.0)
-        magnitudes = cycle_profile(buf, alphas, make_window(WindowKind.HAMMING, 5))
+        magnitudes = cycle_profile(buf, alphas, WindowKind.HAMMING, 5)
         positive = alphas > 0.0
         best = np.argmax(magnitudes[positive])
         assert alphas[positive][best] == 64.0
@@ -548,7 +544,7 @@ class TestCycleProfile:
         n = 256
         buf = cosine_buffer(n, cycles=32)
         alphas = np.arange(8.0, 120.0, 8.0)
-        magnitudes = cycle_profile(buf, alphas, make_window(WindowKind.HAMMING, 5))
+        magnitudes = cycle_profile(buf, alphas, WindowKind.HAMMING, 5)
         peak = magnitudes[alphas == 64.0][0]
         off = magnitudes[alphas != 64.0]
         assert np.all(off < 1e-6 * peak)
@@ -556,47 +552,47 @@ class TestCycleProfile:
     def test_symmetric_in_alpha(self):
         buf = white_buffer(128, seed=12, rate=128.0)
         alphas = np.array([-40.0, -16.0, 16.0, 40.0])
-        magnitudes = cycle_profile(buf, alphas, make_window(WindowKind.HAMMING, 9))
+        magnitudes = cycle_profile(buf, alphas, WindowKind.HAMMING, 9)
         assert magnitudes[2] == pytest.approx(magnitudes[1], rel=1e-12)
         assert magnitudes[3] == pytest.approx(magnitudes[0], rel=1e-12)
 
     def test_alpha_must_stay_inside_twice_nyquist(self):
         # at n = fs = 32, 31.9 Hz is a shift of 16 = n/2 bins, one past (n-1)//2
         buf = white_buffer(32, seed=0, rate=32.0)
-        window = make_window(WindowKind.RECTANGULAR, 3)
+        window = (WindowKind.RECTANGULAR, 3)
         for alpha in (32.0, 31.9, -31.9):
             with pytest.raises(ConfigurationError, match="cycle frequency"):
-                cycle_profile(buf, [0.0, alpha], window)
-        cycle_profile(buf, [29.9, -29.9], window)
+                cycle_profile(buf, [0.0, alpha], *window)
+        cycle_profile(buf, [29.9, -29.9], *window)
 
     def test_read_only_float64_in_the_order_of_alphas(self):
         buf = white_buffer(64, seed=3, rate=64.0)
-        window = make_window(WindowKind.HAMMING, 5)
+        window = (WindowKind.HAMMING, 5)
         alphas = [12, -4, 0]
-        magnitudes = cycle_profile(buf, alphas, window)
+        magnitudes = cycle_profile(buf, alphas, *window)
         assert (magnitudes.dtype, magnitudes.shape) == (np.float64, (3,))
         assert not magnitudes.flags.writeable
         for alpha, got in zip(alphas, magnitudes):
-            assert got == np.abs(scd_slice(buf, alpha, window)).max()
+            assert got == np.abs(scd_slice(buf, alpha, *window)).max()
 
     @pytest.mark.parametrize("amplitude", [1e160, 1e300])
     def test_overflow_refused(self, amplitude):
         # |X|^2 of 64 samples of 1e160 or more exceeds the float range
         buf = SampleBuffer(np.full(64, amplitude), 64.0)
         with pytest.raises(ConfigurationError, match="the spectral correlation overflowed$"):
-            cycle_profile(buf, [0.0, 2.0], make_window(WindowKind.HAMMING, 5))
+            cycle_profile(buf, [0.0, 2.0], WindowKind.HAMMING, 5)
 
     def test_empty_grid_rejected(self):
         buf = white_buffer(32, seed=0, rate=32.0)
         with pytest.raises(ConfigurationError):
-            cycle_profile(buf, [], make_window(WindowKind.RECTANGULAR, 3))
+            cycle_profile(buf, [], WindowKind.RECTANGULAR, 3)
 
     def test_zero_scale_rejected(self):
         # at 1e-305 Hz, (n-1) Ts overflows to inf and 1 / ((n-1) Ts) is 0:
         # every magnitude would read 0
         buf = white_buffer(4096, seed=0, rate=1e-305)
         with pytest.raises(ConfigurationError, match="scale"):
-            cycle_profile(buf, [0.0], make_window(WindowKind.RECTANGULAR, 31))
+            cycle_profile(buf, [0.0], WindowKind.RECTANGULAR, 31)
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
@@ -617,13 +613,12 @@ class TestFirstCallFaults:
 
     BUDGET = 3000
     CALLS = {
-        "profile": "from cyclosense import cycle_profile, make_window, WindowKind\n"
+        "profile": "from cyclosense import cycle_profile, WindowKind\n"
                    "from cyclosense.siggen import noise_only\n"
                    "import numpy as np\n"
                    "signal = noise_only(4096, 1.0, 7, 3e6)\n"
-                   "window = make_window(WindowKind.HAMMING, 1301)\n"
                    "alphas = np.arange(-2047, 2048) * (2 * 3e6 / 4096)\n"
-                   "call = lambda: cycle_profile(signal, alphas, window)\n",
+                   "call = lambda: cycle_profile(signal, alphas, WindowKind.HAMMING, 1301)\n",
         "calibration": "from cyclosense import DetectorKind, SensingConfig\n"
                        "from cyclosense.harness import calibrate_at_noise\n"
                        "config = SensingConfig(calibration_trials=300,\n"
@@ -661,20 +656,20 @@ class TestSliceScale:
         (4096, 5e-324, "bin width")])
     def test_refused(self, n, rate, message):
         with pytest.raises(ConfigurationError, match=message):
-            SliceWork(1, n, rate, make_window(WindowKind.RECTANGULAR, 1))
+            SliceWork(1, n, rate, WindowKind.RECTANGULAR, 1)
 
     @pytest.mark.parametrize("rate", [3e6, 1e-300, 1e300])
     def test_representable_scale_kept(self, rate):
-        work = SliceWork(1, 4096, rate, make_window(WindowKind.RECTANGULAR, 1))
+        work = SliceWork(1, 4096, rate, WindowKind.RECTANGULAR, 1)
         assert work.scale == 1.0 / (4095 * (1.0 / rate))
 
     def test_refused_before_the_shift(self):
         # 2 MHz at 1e-305 Hz is a shift of inf bins, and the scale is 0: the
         # scale's refusal comes first on every path
         buf = white_buffer(4096, seed=0, rate=1e-305)
-        window = make_window(WindowKind.RECTANGULAR, 31)
-        for call in (lambda: scd_slice(buf, 2e6, window),
-                     lambda: cycle_profile(buf, [2e6], window)):
+        window = (WindowKind.RECTANGULAR, 31)
+        for call in (lambda: scd_slice(buf, 2e6, *window),
+                     lambda: cycle_profile(buf, [2e6], *window)):
             with pytest.raises(ConfigurationError, match="slice scale"):
                 call()
 
