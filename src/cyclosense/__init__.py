@@ -6,8 +6,8 @@ alpha = 2 * carrier frequency, and compares that detector against plain
 energy detection under a common Monte Carlo protocol.
 """
 
-from .detect import (Decision, DetectorKind, Threshold, calibrate_threshold, cycle_metric,
-                     decide, energy_metric, required_calibration_trials)
+from .detect import (Decision, DetectorKind, calibrate_threshold, cycle_metric, decide,
+                     energy_metric, required_calibration_trials)
 from .errors import CalibrationError, ConfigurationError, CyclosenseError
 from .harness import (RocPoint, SensingConfig, complexity_model, read_threshold_file, run_roc,
                       write_roc_csv, write_threshold_file)
@@ -29,7 +29,6 @@ __all__ = [
     "RocPoint",
     "SampleBuffer",
     "SensingConfig",
-    "Threshold",
     "WindowKind",
     "add_awgn",
     "calibrate_threshold",

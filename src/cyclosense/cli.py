@@ -133,13 +133,14 @@ def _shape(args, buffer=None) -> dict:
                 sample_rate_hz=rate if args.fs_hz is None else args.fs_hz)
 
 
-def _calibrate(args, config):
+def _calibrate(args, config) -> tuple:
+    """The target Pf and the threshold calibrated for config's detector at --noise-variance."""
     if args.noise_variance is None:
         raise ConfigurationError(
             "--noise-variance is required when no threshold file is given"
         )
     target_pf = _single_value(args.target_pf, 0.1, "--target-pf")
-    return calibrate_at_noise(config, target_pf, args.noise_variance)[0]
+    return target_pf, calibrate_at_noise(config, target_pf, args.noise_variance)[0]
 
 
 def _cmd_profile(args) -> int:
@@ -160,8 +161,8 @@ def _cmd_profile(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
-    config = config_from_args(args, DetectorKind(args.detector))
-    write_threshold_file(_calibrate(args, config), args.out)
+    detector = DetectorKind(args.detector)
+    write_threshold_file(detector, *_calibrate(args, config_from_args(args, detector)), args.out)
     return 0
 
 
@@ -171,19 +172,19 @@ def _cmd_detect(args) -> int:
         for flag in ("--target-pf", "--calibration-trials", "--noise-variance"):
             if getattr(args, flag[2:].replace("-", "_")) is not None:
                 raise ConfigurationError(f"{flag} is read only without --threshold-file")
-        threshold = read_threshold_file(args.threshold_file)
-        if threshold.detector is not detector:
+        calibrated_for, _, threshold = read_threshold_file(args.threshold_file)
+        if calibrated_for is not detector:
             raise ConfigurationError(f"{args.threshold_file}: threshold is for "
-                                     f"{threshold.detector.value}, not --detector {detector.value}")
+                                     f"{calibrated_for.value}, not --detector {detector.value}")
     buffer = read_signal_file(args.input)
     config = config_from_args(args, detector, _shape(args, buffer))
     # scored first: measure refuses a --n or --fs-hz unlike the file's before any trial
     (metric,) = measure(config, buffer)
     if args.threshold_file is None:
-        threshold = _calibrate(args, config)
+        _, threshold = _calibrate(args, config)
     decision = decide(metric, threshold)
     print(f"decision={decision.value} detector={detector.value} "
-          f"metric={metric!r} threshold={threshold.value!r}")
+          f"metric={metric!r} threshold={threshold!r}")
     return 0
 
 

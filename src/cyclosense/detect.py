@@ -6,7 +6,6 @@ metrics, so no closed-form noise statistics are assumed for either.
 """
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import chain
@@ -19,7 +18,6 @@ from .siggen import SampleBuffer
 __all__ = [
     "DetectorKind",
     "Decision",
-    "Threshold",
     "cycle_metric",
     "energy_metric",
     "required_calibration_trials",
@@ -41,27 +39,17 @@ class Decision(Enum):
     H1_ACTIVE = "h1_active"
 
 
-@dataclass(frozen=True)
-class Threshold:
-    """Empirical (1 - target_pf) quantile of a noise-only metric sample."""
-
-    value: float
-    target_pf: float
-    calibration_trials: int
-    detector: DetectorKind
-
-    def __post_init__(self):
-        if not (math.isfinite(self.value) and self.value >= 0.0):
-            raise ConfigurationError("threshold value must be finite and nonnegative")
-        check_target_pf(self.target_pf)
-        if self.calibration_trials < 1:
-            raise ConfigurationError("calibration_trials must be positive")
-
-
 def _check_metric(value: float) -> float:
     """value, refused unless finite and nonnegative, as every metric is."""
     if not (math.isfinite(value) and value >= 0.0):
         raise ConfigurationError("metric value must be finite and nonnegative")
+    return value
+
+
+def check_threshold(value: float) -> float:
+    """value, refused unless finite and nonnegative, as every threshold is."""
+    if not (math.isfinite(value) and value >= 0.0):
+        raise ConfigurationError("threshold value must be finite and nonnegative")
     return value
 
 
@@ -132,9 +120,8 @@ def check_target_pf(target_pf, calibration_trials=None) -> None:
                                f"target_pf={target_pf}; need at least {required}")
 
 
-def calibrate_threshold(metric_sample, target_pf: float,
-                        detector: DetectorKind = DetectorKind.CYCLE_FEATURE) -> Threshold:
-    """Threshold = order statistic at index ceil((1 - target_pf) * K).
+def calibrate_threshold(metric_sample, target_pf: float) -> float:
+    """The threshold, a float: the order statistic at index ceil((1 - target_pf) * K).
 
     The index is 1-based over the ascending sort.  The index arithmetic is
     done in exact rationals: float rounding of (1 - pf) * K can land just
@@ -147,16 +134,16 @@ def calibrate_threshold(metric_sample, target_pf: float,
         raise CalibrationError("calibration metrics must be finite and nonnegative")
     values.sort()
     index = math.ceil((1 - Fraction(target_pf)) * k)
-    return Threshold(values[index - 1], float(target_pf), k, detector)
+    return values[index - 1]
 
 
-def decide(metric: float, threshold: Threshold) -> Decision:
+def decide(metric: float, threshold: float) -> Decision:
     """H1 iff metric >= threshold (a tie detects); a zero threshold, met by all, is refused.
     No kind is compared: detect refuses another detector's threshold before it measures."""
     _check_metric(metric)
-    if threshold.value == 0.0:
-        raise ConfigurationError(f"threshold {threshold.value!r} is met by every metric, an "
+    if check_threshold(threshold) == 0.0:
+        raise ConfigurationError(f"threshold {float(threshold)!r} is met by every metric, an "
                                  "all-zero buffer's too; it decides on no evidence")
-    if metric >= threshold.value:
+    if metric >= threshold:
         return Decision.H1_ACTIVE
     return Decision.H0_INACTIVE

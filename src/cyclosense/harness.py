@@ -18,7 +18,7 @@ from functools import partial
 
 import numpy as np
 
-from .detect import DetectorKind, Threshold, calibrate_threshold, check_target_pf, \
+from .detect import DetectorKind, calibrate_threshold, check_target_pf, check_threshold, \
     sum_of_squares
 from .errors import ConfigurationError
 from .scd import BLOCK_ROWS, SliceWork, WindowKind, check_window, smoothed_slices
@@ -297,14 +297,14 @@ def run_roc(config: SensingConfig, workers: int = 1):
         per_detector = tuple(zip(config.detectors, calibration, h0, h1))
         for target_pf in config.target_pf_list:
             for detector, cal_values, h0_values, h1_values in per_detector:
-                threshold = calibrate_threshold(cal_values, target_pf, detector)
+                threshold = calibrate_threshold(cal_values, target_pf)
                 points.append(RocPoint(
                     detector=detector,
                     snr_db=float(snr_db),
                     target_pf=float(target_pf),
-                    threshold=threshold.value,
-                    measured_pf=float(np.mean(h0_values >= threshold.value)),
-                    measured_pd=float(np.mean(h1_values >= threshold.value)),
+                    threshold=threshold,
+                    measured_pf=float(np.mean(h0_values >= threshold)),
+                    measured_pd=float(np.mean(h1_values >= threshold)),
                     h0_trials=h0_values.size,
                     h1_trials=h1_values.size,
                 ))
@@ -312,8 +312,8 @@ def run_roc(config: SensingConfig, workers: int = 1):
 
 
 def calibrate_at_noise(config: SensingConfig, target_pf: float, noise_variance: float) -> tuple:
-    """One Threshold per detector of config, in order, from the same
-    config.calibration_trials noise-only buffers.
+    """One built-in float threshold per detector of config, in order, from
+    the same config.calibration_trials noise-only buffers.
 
     One-shot decisions on external signals have no SNR handle, so the noise
     level is given directly.  Trial t is seeded
@@ -323,8 +323,7 @@ def calibrate_at_noise(config: SensingConfig, target_pf: float, noise_variance: 
     check_target_pf(target_pf, config.calibration_trials)
     values = _compute_phase_range(config, PHASE_ONESHOT, None, 0, config.calibration_trials,
                                   noise_variance)
-    return tuple(calibrate_threshold(row, target_pf, detector)
-                 for detector, row in zip(config.detectors, values))
+    return tuple(calibrate_threshold(row, target_pf) for row in values)
 
 
 def measure(config: SensingConfig, buffer: SampleBuffer) -> tuple:
@@ -345,42 +344,39 @@ def profile_seed(master_seed: int, snr_db: float | None, slot: int) -> int:
 
 
 def write_roc_csv(points, path_or_stream) -> None:
-    """Write the ROC CSV, rows sorted for reproducibility (see siggen.write_lines)."""
+    """Write the ROC CSV, rows sorted for reproducibility (see siggen.write_lines); each
+    float field as a built-in float's repr, so a numpy scalar writes as one."""
     ordered = sorted(points, key=lambda p: (p.detector.value, p.snr_db, p.target_pf))
     write_lines([ROC_CSV_HEADER + "\n", *(
-        f"{p.detector.value},{p.snr_db!r},{p.target_pf!r},{p.threshold!r},"
-        f"{p.measured_pf!r},{p.measured_pd!r},{p.h0_trials},{p.h1_trials}\n"
+        f"{p.detector.value},{float(p.snr_db)!r},{float(p.target_pf)!r},{float(p.threshold)!r},"
+        f"{float(p.measured_pf)!r},{float(p.measured_pd)!r},{p.h0_trials},{p.h1_trials}\n"
         for p in ordered)], path_or_stream)
 
 
-def write_threshold_file(threshold: Threshold, path_or_stream) -> None:
-    """Single line `<detector>,<target_pf>,<value>` matching the CSV field
-    order (see siggen.write_lines)."""
-    write_lines([f"{threshold.detector.value},{threshold.target_pf!r},{threshold.value!r}\n"],
-                path_or_stream)
+def write_threshold_file(detector: DetectorKind, target_pf: float, threshold: float,
+                         path_or_stream) -> None:
+    """Single line `<detector>,<target_pf>,<threshold>` matching the CSV field
+    order (see siggen.write_lines); refused unless read_threshold_file reads it back."""
+    check_threshold(threshold)
+    check_target_pf(target_pf)
+    write_lines([f"{detector.value},{float(target_pf)!r},{float(threshold)!r}\n"], path_or_stream)
 
 
-def read_threshold_file(path):
-    """Parse a threshold file back into a Threshold.
-
-    The format does not carry the calibration sample size, so the returned
-    Threshold records calibration_trials=1 as a placeholder.
-    """
+def read_threshold_file(path) -> tuple:
+    """(detector, target_pf, threshold) of a threshold file, the threshold a
+    built-in float; the format does not carry the calibration sample size."""
     with open_text(path) as fh:
         parts = fh.readline().strip().split(",")
         rest = fh.read()
     if len(parts) != 3 or rest:
-        raise ConfigurationError(
-            f"{path}: expected 'detector,target_pf,threshold' on one line"
-        )
+        raise ConfigurationError(f"{path}: expected 'detector,target_pf,threshold' on one line")
     try:
-        detector = DetectorKind(parts[0])
-        target_pf = float(parts[1])
-        value = float(parts[2])
+        detector, target_pf, threshold = DetectorKind(parts[0]), float(parts[1]), float(parts[2])
     except ValueError as exc:
         raise ConfigurationError(f"{path}: unparseable threshold file: {exc}") from exc
     try:
-        return Threshold(value=value, target_pf=target_pf,
-                         calibration_trials=1, detector=detector)
+        check_threshold(threshold)
+        check_target_pf(target_pf)
     except ConfigurationError as exc:
         raise ConfigurationError(f"{path}: {exc}") from exc
+    return detector, target_pf, threshold

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from cyclosense import (DetectorKind, SampleBuffer, SensingConfig, Threshold, add_awgn, cli,
+from cyclosense import (DetectorKind, SampleBuffer, SensingConfig, add_awgn, cli,
                         generate_signal, harness, noise_only, scd, write_signal_file,
                         write_threshold_file)
 from cyclosense.cli import build_parser, config_from_args, main
@@ -233,7 +233,7 @@ class TestLoneSubcommandParser:
         expected = [action.option_strings[0] for action in subparsers.choices["detect"]._actions]
         signal = tone_file(tmp_path / "tone.txt")
         threshold = tmp_path / "threshold.txt"
-        write_threshold_file(Threshold(100.0, 0.1, 100, DetectorKind.ENERGY), threshold)
+        write_threshold_file(DetectorKind.ENERGY, 0.1, 100.0, threshold)
         added = []
         add_argument = argparse.ArgumentParser.add_argument
 
@@ -257,7 +257,7 @@ class TestWarmParser:
     def detect_argv(tmp_path):
         signal = tone_file(tmp_path / "tone.txt")
         threshold = tmp_path / "threshold.txt"
-        write_threshold_file(Threshold(100.0, 0.1, 100, DetectorKind.ENERGY), threshold)
+        write_threshold_file(DetectorKind.ENERGY, 0.1, 100.0, threshold)
         return ["detect", *TINY, "--input", signal, "--detector", "energy",
                 "--threshold-file", str(threshold)]
 
@@ -302,7 +302,7 @@ class TestWarmParser:
     def test_fresh_interpreter_reads_sys_argv(self, tmp_path, capsys):
         signal = tone_file(tmp_path / "tone.txt")
         threshold = tmp_path / "threshold.txt"
-        write_threshold_file(Threshold(100.0, 0.1, 100, DetectorKind.ENERGY), threshold)
+        write_threshold_file(DetectorKind.ENERGY, 0.1, 100.0, threshold)
         argv = ["detect", *TINY, "--input", signal, "--detector", "energy",
                 "--threshold-file", str(threshold)]
         assert main(argv) == 0
@@ -444,7 +444,7 @@ class TestDetectCommand:
     def test_loud_signal_is_active(self, tmp_path, capsys):
         signal = tone_file(tmp_path / "loud.txt", amplitude=10.0)
         threshold = tmp_path / "threshold.txt"
-        write_threshold_file(Threshold(100.0, 0.1, 100, DetectorKind.ENERGY),
+        write_threshold_file(DetectorKind.ENERGY, 0.1, 100.0,
                              threshold)
         code = main(["detect", *TINY, "--input", signal, "--detector",
                      "energy", "--threshold-file", str(threshold)])
@@ -458,7 +458,7 @@ class TestDetectCommand:
         path = tmp_path / "quiet.txt"
         write_signal_file(quiet, path)
         threshold = tmp_path / "threshold.txt"
-        write_threshold_file(Threshold(100.0, 0.1, 100, DetectorKind.ENERGY),
+        write_threshold_file(DetectorKind.ENERGY, 0.1, 100.0,
                              threshold)
         code = main(["detect", *TINY, "--input", str(path), "--detector",
                      "energy", "--threshold-file", str(threshold)])
@@ -489,8 +489,7 @@ class TestDetectCommand:
     def test_detector_mismatch_exits_2(self, tmp_path, capsys):
         signal = tone_file(tmp_path / "tone.txt")
         threshold = tmp_path / "threshold.txt"
-        write_threshold_file(
-            Threshold(1.0, 0.1, 100, DetectorKind.CYCLE_FEATURE), threshold)
+        write_threshold_file(DetectorKind.CYCLE_FEATURE, 0.1, 1.0, threshold)
         code = main(["detect", *TINY, "--input", signal, "--detector",
                      "energy", "--threshold-file", str(threshold)])
         assert code == 2
@@ -706,7 +705,7 @@ class TestShiftZeroCarrier:
     @pytest.fixture
     def threshold(self, tmp_path):
         path = tmp_path / "threshold.txt"
-        write_threshold_file(Threshold(1.0, 0.1, 100, DetectorKind.CYCLE_FEATURE), path)
+        write_threshold_file(DetectorKind.CYCLE_FEATURE, 0.1, 1.0, path)
         return str(path)
 
     @pytest.mark.parametrize("argv", [
@@ -912,8 +911,8 @@ class TestNoEvidenceRefused:
     def test_zero_calibrated_threshold(self, tmp_path, monkeypatch, capsys):
         # no positive, finite noise variance calibrates to 0.0 in practice,
         # so the calibration is replaced: decide alone holds the rule
-        monkeypatch.setattr(cli, "calibrate_at_noise", lambda config, pf, variance: tuple(
-            Threshold(0.0, pf, config.calibration_trials, d) for d in config.detectors))
+        monkeypatch.setattr(cli, "calibrate_at_noise",
+                            lambda config, pf, variance: (0.0,) * len(config.detectors))
         assert main(["detect", *TINY, "--detector", "energy", "--noise-variance", "1",
                      "--input", tone_file(tmp_path / "tone.txt")]) == 2
         assert_one_error(capsys.readouterr(), "threshold 0.0 ")
@@ -1250,7 +1249,7 @@ class TestOverflow:
         big = tmp_path / "big.txt"
         write_signal_file(SampleBuffer(np.full(16, 1.3e154), 8.0), big)
         threshold = tmp_path / "threshold.txt"
-        write_threshold_file(Threshold(1.0, 0.1, 1, DetectorKind.ENERGY), threshold)
+        write_threshold_file(DetectorKind.ENERGY, 0.1, 1.0, threshold)
         proc = run_fresh([arg.format(huge=huge, big=big, threshold=threshold) for arg in argv])
         assert_one_error_line(proc)
         assert "finite" in proc.stderr
@@ -1421,7 +1420,7 @@ def cli_argv(draw, command):
 def fuzz_files(tmp_path_factory):
     root = tmp_path_factory.mktemp("fuzz")
     threshold = root / "threshold.txt"
-    write_threshold_file(Threshold(50.0, 0.5, 20, DetectorKind.ENERGY), threshold)
+    write_threshold_file(DetectorKind.ENERGY, 0.5, 50.0, threshold)
     binary = root / "binary.txt"
     binary.write_bytes(BINARY_BYTES)
     nan_rate = root / "nan_rate.txt"

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cyclosense import (CalibrationError, ConfigurationError, Decision,
-                        DetectorKind, SampleBuffer, Threshold,
+                        DetectorKind, SampleBuffer,
                         WindowKind, calibrate_threshold, cycle_metric, decide,
                         energy_metric, noise_only,
                         required_calibration_trials, scd_slice)
@@ -275,7 +275,7 @@ class TestFastSumFallback:
         # the fast path, so the engine pays nothing for the exact routine
         config = SensingConfig(calibration_trials=200)
         (threshold,) = calibrate_at_noise(only(config, DetectorKind.ENERGY), 0.1, 1.0)
-        assert threshold.value > 0.0
+        assert threshold > 0.0
         assert exact_calls == []
 
     def test_sweep_takes_the_fast_path(self, exact_calls):
@@ -338,27 +338,25 @@ class TestCalibrateThreshold:
     def test_ninetieth_order_statistic(self):
         sample = [float(v) for v in range(1, 101)]
         threshold = calibrate_threshold(sample, 0.1)
-        assert threshold.value == 90.0
-        assert threshold.target_pf == 0.1
-        assert threshold.calibration_trials == 100
-        assert threshold.detector is DetectorKind.CYCLE_FEATURE
+        assert threshold == 90.0
+        assert type(threshold) is float
 
     def test_median_at_half(self):
         sample = [float(v) for v in range(1, 21)]
-        assert calibrate_threshold(sample, 0.5).value == 10.0
+        assert calibrate_threshold(sample, 0.5) == 10.0
 
     def test_order_of_input_is_irrelevant(self):
         rng = np.random.default_rng(8)
         sample = list(rng.normal(size=200) ** 2)
         shuffled = sample.copy()
         rng.shuffle(shuffled)
-        assert (calibrate_threshold(sample, 0.05).value
-                == calibrate_threshold(shuffled, 0.05).value)
+        assert calibrate_threshold(sample, 0.05) == calibrate_threshold(shuffled, 0.05)
 
-    def test_detector_tag(self):
-        sample = [float(v) for v in range(100)]
-        threshold = calibrate_threshold(sample, 0.1, detector=DetectorKind.ENERGY)
-        assert threshold.detector is DetectorKind.ENERGY
+    def test_numpy_sample_gives_a_float(self):
+        # a row of the engine's metric array, as run_roc and calibrate_at_noise pass
+        threshold = calibrate_threshold(np.arange(100.0), 0.1)
+        assert threshold == 89.0
+        assert type(threshold) is float
 
     def test_too_small_sample_names_minimum(self):
         sample = [1.0] * 99
@@ -378,24 +376,22 @@ class TestCalibrateThreshold:
                 calibrate_threshold([1.0] * 100, bad)
 
     def test_pf_refusal_names_the_value(self):
-        for call in (lambda: calibrate_threshold([1.0] * 100, math.nan),
-                     lambda: Threshold(1.0, math.nan, 100, DetectorKind.ENERGY)):
-            with pytest.raises(ConfigurationError,
-                               match=r"^target_pf must lie in \(0, 1\), got nan$"):
-                call()
+        with pytest.raises(ConfigurationError,
+                           match=r"^target_pf must lie in \(0, 1\), got nan$"):
+            calibrate_threshold([1.0] * 100, math.nan)
 
     def test_scaling_by_power_of_two_is_exact(self):
         rng = np.random.default_rng(9)
         sample = list(rng.normal(size=150) ** 2)
-        base = calibrate_threshold(sample, 0.1).value
-        scaled = calibrate_threshold([4.0 * v for v in sample], 0.1).value
+        base = calibrate_threshold(sample, 0.1)
+        scaled = calibrate_threshold([4.0 * v for v in sample], 0.1)
         assert scaled == 4.0 * base
 
     def test_threshold_monotone_in_pf(self):
         rng = np.random.default_rng(10)
         sample = list(rng.normal(size=1000) ** 2)
-        strict = calibrate_threshold(sample, 0.01).value
-        loose = calibrate_threshold(sample, 0.1).value
+        strict = calibrate_threshold(sample, 0.01)
+        loose = calibrate_threshold(sample, 0.1)
         assert strict >= loose
 
     @settings(max_examples=50, deadline=None)
@@ -409,15 +405,15 @@ class TestCalibrateThreshold:
         rng = np.random.default_rng(seed)
         sample = np.cumsum(rng.random(size=k) + 1e-9)
         threshold = calibrate_threshold(list(sample), pf)
-        above = int(np.sum(sample > threshold.value))
-        at_or_above = int(np.sum(sample >= threshold.value))
+        above = int(np.sum(sample > threshold))
+        at_or_above = int(np.sum(sample >= threshold))
         assert above <= pf * k
         assert at_or_above > pf * k - 1e-9
 
 
 class TestDecide:
     def setup_method(self):
-        self.threshold = Threshold(5.0, 0.1, 100, DetectorKind.CYCLE_FEATURE)
+        self.threshold = 5.0
 
     def test_above_is_active(self):
         assert decide(5.5, self.threshold) is Decision.H1_ACTIVE
@@ -428,36 +424,34 @@ class TestDecide:
     def test_tie_counts_as_detection(self):
         assert decide(5.0, self.threshold) is Decision.H1_ACTIVE
 
-    @pytest.mark.parametrize("value", [0.0, -0.0])
+    @pytest.mark.parametrize("value", [0.0, -0.0, np.float64(0.0)])
     def test_zero_threshold_refused(self, value):
-        # every metric is >= 0, so a zero threshold would call an all-zero buffer active
-        threshold = Threshold(value, 0.1, 100, DetectorKind.ENERGY)
+        # every metric is >= 0, so a zero threshold would call an all-zero buffer active;
+        # the message names it as a float, a numpy scalar too
         for metric in (0.0, 1.0):
-            with pytest.raises(ConfigurationError, match=f"threshold {value!r} "):
-                decide(metric, threshold)
+            with pytest.raises(ConfigurationError, match=f"^threshold {float(value)!r} "):
+                decide(metric, value)
 
     def test_smallest_positive_threshold_still_decides(self):
-        threshold = Threshold(5e-324, 0.1, 100, DetectorKind.ENERGY)
-        assert decide(0.0, threshold) is Decision.H0_INACTIVE
-        assert decide(5e-324, threshold) is Decision.H1_ACTIVE
+        assert decide(0.0, 5e-324) is Decision.H0_INACTIVE
+        assert decide(5e-324, 5e-324) is Decision.H1_ACTIVE
 
 
 class TestMetricAndThresholdTypes:
     def test_metric_rejects_negative_nan_inf(self):
         # a metric is a float; decide refuses one that no detector returns
-        threshold = Threshold(1.0, 0.1, 100, DetectorKind.ENERGY)
         for bad in (-1.0, math.nan, math.inf):
             with pytest.raises(ConfigurationError,
                                match="^metric value must be finite and nonnegative$"):
-                decide(bad, threshold)
+                decide(bad, 1.0)
 
-    def test_threshold_rejects_bad_fields(self):
-        with pytest.raises(ConfigurationError):
-            Threshold(-1.0, 0.1, 100, DetectorKind.ENERGY)
-        with pytest.raises(ConfigurationError):
-            Threshold(1.0, 0.0, 100, DetectorKind.ENERGY)
-        with pytest.raises(ConfigurationError):
-            Threshold(1.0, 0.1, 0, DetectorKind.ENERGY)
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0, -5e-324])
+    def test_threshold_rejects_bad_values(self, bad):
+        # a threshold is a float; decide refuses one that no calibration returns
+        for metric in (0.0, 1.0, 1e300):
+            with pytest.raises(ConfigurationError,
+                               match="^threshold value must be finite and nonnegative$"):
+                decide(metric, bad)
 
 
 class TestEndToEnd:

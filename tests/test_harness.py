@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from cyclosense import (CalibrationError, ConfigurationError, DetectorKind,
                         ModulationKind, ModulationSpec, RocPoint, SampleBuffer,
-                        SensingConfig, Threshold, WindowKind, add_awgn, complexity_model,
+                        SensingConfig, WindowKind, add_awgn, complexity_model,
                         cycle_metric, energy_metric, generate_signal, harness, make_window,
                         noise_only, read_threshold_file, run_roc, scd_slice,
                         write_roc_csv, write_threshold_file)
@@ -531,7 +531,10 @@ class TestDetectorsInOneConfig:
     def test_calibrate_at_noise(self, config):
         alone = tuple(calibrate_at_noise(only(config, d), 0.1, 2.0)[0] for d in DETECTORS)
         assert calibrate_at_noise(config, 0.1, 2.0) == alone
-        assert [t.detector for t in alone] == list(DETECTORS)
+        # one built-in float per detector, each in its detector's place
+        assert all(type(threshold) is float for threshold in alone)
+        reversed_order = dataclasses.replace(config, detectors=(ENERGY, CYCLE))
+        assert calibrate_at_noise(reversed_order, 0.1, 2.0) == alone[::-1]
 
     @pytest.mark.parametrize("config", CONFIGS, ids=["tiny", "reference"])
     def test_measure(self, config):
@@ -612,15 +615,30 @@ class TestRocCsv:
 class TestThresholdFile:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "threshold.txt"
-        original = Threshold(2.0 / 3.0, 0.1, 100, DetectorKind.ENERGY)
-        write_threshold_file(original, path)
+        write_threshold_file(DetectorKind.ENERGY, 0.1, 2.0 / 3.0, path)
         assert path.read_text() == f"energy,0.1,{2.0 / 3.0!r}\n"
         back = read_threshold_file(path)
-        assert back.value == original.value
-        assert back.target_pf == original.target_pf
-        assert back.detector is original.detector
-        # the file format does not carry the sample size
-        assert back.calibration_trials == 1
+        assert back == (DetectorKind.ENERGY, 0.1, 2.0 / 3.0)
+        assert [type(field) for field in back[1:]] == [float, float]
+
+    def test_numpy_scalars_write_as_floats(self, tmp_path):
+        # numpy 2 reprs a scalar as np.float64(0.1), which no reader parses
+        path = tmp_path / "threshold.txt"
+        write_threshold_file(DetectorKind.ENERGY, np.float64(0.1), np.float64(2.0 / 3.0), path)
+        assert path.read_text() == f"energy,0.1,{2.0 / 3.0!r}\n"
+        assert read_threshold_file(path) == (DetectorKind.ENERGY, 0.1, 2.0 / 3.0)
+
+    @pytest.mark.parametrize("target_pf, threshold, message", [
+        (7.0, 1.0, "target_pf must lie in (0, 1), got 7.0"),
+        (0.1, math.nan, "threshold value must be finite and nonnegative"),
+        (0.1, -1.0, "threshold value must be finite and nonnegative"),
+    ], ids=["target_pf", "nan_value", "negative_value"])
+    def test_writer_refuses_what_the_reader_refuses(self, target_pf, threshold, message,
+                                                     tmp_path):
+        path = tmp_path / "threshold.txt"
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+            write_threshold_file(DetectorKind.ENERGY, target_pf, threshold, path)
+        assert not path.exists()
 
     @pytest.mark.parametrize("content", [
         "energy,0.1\n",
@@ -654,12 +672,14 @@ class TestThresholdFile:
             read_threshold_file(path)
         assert str(info.value).startswith(f"{path}: unparseable threshold file")
 
-    # a parsed line whose target Pf or value Threshold refuses
+    # a parsed line whose target Pf or threshold its rule refuses
     @pytest.mark.parametrize("content, message", [
         ("energy,7,1.0\n", "target_pf must lie in (0, 1), got 7.0"),
+        ("energy,nan,1.0\n", "target_pf must lie in (0, 1), got nan"),
         ("energy,0.1,-1.0\n", "threshold value must be finite and nonnegative"),
         ("energy,0.1,inf\n", "threshold value must be finite and nonnegative"),
-    ], ids=["target_pf", "negative_value", "inf_value"])
+        ("energy,0.1,nan\n", "threshold value must be finite and nonnegative"),
+    ], ids=["target_pf", "nan_target_pf", "negative_value", "inf_value", "nan_value"])
     def test_refused_content_names_the_file(self, content, message, tmp_path):
         path = tmp_path / "threshold.txt"
         path.write_text(content)
