@@ -21,11 +21,14 @@ SliceWork alone owns the grid of N samples at rate fs: bin width Fs = fs/N, scal
 a cycle frequency, refused when |a| > (N-1)/2 as no two in-band bins are further
 apart, and profile's grid of 2 a Fs.  scd_slice returns values only; a caller
 reads the quantized cycle frequency 2 a Fs and the scale from a SliceWork.
+A row at shift a has N - 2|a| nonzero products, so cycle_profile runs each
+power-of-two size class of its shifts with a work of that size (SliceWork.serve).
 """
 
 import math
 from enum import Enum
 from functools import lru_cache
+from itertools import groupby
 
 import numpy as np
 
@@ -94,10 +97,6 @@ def _window(kind: WindowKind, length: int) -> np.ndarray:
     return read_only(weights)
 
 
-def _next_pow2(m: int) -> int:
-    return 1 << (m - 1).bit_length()
-
-
 @lru_cache(maxsize=16)
 def _window_transform(kind: WindowKind, length: int, nfft: int) -> np.ndarray:
     return read_only(np.fft.fft(_window(kind, length), nfft))
@@ -109,11 +108,11 @@ class SliceWork:
     order, a length or rate no buffer has, a bin width, a window (check_window's rule) and
     a scale 1 / ((n-1) * Ts) the grid cannot hold.
 
-    Reusing one across calls spares each slice its ~100 KB temporaries,
-    which glibc would otherwise map, fault in and unmap every time.  glibc
-    raises its mmap threshold only on freeing a mapped block (mallopt(3)), so
-    a products-sized block is freed untouched first: numpy's batched-FFT scratch
-    then stays on the heap from the first call, not from the first SliceWork's death.
+    Built at nfft(0), it serves every shift; cycle_profile re-serves it per size class.
+    Reusing one across calls spares each slice its ~100 KB temporaries, which glibc would
+    otherwise map, fault in and unmap every time.  glibc raises its mmap threshold only on
+    freeing a mapped block (mallopt(3)), so a products-sized block is freed untouched first:
+    numpy's batched-FFT scratch then stays on the heap from the first call.
     """
 
     def __init__(self, rows: int, n: int, sample_rate_hz: float, kind: WindowKind, length: int):
@@ -128,14 +127,30 @@ class SliceWork:
         self.n = n
         self.bin_width = sample_rate_hz / n
         self.max_shift = (n - 1) // 2
-        self.weights = weights
-        length = weights.size
-        nfft = n if length == 1 else _next_pow2(n + length - 1)
-        self.transform = None if length == 1 else _window_transform(kind, length, nfft)
+        self.kind, self.weights, self.rows = kind, weights, rows
         self.centered = np.empty(n, dtype=np.complex128)
-        np.empty((rows, nfft), dtype=np.complex128)  # freed untouched; see the docstring
-        self.products = np.empty((rows, nfft), dtype=np.complex128)
+        np.empty((rows, self.nfft(0)), dtype=np.complex128)  # freed untouched; see the docstring
+        self.serve(self.nfft(0))
         self.magnitudes = np.empty((rows, n))
+
+    def nfft(self, shift: int) -> int:
+        """The power of two that holds a row's linear convolution at |shift| (n if L = 1)."""
+        length = self.weights.size
+        return self.n if length == 1 else 1 << (self.n - 2 * abs(shift) + length - 2).bit_length()
+
+    def serve(self, nfft: int) -> None:
+        """Size the buffers at nfft for |a| >= band = max(0, ceil((n + L - 1 - nfft) / 2)):
+        a row's products start at column |a| - band, its values at column L//2 - band,
+        and bins beyond the buffer are exact zeros.  At band 0 values view the products."""
+        n, length = self.n, self.weights.size
+        self.band = max(0, (n + length - nfft) // 2)
+        self.transform = None if length == 1 else _window_transform(self.kind, length, nfft)
+        self.products = np.empty((self.rows, nfft), dtype=np.complex128)
+        first = length // 2 - self.band
+        self.held = slice(max(first, 0), min(first + n, nfft))
+        self.kept = slice(self.held.start - first, self.held.stop - first)
+        self.values = (self.products[:, self.held] if self.kept == slice(0, n)
+                       else np.zeros((self.rows, n), dtype=np.complex128))
 
     def shift(self, alpha_hz: float) -> int:
         """The bin shift round(alpha_hz / (2 Fs)), ties to even; refused beyond
@@ -181,7 +196,7 @@ def smoothed_slices(spectra: np.ndarray, shifts, work: SliceWork) -> np.ndarray:
     (len(shifts), n) view of work's buffers in signed-bin order, valid
     until work is used again.  Overflow yields inf or nan, not a warning;
     callers check finiteness where they need it.  Requires every
-    |a| <= (n-1)/2, which SliceWork.shift guarantees.
+    work.band <= |a| <= (n-1)/2; SliceWork.shift guarantees the upper bound.
     """
     rows = len(shifts)
     n = work.n
@@ -193,23 +208,26 @@ def smoothed_slices(spectra: np.ndarray, shifts, work: SliceWork) -> np.ndarray:
             a = abs(shift)
             centered[low:] = bins[:n - low]
             centered[:low] = bins[n - low:]
-            row[:a] = 0.0
-            row[n - a:] = 0.0
+            lo, hi = a - work.band, n - a - work.band
+            row[:lo] = 0.0
+            row[hi:] = 0.0
             # explicit out= buffers: numpy's temporary elision would change
             # the last bit of a large `x * np.conj(y)`
-            np.conj(centered[:n - 2 * a], out=row[a:n - a])
-            np.multiply(centered[2 * a:], row[a:n - a], out=row[a:n - a])
-        length = work.weights.size
-        values = block
+            np.conj(centered[:n - 2 * a], out=row[lo:hi])
+            np.multiply(centered[2 * a:], row[lo:hi], out=row[lo:hi])
         if work.transform is not None:
             np.fft.fft(block, axis=-1, out=block)
             np.multiply(block, work.transform, out=block)
             np.fft.ifft(block, axis=-1, out=block)
-            values = block[:, length // 2:length // 2 + n]
+        values = work.values[:rows]
+        inside = values[:, work.kept]  # the bins the buffer holds; the rest stay exact zeros
+        if not np.may_share_memory(values, block):
+            inside[...] = block[:, work.held]
+        length = work.weights.size
         # numpy divides by L + 0j as (re + im*0) * fl(1/L): the same bits but a zero's sign
-        np.multiply(values, 1.0 / length, out=values)
-        np.multiply(values, work.scale, out=values)
-    for row, shift in zip(values, shifts):
+        np.multiply(inside, 1.0 / length, out=inside)
+        np.multiply(inside, work.scale, out=inside)
+    for row, shift in zip(inside, shifts):
         if shift < 0:
             np.conj(row, out=row)
     return values
@@ -232,18 +250,20 @@ def scd_slice(signal: SampleBuffer, alpha_hz: float, kind: WindowKind, length: i
 
 
 def cycle_profile(signal: SampleBuffer, alphas_hz, kind: WindowKind, length: int) -> np.ndarray:
-    """Max slice magnitude over frequency per alpha in alphas_hz, read-only; each |alpha| once."""
+    """Max slice magnitude per alpha in alphas_hz, read-only; each |alpha| once, at its nfft."""
     alphas = np.asarray(alphas_hz, dtype=np.float64)
     if alphas.ndim != 1 or alphas.size == 0:
         raise ConfigurationError("alphas_hz must be a nonempty 1-D sequence")
     work = SliceWork(BLOCK_ROWS, len(signal), signal.sample_rate_hz, kind, length)
     shifts = [abs(work.shift(alpha)) for alpha in alphas]
     bins = dft(signal)
-    distinct = list(dict.fromkeys(shifts))
-    peaks = np.empty(max(distinct) + 1)
-    for first in range(0, len(distinct), BLOCK_ROWS):
-        block = distinct[first:first + BLOCK_ROWS]
-        peaks[block] = work.peaks(smoothed_slices(bins, block, work))
+    peaks = np.empty(max(shifts) + 1)
+    for nfft, members in groupby(sorted(set(shifts)), work.nfft):
+        work.serve(nfft)
+        distinct = list(members)
+        for first in range(0, len(distinct), BLOCK_ROWS):
+            block = distinct[first:first + BLOCK_ROWS]
+            peaks[block] = work.peaks(smoothed_slices(bins, block, work))
     magnitudes = peaks[shifts]
     if not np.isfinite(magnitudes).all():
         raise ConfigurationError("profile magnitudes must be finite and nonnegative; "

@@ -316,6 +316,25 @@ class TestBlockKernel:
             slow = scd_slice_naive(buf, 2.0 * shift, *window)
             assert rel_err(np.fft.ifftshift(row), slow) < 1e-9
 
+    @pytest.mark.parametrize("n", [64, 65])
+    def test_every_size_class_matches_reference(self, n):
+        # a work served at each power of two that some shift needs, on that class's
+        # smallest and largest shifts: near the oracle, exact zeros beyond the buffer
+        window = (WindowKind.HAMMING, 7)
+        buf = white_buffer(n, seed=n, rate=float(n))
+        work = SliceWork(2, n, float(n), *window)
+        everything = range(work.max_shift + 1)
+        for nfft in sorted({work.nfft(shift) for shift in everything}):
+            served = [shift for shift in everything if work.nfft(shift) == nfft]
+            work.serve(nfft)
+            shifts = [-served[0], served[-1]]
+            values = smoothed_slices(dft(buf), shifts, work)
+            assert not values[:, :work.kept.start].any()
+            assert not values[:, work.kept.stop:].any()
+            for row, shift in zip(values, shifts):
+                slow = scd_slice_naive(buf, 2.0 * shift, *window)
+                assert rel_err(np.fft.ifftshift(row), slow) < 1e-9
+
     @pytest.mark.parametrize("alpha", [2e6, -2e6, 0.0])
     @pytest.mark.parametrize("source", ["noise", "am"])
     def test_reference_size_matches_definition(self, source, alpha):
@@ -368,16 +387,22 @@ class TestBlockKernel:
             got, want = got.view(np.float64), want.view(np.float64)
             assert np.array_equal(got[want != 0], want[want != 0])
 
-    def test_profile_equals_per_alpha_slices(self):
-        # unsorted, with repeats, and not a whole number of blocks
+    @pytest.mark.parametrize("alphas", [
+        [30.0, -2.0, 0.0, 30.0, 94.0, -94.0, 12.0, -2.0, 4.0, 62.0, -30.0],
+        [94.0, 92.0, -90.0, 88.0, 94.0],
+        [-62.0, 2.0, 62.0, 0.0, 2.0, 44.0, 80.0]],
+        ids=["mixed", "one_class", "classes_out_of_order"])
+    def test_profile_equals_per_alpha_slices(self, alphas):
+        # unsorted, with repeats, and not a whole number of blocks: a row's bits
+        # depend on its |shift| alone, never on the other alphas of a request
         buf = white_buffer(96, seed=5, rate=96.0)
         window = (WindowKind.HAMMING, 9)
-        alphas = [30.0, -2.0, 0.0, 30.0, 94.0, -94.0, 12.0, -2.0, 4.0, 62.0, -30.0]
         assert len(alphas) % BLOCK_ROWS
         magnitudes = cycle_profile(buf, alphas, *window)
-        expected = [np.abs(scd_slice(buf, alpha, *window)).max()
-                    for alpha in alphas]
-        assert np.array_equal(magnitudes, expected)
+        alone = [cycle_profile(buf, [alpha], *window)[0] for alpha in alphas]
+        assert magnitudes.tobytes() == np.array(alone).tobytes()
+        sliced = [np.abs(scd_slice(buf, alpha, *window)).max() for alpha in alphas]
+        assert rel_err(magnitudes, sliced) <= 1e-12
 
 
 @st.composite
@@ -573,7 +598,9 @@ class TestCycleProfile:
         assert (magnitudes.dtype, magnitudes.shape) == (np.float64, (3,))
         assert not magnitudes.flags.writeable
         for alpha, got in zip(alphas, magnitudes):
-            assert got == np.abs(scd_slice(buf, alpha, *window)).max()
+            assert got == cycle_profile(buf, [alpha], *window)[0]
+            assert got == pytest.approx(np.abs(scd_slice(buf, alpha, *window)).max(),
+                                        rel=1e-12)
 
     @pytest.mark.parametrize("amplitude", [1e160, 1e300])
     def test_overflow_refused(self, amplitude):
@@ -593,6 +620,54 @@ class TestCycleProfile:
         buf = white_buffer(4096, seed=0, rate=1e-305)
         with pytest.raises(ConfigurationError, match="scale"):
             cycle_profile(buf, [0.0], WindowKind.RECTANGULAR, 31)
+
+
+class TestBandSizedProfile:
+    """cycle_profile runs each power-of-two size class of its shifts with a work of
+    that size.  At N = 4096, L = 1301 a row at |a| needs 4096 - 2|a| + 1300 points:
+    nfft 8192 serves |a| <= 649, 4096 serves 650 .. 1673 and 2048 serves 1674 ..
+    2047.  The 8192 class is scd_slice's size, so its rows keep scd_slice's bits."""
+
+    N, RATE, WINDOW = 4096, 3e6, (WindowKind.HAMMING, 1301)
+    BOUNDARIES = [649, 650, 1673, 1674]
+
+    @pytest.fixture(scope="class")
+    def profile(self):
+        am = generate_signal(ModulationSpec(ModulationKind.AM, 1e6, 10e3), self.N, self.RATE,
+                             seed=11)
+        buf = add_awgn(am, 0.0, 12)
+        alphas = SliceWork(0, self.N, self.RATE, *self.WINDOW).grid()
+        return buf, alphas, cycle_profile(buf, alphas, *self.WINDOW)
+
+    def test_size_classes(self):
+        work = SliceWork(1, self.N, self.RATE, *self.WINDOW)
+        sizes = [work.nfft(shift) for shift in [0, *self.BOUNDARIES, 2047]]
+        assert sizes == [8192, 8192, 4096, 4096, 2048, 2048]
+        for nfft, band in [(8192, 0), (4096, 650), (2048, 1674)]:
+            work.serve(nfft)
+            assert (work.band, work.products.shape) == (band, (1, nfft))
+
+    @pytest.mark.parametrize("shift", [0, 1365, 2047, *BOUNDARIES])
+    def test_peaks_near_the_slice(self, profile, shift):
+        buf, alphas, magnitudes = profile
+        for signed in (shift, -shift):
+            want = np.abs(scd_slice(buf, alphas[signed + 2047], *self.WINDOW)).max()
+            assert abs(magnitudes[signed + 2047] - want) <= 1e-12 * want
+
+    @pytest.mark.parametrize("shift", [0, 1, 400, 648, 649, -649])
+    def test_widest_class_keeps_the_slice_bits(self, profile, shift):
+        buf, alphas, magnitudes = profile
+        want = np.abs(scd_slice(buf, alphas[shift + 2047], *self.WINDOW)).max()
+        assert magnitudes[shift + 2047] == want
+
+    def test_second_profile_computes_no_transform(self, profile):
+        # every size class of one window fits the transform cache
+        buf, alphas, magnitudes = profile
+        cycle_profile(buf, alphas, *self.WINDOW)
+        misses = scd._window_transform.cache_info().misses
+        again = cycle_profile(buf, alphas, *self.WINDOW)
+        assert scd._window_transform.cache_info().misses == misses
+        assert again.tobytes() == magnitudes.tobytes()
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
