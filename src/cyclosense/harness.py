@@ -10,7 +10,6 @@ assembled in trial order, so a run is a pure function of its SensingConfig
 and is byte-identical across worker counts and schedulers.
 """
 
-import math
 import os
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -137,8 +136,7 @@ class RocPoint:
                 raise ConfigurationError(f"{name} must lie in [0, 1]")
         if self.h0_trials < 1 or self.h1_trials < 1:
             raise ConfigurationError("trial counts must be positive")
-        if not (math.isfinite(self.threshold) and self.threshold >= 0.0):
-            raise ConfigurationError("threshold must be finite and nonnegative")
+        check_threshold(self.threshold)
 
 
 def complexity_model(n: int, l: int) -> dict:

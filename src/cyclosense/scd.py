@@ -21,8 +21,8 @@ SliceWork alone owns the grid of N samples at rate fs: bin width Fs = fs/N, scal
 a cycle frequency, refused when |a| > (N-1)/2 as no two in-band bins are further
 apart, and profile's grid of 2 a Fs.  scd_slice returns values only; a caller
 reads the quantized cycle frequency 2 a Fs and the scale from a SliceWork.
-A row at shift a has N - 2|a| nonzero products, so cycle_profile runs each
-power-of-two size class of its shifts with a work of that size (SliceWork.serve).
+A row at shift a has N - 2|a| nonzero products: cycle_profile runs each size class
+at its power of two (SliceWork.serve) and drops the exact-zero bins beyond its buffer.
 """
 
 import math
@@ -97,7 +97,9 @@ def _window(kind: WindowKind, length: int) -> np.ndarray:
     return read_only(weights)
 
 
-@lru_cache(maxsize=16)
+# One window's size classes are the powers of two from 4 to nfft(0) < 2 n: at most 53
+# for n < 2**53, so a profile's classes never evict each other's transforms.
+@lru_cache(maxsize=64)
 def _window_transform(kind: WindowKind, length: int, nfft: int) -> np.ndarray:
     return read_only(np.fft.fft(_window(kind, length), nfft))
 
@@ -108,7 +110,7 @@ class SliceWork:
     order, a length or rate no buffer has, a bin width, a window (check_window's rule) and
     a scale 1 / ((n-1) * Ts) the grid cannot hold.
 
-    Built at nfft(0), it serves every shift; cycle_profile re-serves it per size class.
+    Built at nfft(0), it serves every shift, all n bins; cycle_profile re-serves it per class.
     Reusing one across calls spares each slice its ~100 KB temporaries, which glibc would
     otherwise map, fault in and unmap every time.  glibc raises its mmap threshold only on
     freeing a mapped block (mallopt(3)), so a products-sized block is freed untouched first:
@@ -140,17 +142,14 @@ class SliceWork:
 
     def serve(self, nfft: int) -> None:
         """Size the buffers at nfft for |a| >= band = max(0, ceil((n + L - 1 - nfft) / 2)):
-        a row's products start at column |a| - band, its values at column L//2 - band,
-        and bins beyond the buffer are exact zeros.  At band 0 values view the products."""
+        a row's products start at column |a| - band, its n bins at column L//2 - band, and
+        held is the columns of those the buffer holds (all n at band 0; the rest are 0)."""
         n, length = self.n, self.weights.size
         self.band = max(0, (n + length - nfft) // 2)
         self.transform = None if length == 1 else _window_transform(self.kind, length, nfft)
         self.products = np.empty((self.rows, nfft), dtype=np.complex128)
         first = length // 2 - self.band
         self.held = slice(max(first, 0), min(first + n, nfft))
-        self.kept = slice(self.held.start - first, self.held.stop - first)
-        self.values = (self.products[:, self.held] if self.kept == slice(0, n)
-                       else np.zeros((self.rows, n), dtype=np.complex128))
 
     def shift(self, alpha_hz: float) -> int:
         """The bin shift round(alpha_hz / (2 Fs)), ties to even; refused beyond
@@ -182,7 +181,8 @@ class SliceWork:
     def peaks(self, values: np.ndarray) -> np.ndarray:
         """Max |value| of each row of a block smoothed_slices returned."""
         with np.errstate(over="ignore"):
-            return np.abs(values, out=self.magnitudes[:values.shape[0]]).max(axis=1)
+            rows, width = values.shape
+            return np.abs(values, out=self.magnitudes[:rows, :width]).max(axis=1)
 
 
 def smoothed_slices(spectra: np.ndarray, shifts, work: SliceWork) -> np.ndarray:
@@ -192,11 +192,11 @@ def smoothed_slices(spectra: np.ndarray, shifts, work: SliceWork) -> np.ndarray:
     every row shares; shifts gives each row's bin shift a.  Each row is
     formed at |a| in signed-bin (fftshifted) order, zero outside the band,
     smoothed by one batched FFT pair (a linear convolution, as the window is
-    symmetric), then conjugated where a < 0, as S^-a = conj(S^a).  Returns a
-    (len(shifts), n) view of work's buffers in signed-bin order, valid
-    until work is used again.  Overflow yields inf or nan, not a warning;
-    callers check finiteness where they need it.  Requires every
-    work.band <= |a| <= (n-1)/2; SliceWork.shift guarantees the upper bound.
+    symmetric), then conjugated where a < 0, as S^-a = conj(S^a).  Returns work.held's
+    columns of work's products, valid until work is used again: column j is fftshifted
+    bin held.start - (L//2 - work.band) + j, all n bins at band 0, the rest exact zeros.
+    Overflow yields inf or nan, not a warning; callers check finiteness where they need it.
+    Requires every work.band <= |a| <= (n-1)/2; SliceWork.shift guarantees the upper bound.
     """
     rows = len(shifts)
     n = work.n
@@ -219,15 +219,12 @@ def smoothed_slices(spectra: np.ndarray, shifts, work: SliceWork) -> np.ndarray:
             np.fft.fft(block, axis=-1, out=block)
             np.multiply(block, work.transform, out=block)
             np.fft.ifft(block, axis=-1, out=block)
-        values = work.values[:rows]
-        inside = values[:, work.kept]  # the bins the buffer holds; the rest stay exact zeros
-        if not np.may_share_memory(values, block):
-            inside[...] = block[:, work.held]
+        values = block[:, work.held]
         length = work.weights.size
         # numpy divides by L + 0j as (re + im*0) * fl(1/L): the same bits but a zero's sign
-        np.multiply(inside, 1.0 / length, out=inside)
-        np.multiply(inside, work.scale, out=inside)
-    for row, shift in zip(inside, shifts):
+        np.multiply(values, 1.0 / length, out=values)
+        np.multiply(values, work.scale, out=values)
+    for row, shift in zip(values, shifts):
         if shift < 0:
             np.conj(row, out=row)
     return values

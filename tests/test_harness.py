@@ -728,3 +728,10 @@ class TestRocPointType:
             RocPoint(DetectorKind.ENERGY, 0.0, 0.1, -1.0, 0.5, 0.5, 10, 10)
         with pytest.raises(ConfigurationError):
             RocPoint(DetectorKind.ENERGY, 0.0, 0.1, 1.0, 0.5, 0.5, 0, 10)
+
+    @pytest.mark.parametrize("threshold", [-1.0, math.nan])
+    def test_threshold_refused_by_the_one_rule(self, threshold):
+        # detect.check_threshold's message, as decide and the threshold file give it
+        with pytest.raises(ConfigurationError,
+                           match="^threshold value must be finite and nonnegative$"):
+            RocPoint(DetectorKind.ENERGY, 0.0, 0.1, threshold, 0.5, 0.5, 10, 10)

@@ -319,7 +319,8 @@ class TestBlockKernel:
     @pytest.mark.parametrize("n", [64, 65])
     def test_every_size_class_matches_reference(self, n):
         # a work served at each power of two that some shift needs, on that class's
-        # smallest and largest shifts: near the oracle, exact zeros beyond the buffer
+        # smallest and largest shifts: the returned column j is fftshifted bin
+        # held.start - (L//2 - band) + j, near the oracle, whose other bins are exact zeros
         window = (WindowKind.HAMMING, 7)
         buf = white_buffer(n, seed=n, rate=float(n))
         work = SliceWork(2, n, float(n), *window)
@@ -329,11 +330,13 @@ class TestBlockKernel:
             work.serve(nfft)
             shifts = [-served[0], served[-1]]
             values = smoothed_slices(dft(buf), shifts, work)
-            assert not values[:, :work.kept.start].any()
-            assert not values[:, work.kept.stop:].any()
+            width = values.shape[1]
+            assert width == n if work.band == 0 else width <= nfft
+            start = work.held.start - (window[1] // 2 - work.band)
             for row, shift in zip(values, shifts):
-                slow = scd_slice_naive(buf, 2.0 * shift, *window)
-                assert rel_err(np.fft.ifftshift(row), slow) < 1e-9
+                slow = np.fft.fftshift(scd_slice_naive(buf, 2.0 * shift, *window))
+                assert not slow[:start].any() and not slow[start + width:].any()
+                assert rel_err(row, slow[start:start + width]) < 1e-9
 
     @pytest.mark.parametrize("alpha", [2e6, -2e6, 0.0])
     @pytest.mark.parametrize("source", ["noise", "am"])
@@ -666,6 +669,21 @@ class TestBandSizedProfile:
         cycle_profile(buf, alphas, *self.WINDOW)
         misses = scd._window_transform.cache_info().misses
         again = cycle_profile(buf, alphas, *self.WINDOW)
+        assert scd._window_transform.cache_info().misses == misses
+        assert again.tobytes() == magnitudes.tobytes()
+
+    def test_second_profile_computes_no_transform_at_17_classes(self):
+        # N = 2**17, L = 3, one alpha per size class: the 17 classes 2**18 down to 4
+        # fit the transform cache too
+        n, window = 2 ** 17, (WindowKind.HAMMING, 3)
+        buf = white_buffer(n, seed=17, rate=float(n))
+        work = SliceWork(1, n, float(n), *window)
+        classes = {work.nfft(shift): shift for shift in range(work.max_shift + 1)}
+        assert sorted(classes) == [2 ** k for k in range(2, 19)]
+        alphas = [2.0 * shift * work.bin_width for shift in classes.values()]
+        magnitudes = cycle_profile(buf, alphas, *window)
+        misses = scd._window_transform.cache_info().misses
+        again = cycle_profile(buf, alphas, *window)
         assert scd._window_transform.cache_info().misses == misses
         assert again.tobytes() == magnitudes.tobytes()
 
