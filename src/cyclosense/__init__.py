@@ -6,9 +6,9 @@ alpha = 2 * carrier frequency, and compares that detector against plain
 energy detection under a common Monte Carlo protocol.
 """
 
-from .detect import (Decision, DetectorKind, calibrate_threshold, cycle_metric, decide,
-                     energy_metric, required_calibration_trials)
-from .errors import CalibrationError, ConfigurationError, CyclosenseError
+from .detect import (DetectorKind, calibrate_threshold, cycle_metric, decide, energy_metric,
+                     required_calibration_trials)
+from .errors import ConfigurationError, CyclosenseError
 from .harness import (RocPoint, SensingConfig, complexity_model, read_threshold_file, run_roc,
                       write_roc_csv, write_threshold_file)
 from .scd import WindowKind, cycle_profile, dft, make_window, scd_slice, write_profile_csv
@@ -19,10 +19,8 @@ from .siggen import (ModulationKind, ModulationSpec, SampleBuffer, add_awgn, gen
 __version__ = "0.1.0"
 
 __all__ = [
-    "CalibrationError",
     "ConfigurationError",
     "CyclosenseError",
-    "Decision",
     "DetectorKind",
     "ModulationKind",
     "ModulationSpec",

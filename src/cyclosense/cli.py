@@ -182,8 +182,8 @@ def _cmd_detect(args) -> int:
     (metric,) = measure(config, buffer)
     if args.threshold_file is None:
         _, threshold = _calibrate(args, config)
-    decision = decide(metric, threshold)
-    print(f"decision={decision.value} detector={detector.value} "
+    decision = "h1_active" if decide(metric, threshold) else "h0_inactive"
+    print(f"decision={decision} detector={detector.value} "
           f"metric={metric!r} threshold={threshold!r}")
     return 0
 

@@ -12,12 +12,11 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import CalibrationError, ConfigurationError
+from .errors import ConfigurationError
 from .siggen import SampleBuffer
 
 __all__ = [
     "DetectorKind",
-    "Decision",
     "cycle_metric",
     "energy_metric",
     "required_calibration_trials",
@@ -32,11 +31,6 @@ _FAST_SUM_MAX = 1 << 25    # n <= 2^25 keeps R's error within delta, and |R| <= 
 class DetectorKind(Enum):
     CYCLE_FEATURE = "cycle_feature"
     ENERGY = "energy"
-
-
-class Decision(Enum):
-    H0_INACTIVE = "h0_inactive"
-    H1_ACTIVE = "h1_active"
 
 
 def _check_metric(value: float) -> float:
@@ -116,8 +110,8 @@ def check_target_pf(target_pf, calibration_trials=None) -> None:
         raise ConfigurationError(f"target_pf must lie in (0, 1), got {target_pf!r}")
     if calibration_trials is not None and calibration_trials < (
             required := required_calibration_trials(target_pf)):
-        raise CalibrationError(f"calibration sample of {calibration_trials} is too small for "
-                               f"target_pf={target_pf}; need at least {required}")
+        raise ConfigurationError(f"calibration sample of {calibration_trials} is too small for "
+                                 f"target_pf={target_pf}; need at least {required}")
 
 
 def calibrate_threshold(metric_sample, target_pf: float) -> float:
@@ -131,19 +125,18 @@ def calibrate_threshold(metric_sample, target_pf: float) -> float:
     k = len(values)
     check_target_pf(target_pf, k)
     if any(not (math.isfinite(v) and v >= 0.0) for v in values):
-        raise CalibrationError("calibration metrics must be finite and nonnegative")
+        raise ConfigurationError("calibration metrics must be finite and nonnegative")
     values.sort()
     index = math.ceil((1 - Fraction(target_pf)) * k)
     return values[index - 1]
 
 
-def decide(metric: float, threshold: float) -> Decision:
-    """H1 iff metric >= threshold (a tie detects); a zero threshold, met by all, is refused.
-    No kind is compared: detect refuses another detector's threshold before it measures."""
+def decide(metric: float, threshold: float) -> bool:
+    """True (H1, the primary user is active) iff metric >= threshold, a tie detecting; False
+    is H0.  A zero threshold, met by all, is refused.  No kind is compared: detect refuses
+    another detector's threshold before it measures."""
     _check_metric(metric)
     if check_threshold(threshold) == 0.0:
         raise ConfigurationError(f"threshold {float(threshold)!r} is met by every metric, an "
                                  "all-zero buffer's too; it decides on no evidence")
-    if metric >= threshold:
-        return Decision.H1_ACTIVE
-    return Decision.H0_INACTIVE
+    return bool(metric >= threshold)

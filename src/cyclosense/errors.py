@@ -6,8 +6,4 @@ class CyclosenseError(Exception):
 
 
 class ConfigurationError(CyclosenseError):
-    """Invalid parameter, spec, or input format. CLI exit code 2."""
-
-
-class CalibrationError(CyclosenseError):
-    """Threshold calibration cannot proceed (e.g. too few samples)."""
+    """Invalid parameter, spec, input format, or calibration size for a target Pf. CLI exit 2."""

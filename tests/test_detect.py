@@ -8,8 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclosense import (CalibrationError, ConfigurationError, Decision,
-                        DetectorKind, SampleBuffer,
+from cyclosense import (ConfigurationError, DetectorKind, SampleBuffer,
                         WindowKind, calibrate_threshold, cycle_metric, decide,
                         energy_metric, noise_only,
                         required_calibration_trials, scd_slice)
@@ -360,14 +359,16 @@ class TestCalibrateThreshold:
 
     def test_too_small_sample_names_minimum(self):
         sample = [1.0] * 99
-        with pytest.raises(CalibrationError, match="100"):
+        with pytest.raises(ConfigurationError, match="100"):
             calibrate_threshold(sample, 0.1)
 
     def test_invalid_metrics_rejected(self):
         good = [1.0] * 100
-        with pytest.raises(CalibrationError):
+        # one type for every refusal, so the message tells this rule from the size rule
+        message = "^calibration metrics must be finite and nonnegative$"
+        with pytest.raises(ConfigurationError, match=message):
             calibrate_threshold(good[:-1] + [-1.0], 0.1)
-        with pytest.raises(CalibrationError):
+        with pytest.raises(ConfigurationError, match=message):
             calibrate_threshold(good[:-1] + [math.nan], 0.1)
 
     def test_pf_bounds(self):
@@ -416,13 +417,18 @@ class TestDecide:
         self.threshold = 5.0
 
     def test_above_is_active(self):
-        assert decide(5.5, self.threshold) is Decision.H1_ACTIVE
+        assert decide(5.5, self.threshold) is True
 
     def test_below_is_inactive(self):
-        assert decide(4.5, self.threshold) is Decision.H0_INACTIVE
+        assert decide(4.5, self.threshold) is False
 
     def test_tie_counts_as_detection(self):
-        assert decide(5.0, self.threshold) is Decision.H1_ACTIVE
+        assert decide(5.0, self.threshold) is True
+
+    def test_numpy_scalars_give_a_builtin_bool(self):
+        # a numpy comparison gives np.bool_, which is neither True nor False
+        assert decide(np.float64(5.5), self.threshold) is True
+        assert decide(np.float64(4.5), np.float64(self.threshold)) is False
 
     @pytest.mark.parametrize("value", [0.0, -0.0, np.float64(0.0)])
     def test_zero_threshold_refused(self, value):
@@ -433,8 +439,8 @@ class TestDecide:
                 decide(metric, value)
 
     def test_smallest_positive_threshold_still_decides(self):
-        assert decide(0.0, 5e-324) is Decision.H0_INACTIVE
-        assert decide(5e-324, 5e-324) is Decision.H1_ACTIVE
+        assert decide(0.0, 5e-324) is False
+        assert decide(5e-324, 5e-324) is True
 
 
 class TestMetricAndThresholdTypes:
@@ -466,7 +472,7 @@ class TestEndToEnd:
                 cycle_metric(scd_slice(noise, 16.0, *window)))
         threshold = calibrate_threshold(noise_metrics, 0.1)
         loud = cycle_metric(tone_slice(n=n, cycles=8, amplitude=10.0, seed=1))
-        assert decide(loud, threshold) is Decision.H1_ACTIVE
+        assert decide(loud, threshold) is True
 
     def test_out_of_band_cycle_frequency_refused_before_calibration(self):
         # alpha = 30 Hz at n = fs = 16 is a shift of 15 bins, past (16 - 1) // 2:

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclosense import (CalibrationError, ConfigurationError, DetectorKind,
+from cyclosense import (ConfigurationError, DetectorKind,
                         ModulationKind, ModulationSpec, RocPoint, SampleBuffer,
                         SensingConfig, WindowKind, add_awgn, complexity_model,
                         cycle_metric, energy_metric, generate_signal, harness, make_window,
@@ -340,12 +340,12 @@ class TestRunRoc:
     def test_each_target_pf_checked_against_the_calibration_size(self):
         # 20 trials serve pf = 0.5 but not pf = 0.25, which needs 40
         config = tiny_config(target_pf_list=(0.5, 0.25), calibration_trials=20)
-        with pytest.raises(CalibrationError, match="target_pf=0.25; need at least 40"):
+        with pytest.raises(ConfigurationError, match="target_pf=0.25; need at least 40"):
             run_roc(config)
 
     def test_insufficient_calibration_refused_upfront(self):
         config = tiny_config(target_pf_list=(0.01,), calibration_trials=100)
-        with pytest.raises(CalibrationError, match="1000"):
+        with pytest.raises(ConfigurationError, match="1000"):
             run_roc(config)
 
     def test_pool_capped_at_cpu_count(self, monkeypatch):
@@ -692,17 +692,18 @@ class TestCalibrateAtNoise:
     """One-shot calibration checks its target Pf and its size before the
     first noise-only trial."""
 
-    @pytest.mark.parametrize("target_pf, trials, error", [
-        (7.0, 20, ConfigurationError),
-        (math.nan, 20, ConfigurationError),
-        (0.01, 999, CalibrationError),
+    @pytest.mark.parametrize("target_pf, trials, rule", [
+        (7.0, 20, "target_pf must lie in"),
+        (math.nan, 20, "target_pf must lie in"),
+        (0.01, 999, "target_pf=0.01; need at least 1000"),
     ])
     @pytest.mark.parametrize("detector", DETECTORS)
-    def test_refused_before_a_trial(self, detector, target_pf, trials, error, monkeypatch):
+    def test_refused_before_a_trial(self, detector, target_pf, trials, rule, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("calibrate_at_noise ran a trial")
         monkeypatch.setattr(harness, "noise_only", refuse)
-        with pytest.raises(error, match="target_pf"):
+        # the Pf rule and the size rule share one type; each case names its own rule
+        with pytest.raises(ConfigurationError, match=rule):
             calibrate_at_noise(only(tiny_config(calibration_trials=trials), detector),
                                target_pf, 1.0)
 
