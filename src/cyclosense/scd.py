@@ -22,7 +22,7 @@ a cycle frequency, refused when |a| > (N-1)/2 as no two in-band bins are further
 apart, and profile's grid of 2 a Fs.  scd_slice returns values only; a caller
 reads the quantized cycle frequency 2 a Fs and the scale from a SliceWork.
 A row at shift a has N - 2|a| nonzero products: cycle_profile runs each size class
-at its power of two (SliceWork.serve) and drops the exact-zero bins beyond its buffer.
+at SliceWork.nfft (SliceWork.serve) and drops the exact-zero bins beyond its buffer.
 """
 
 import math
@@ -97,8 +97,15 @@ def _window(kind: WindowKind, length: int) -> np.ndarray:
     return read_only(weights)
 
 
-# One window's size classes are the powers of two from 4 to nfft(0) < 2 n: at most 53
-# for n < 2**53, so a profile's classes never evict each other's transforms.
+@lru_cache(maxsize=16)
+def _smooth_size(size: int) -> int:
+    """The smallest 2**i * 3**j * 5**k >= size."""
+    odds = [3 ** j * 5 ** k for j in range(size.bit_length()) for k in range(size.bit_length())]
+    return min(odd << (-(-size // odd) - 1).bit_length() for odd in odds)
+
+
+# One window's sizes are the powers of two from 4 to the engine's (at most 2**54 for
+# n < 2**53) and profile's 5-smooth cap: at most 54, so no size evicts another's transform.
 @lru_cache(maxsize=64)
 def _window_transform(kind: WindowKind, length: int, nfft: int) -> np.ndarray:
     return read_only(np.fft.fft(_window(kind, length), nfft))
@@ -110,7 +117,8 @@ class SliceWork:
     order, a length or rate no buffer has, a bin width, a window (check_window's rule) and
     a scale 1 / ((n-1) * Ts) the grid cannot hold.
 
-    Built at nfft(0), it serves every shift, all n bins; cycle_profile re-serves it per class.
+    Built at the power of two >= n + L - 1, it serves every shift, all n bins;
+    cycle_profile re-serves it at each nfft class.
     Reusing one across calls spares each slice its ~100 KB temporaries, which glibc would
     otherwise map, fault in and unmap every time.  glibc raises its mmap threshold only on
     freeing a mapped block (mallopt(3)), so a products-sized block is freed untouched first:
@@ -131,14 +139,18 @@ class SliceWork:
         self.max_shift = (n - 1) // 2
         self.kind, self.weights, self.rows = kind, weights, rows
         self.centered = np.empty(n, dtype=np.complex128)
-        np.empty((rows, self.nfft(0)), dtype=np.complex128)  # freed untouched; see the docstring
-        self.serve(self.nfft(0))
+        # the engine keeps the power of two: its bits are recorded, and ROADMAP item 12 moves them
+        served = 1 << (n + weights.size - 2).bit_length() if weights.size > 1 else n
+        np.empty((rows, served), dtype=np.complex128)  # freed untouched; see the docstring
+        self.serve(served)
         self.magnitudes = np.empty((rows, n))
 
     def nfft(self, shift: int) -> int:
-        """The power of two that holds a row's linear convolution at |shift| (n if L = 1)."""
-        length = self.weights.size
-        return self.n if length == 1 else 1 << (self.n - 2 * abs(shift) + length - 2).bit_length()
+        """The size that holds a row's linear convolution at |shift| (n if L = 1): the
+        smaller of its power of two and the smallest 5-smooth size >= n + L - 1."""
+        n, length = self.n, self.weights.size
+        return n if length == 1 else min(1 << (n - 2 * abs(shift) + length - 2).bit_length(),
+                                         _smooth_size(n + length - 1))
 
     def serve(self, nfft: int) -> None:
         """Size the buffers at nfft for |a| >= band = max(0, ceil((n + L - 1 - nfft) / 2)):

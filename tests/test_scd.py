@@ -20,9 +20,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cyclosense import (ConfigurationError, ModulationKind, ModulationSpec, SampleBuffer,
-                        WindowKind, add_awgn, cycle_profile, dft, generate_signal, make_window,
-                        scd_slice, write_profile_csv)
-from cyclosense import scd
+                        SensingConfig, WindowKind, add_awgn, cycle_profile, dft, generate_signal,
+                        make_window, scd_slice, write_profile_csv)
+from cyclosense import harness, scd
 from cyclosense.scd import BLOCK_ROWS, SliceWork, smoothed_slices
 from oracles import (dft_naive, naive_scale, naive_shift, profile_grid_arithmetic,
                      scd_bins_direct, scd_slice_naive)
@@ -626,10 +626,11 @@ class TestCycleProfile:
 
 
 class TestBandSizedProfile:
-    """cycle_profile runs each power-of-two size class of its shifts with a work of
-    that size.  At N = 4096, L = 1301 a row at |a| needs 4096 - 2|a| + 1300 points:
-    nfft 8192 serves |a| <= 649, 4096 serves 650 .. 1673 and 2048 serves 1674 ..
-    2047.  The 8192 class is scd_slice's size, so its rows keep scd_slice's bits."""
+    """cycle_profile runs each size class of its shifts with a work of that size.  At
+    N = 4096, L = 1301 a row at |a| needs 4096 - 2|a| + 1300 points: nfft 5400, the
+    5-smooth cap, serves |a| <= 649, 4096 serves 650 .. 1673 and 2048 serves 1674 ..
+    2047.  scd_slice and the trial engine keep 8192 points, so every profile row lies
+    within 1e-12 of scd_slice's peak, not on its bits."""
 
     N, RATE, WINDOW = 4096, 3e6, (WindowKind.HAMMING, 1301)
     BOUNDARIES = [649, 650, 1673, 1674]
@@ -645,23 +646,20 @@ class TestBandSizedProfile:
     def test_size_classes(self):
         work = SliceWork(1, self.N, self.RATE, *self.WINDOW)
         sizes = [work.nfft(shift) for shift in [0, *self.BOUNDARIES, 2047]]
-        assert sizes == [8192, 8192, 4096, 4096, 2048, 2048]
-        for nfft, band in [(8192, 0), (4096, 650), (2048, 1674)]:
+        assert sizes == [5400, 5400, 4096, 4096, 2048, 2048]
+        # scd_slice's work and the trial engine's are served at the power of two
+        engine, _ = harness._cycle_work(SensingConfig(), 1)
+        assert work.products.shape == engine.products.shape == (1, 8192)
+        for nfft, band in [(5400, 0), (4096, 650), (2048, 1674)]:
             work.serve(nfft)
             assert (work.band, work.products.shape) == (band, (1, nfft))
 
-    @pytest.mark.parametrize("shift", [0, 1365, 2047, *BOUNDARIES])
+    @pytest.mark.parametrize("shift", [0, 1, 400, 648, -649, 1365, 2047, *BOUNDARIES])
     def test_peaks_near_the_slice(self, profile, shift):
         buf, alphas, magnitudes = profile
         for signed in (shift, -shift):
             want = np.abs(scd_slice(buf, alphas[signed + 2047], *self.WINDOW)).max()
             assert abs(magnitudes[signed + 2047] - want) <= 1e-12 * want
-
-    @pytest.mark.parametrize("shift", [0, 1, 400, 648, 649, -649])
-    def test_widest_class_keeps_the_slice_bits(self, profile, shift):
-        buf, alphas, magnitudes = profile
-        want = np.abs(scd_slice(buf, alphas[shift + 2047], *self.WINDOW)).max()
-        assert magnitudes[shift + 2047] == want
 
     def test_second_profile_computes_no_transform(self, profile):
         # every size class of one window fits the transform cache
@@ -673,19 +671,51 @@ class TestBandSizedProfile:
         assert again.tobytes() == magnitudes.tobytes()
 
     def test_second_profile_computes_no_transform_at_17_classes(self):
-        # N = 2**17, L = 3, one alpha per size class: the 17 classes 2**18 down to 4
-        # fit the transform cache too
+        # N = 2**17, L = 3, one alpha per size class: the 17 classes, 2**17 down to 4 and
+        # the cap 131220 = 2**2 * 3**8 * 5 >= n + 2, fit the transform cache too
         n, window = 2 ** 17, (WindowKind.HAMMING, 3)
         buf = white_buffer(n, seed=17, rate=float(n))
         work = SliceWork(1, n, float(n), *window)
         classes = {work.nfft(shift): shift for shift in range(work.max_shift + 1)}
-        assert sorted(classes) == [2 ** k for k in range(2, 19)]
+        assert sorted(classes) == [*(2 ** k for k in range(2, 18)), 131220]
         alphas = [2.0 * shift * work.bin_width for shift in classes.values()]
         magnitudes = cycle_profile(buf, alphas, *window)
         misses = scd._window_transform.cache_info().misses
         again = cycle_profile(buf, alphas, *window)
         assert scd._window_transform.cache_info().misses == misses
         assert again.tobytes() == magnitudes.tobytes()
+
+
+def is_5_smooth(size):
+    for prime in (2, 3, 5):
+        while size % prime == 0:
+            size //= prime
+    return size == 1
+
+
+class TestSizeRule:
+    """SliceWork.nfft(a) holds a row's linear convolution, N - 2|a| + L - 1 points, in
+    the smaller of that length's power of two and the smallest 5-smooth size that
+    holds every row's; so the size never grows with |a|."""
+
+    @pytest.mark.parametrize("n, kind, length", [
+        (64, WindowKind.HAMMING, 5), (65, WindowKind.HAMMING, 7),
+        (4096, WindowKind.HAMMING, 1301), (2 ** 17, WindowKind.HAMMING, 3),
+        # n + L - 2 = 1024 is 5-smooth, the cap n + L - 1 = 1025 is not: it rounds to 1080
+        (1001, WindowKind.RECTANGULAR, 25)])
+    def test_sizes(self, n, kind, length):
+        work = SliceWork(1, n, float(n), kind, length)
+        sizes = [work.nfft(shift) for shift in range(work.max_shift + 1)]
+        for shift, size in enumerate(sizes):
+            need = n - 2 * shift + length - 1
+            assert need <= size <= 1 << (need - 1).bit_length()
+            assert work.nfft(-shift) == size
+        assert all(map(is_5_smooth, set(sizes)))
+        assert sizes == sorted(sizes, reverse=True)
+        cap = n + length - 1
+        while not is_5_smooth(cap):
+            cap += 1
+        assert sizes[0] == cap
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
