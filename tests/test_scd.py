@@ -730,8 +730,10 @@ class TestFirstCallFaults:
     frees one untouched products-sized block up front.  Heap history belongs
     to the process, so each call runs first in a fresh interpreter.  Minor
     faults counted around the call (2-vCPU Xeon, Python 3.11.7, numpy 2.4.6),
-    without the freed block / with it: the full reference profile 98 603 /
-    374, and a 300-trial cycle calibration 15 072 / 701.
+    without the freed block / with it: the full reference profile 418 / 353,
+    and a 300-trial cycle calibration 15 215 / 711.  The profile barely needs
+    the block: its first class, 5400 points, re-sizes the work built at 8192,
+    which frees a mapped block before the first FFT.
     """
 
     BUDGET = 3000

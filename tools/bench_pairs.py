@@ -1,0 +1,59 @@
+#!/usr/bin/env python3
+"""Run alternating perfbench pairs of two checkouts and add them to a BENCH_*.json file.
+
+    python3 tools/bench_pairs.py BENCH.json NAME WORKLOAD SEEDS A=DIR@REV B=DIR@REV [SECONDS]
+
+SEEDS is FIRST-LAST.  Pair k runs `perfbench/run.py --workload WORKLOAD --seed S
+--seconds SECONDS --trace 0` (SECONDS defaults to 25) in both checkouts, A first
+when k is even.  Each record gives the comparison NAME, the side, its revision, the
+seed, the argv, the end-to-end metrics, `correct` and `failed`.  The summary is
+recomputed from all records after the last pair: per comparison, side and metric, the
+median and quartiles (statistics.quantiles, n=4, exclusive method) of the runs.
+"""
+
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+
+def run(side, rev, root, workload, seed, seconds):
+    argv = ["python3", "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+            "--seconds", str(seconds), "--trace", "0"]
+    out = subprocess.run(argv, cwd=root, capture_output=True, text=True, check=True).stdout
+    result = json.loads(out.strip().splitlines()[-1])
+    return {"side": side, "rev": rev, "seed": seed, "argv": argv[1:],
+            "metrics": {name: m["value"] for name, m in result["metrics"].items()},
+            "correct": result["correct"], "failed": result["failed"]}
+
+
+def summarize(records):
+    values = {}
+    for record in records:
+        sides = values.setdefault(record["comparison"], {})
+        for name, value in record["metrics"].items():
+            sides.setdefault(record["side"], {}).setdefault(name, []).append(value)
+    return {comparison: {side: {name: dict(zip(("q1", "median", "q3"), statistics.quantiles(
+        runs, n=4)), runs=len(runs)) for name, runs in metrics.items()}
+        for side, metrics in sides.items()} for comparison, sides in values.items()}
+
+
+def main(path, name, workload, seeds, *sides_and_seconds):
+    sides = [side.partition("=") for side in sides_and_seconds[:2]]
+    seconds = sides_and_seconds[2] if len(sides_and_seconds) > 2 else "25"
+    bench = json.loads(Path(path).read_text()) if Path(path).exists() else {"records": []}
+    first, last = map(int, seeds.split("-"))
+    for pair, seed in enumerate(range(first, last + 1)):
+        for label, _, where in sides if pair % 2 == 0 else sides[::-1]:
+            root, _, rev = where.partition("@")
+            record = run(label, rev, root, workload, seed, seconds)
+            bench["records"].append({"comparison": name, "workload": workload,
+                                     "pair": pair, **record})
+            Path(path).write_text(json.dumps(bench, indent=1) + "\n")
+    bench["summary"] = summarize(bench["records"])
+    Path(path).write_text(json.dumps(bench, indent=1) + "\n")
+
+
+if __name__ == "__main__":
+    main(*sys.argv[1:])
