@@ -21,8 +21,8 @@ SliceWork alone owns the grid of N samples at rate fs: bin width Fs = fs/N, scal
 a cycle frequency, refused when |a| > (N-1)/2 as no two in-band bins are further
 apart, and profile's grid of 2 a Fs.  scd_slice returns values only; a caller
 reads the quantized cycle frequency 2 a Fs and the scale from a SliceWork.
-A row at shift a has N - 2|a| nonzero products: cycle_profile runs each size class
-at SliceWork.nfft (SliceWork.serve) and drops the exact-zero bins beyond its buffer.
+A row at shift a has N - 2|a| nonzero products: cycle_profile runs each size class at
+its power of two or _profile_cap (SliceWork.serve), dropping zero bins beyond its buffer.
 """
 
 import math
@@ -97,15 +97,22 @@ def _window(kind: WindowKind, length: int) -> np.ndarray:
     return read_only(weights)
 
 
+# Only profile runs below nfft(0): scd_slice's and the engine's bits are recorded, and
+# ROADMAP item 12 moves them.  Measured (numpy 2.4.6, 2-vCPU Xeon), profile's widest class
+# ran in 0.76-0.99 of its power of two's time at 5-smooth sizes from 3/4 to 7/8 of 2048,
+# 4096 or 8192, but in up to 1.20 times it above 7/8 (3888 against 4096).
 @lru_cache(maxsize=16)
-def _smooth_size(size: int) -> int:
-    """The smallest 2**i * 3**j * 5**k >= size."""
+def _profile_cap(size: int) -> int:
+    """profile's largest FFT size: the smallest 2**i * 3**j * 5**k >= size if at most 7/8
+    of the power of two >= size, else that power of two."""
     odds = [3 ** j * 5 ** k for j in range(size.bit_length()) for k in range(size.bit_length())]
-    return min(odd << (-(-size // odd) - 1).bit_length() for odd in odds)
+    smooth = min(odd << (-(-size // odd) - 1).bit_length() for odd in odds)
+    power = 1 << (size - 1).bit_length()
+    return smooth if 8 * smooth <= 7 * power else power
 
 
-# One window's sizes are the powers of two from 4 to the engine's (at most 2**54 for
-# n < 2**53) and profile's 5-smooth cap: at most 54, so no size evicts another's transform.
+# One window's sizes are the powers of two from 4 to nfft(0) < 2 n and profile's cap: at
+# most 54 for n < 2**53, so a profile's classes never evict each other's transforms.
 @lru_cache(maxsize=64)
 def _window_transform(kind: WindowKind, length: int, nfft: int) -> np.ndarray:
     return read_only(np.fft.fft(_window(kind, length), nfft))
@@ -117,8 +124,7 @@ class SliceWork:
     order, a length or rate no buffer has, a bin width, a window (check_window's rule) and
     a scale 1 / ((n-1) * Ts) the grid cannot hold.
 
-    Built at the power of two >= n + L - 1, it serves every shift, all n bins;
-    cycle_profile re-serves it at each nfft class.
+    Built at nfft(0), it serves every shift, all n bins; cycle_profile re-serves it per class.
     Reusing one across calls spares each slice its ~100 KB temporaries, which glibc would
     otherwise map, fault in and unmap every time.  glibc raises its mmap threshold only on
     freeing a mapped block (mallopt(3)), so a products-sized block is freed untouched first:
@@ -139,18 +145,14 @@ class SliceWork:
         self.max_shift = (n - 1) // 2
         self.kind, self.weights, self.rows = kind, weights, rows
         self.centered = np.empty(n, dtype=np.complex128)
-        # the engine keeps the power of two: its bits are recorded, and ROADMAP item 12 moves them
-        served = 1 << (n + weights.size - 2).bit_length() if weights.size > 1 else n
-        np.empty((rows, served), dtype=np.complex128)  # freed untouched; see the docstring
-        self.serve(served)
+        np.empty((rows, self.nfft(0)), dtype=np.complex128)  # freed untouched; see the docstring
+        self.serve(self.nfft(0))
         self.magnitudes = np.empty((rows, n))
 
     def nfft(self, shift: int) -> int:
-        """The size that holds a row's linear convolution at |shift| (n if L = 1): the
-        smaller of its power of two and the smallest 5-smooth size >= n + L - 1."""
-        n, length = self.n, self.weights.size
-        return n if length == 1 else min(1 << (n - 2 * abs(shift) + length - 2).bit_length(),
-                                         _smooth_size(n + length - 1))
+        """The power of two that holds a row's linear convolution at |shift| (n if L = 1)."""
+        length = self.weights.size
+        return self.n if length == 1 else 1 << (self.n - 2 * abs(shift) + length - 2).bit_length()
 
     def serve(self, nfft: int) -> None:
         """Size the buffers at nfft for |a| >= band = max(0, ceil((n + L - 1 - nfft) / 2)):
@@ -259,7 +261,7 @@ def scd_slice(signal: SampleBuffer, alpha_hz: float, kind: WindowKind, length: i
 
 
 def cycle_profile(signal: SampleBuffer, alphas_hz, kind: WindowKind, length: int) -> np.ndarray:
-    """Max slice magnitude per alpha in alphas_hz, read-only; each |alpha| once, at its nfft."""
+    """Max slice magnitude per alpha in alphas_hz, read-only; each |alpha| once, in its class."""
     alphas = np.asarray(alphas_hz, dtype=np.float64)
     if alphas.ndim != 1 or alphas.size == 0:
         raise ConfigurationError("alphas_hz must be a nonempty 1-D sequence")
@@ -267,7 +269,8 @@ def cycle_profile(signal: SampleBuffer, alphas_hz, kind: WindowKind, length: int
     shifts = [abs(work.shift(alpha)) for alpha in alphas]
     bins = dft(signal)
     peaks = np.empty(max(shifts) + 1)
-    for nfft, members in groupby(sorted(set(shifts)), work.nfft):
+    cap = _profile_cap(work.n + work.weights.size - 1)
+    for nfft, members in groupby(sorted(set(shifts)), lambda a: min(work.nfft(a), cap)):
         work.serve(nfft)
         distinct = list(members)
         for first in range(0, len(distinct), BLOCK_ROWS):

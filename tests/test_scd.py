@@ -627,10 +627,10 @@ class TestCycleProfile:
 
 class TestBandSizedProfile:
     """cycle_profile runs each size class of its shifts with a work of that size.  At
-    N = 4096, L = 1301 a row at |a| needs 4096 - 2|a| + 1300 points: nfft 5400, the
-    5-smooth cap, serves |a| <= 649, 4096 serves 650 .. 1673 and 2048 serves 1674 ..
-    2047.  scd_slice and the trial engine keep 8192 points, so every profile row lies
-    within 1e-12 of scd_slice's peak, not on its bits."""
+    N = 4096, L = 1301 a row at |a| needs 4096 - 2|a| + 1300 points: 5400, the 5-smooth
+    cap in place of nfft 8192, serves |a| <= 649, 4096 serves 650 .. 1673 and 2048 serves
+    1674 .. 2047.  scd_slice and the trial engine keep 8192 points, so every profile row
+    lies within 1e-12 of scd_slice's peak, not on its bits."""
 
     N, RATE, WINDOW = 4096, 3e6, (WindowKind.HAMMING, 1301)
     BOUNDARIES = [649, 650, 1673, 1674]
@@ -643,10 +643,21 @@ class TestBandSizedProfile:
         alphas = SliceWork(0, self.N, self.RATE, *self.WINDOW).grid()
         return buf, alphas, cycle_profile(buf, alphas, *self.WINDOW)
 
-    def test_size_classes(self):
+    def test_size_classes(self, monkeypatch):
+        served = {}
+        kernel = scd.smoothed_slices
+
+        def spy(spectra, shifts, work):
+            served.update(dict.fromkeys(shifts, work.products.shape[1]))
+            return kernel(spectra, shifts, work)
+
+        monkeypatch.setattr(scd, "smoothed_slices", spy)
+        shifts = [0, *self.BOUNDARIES, 2047]
+        buf = white_buffer(self.N, seed=37, rate=self.RATE)
+        cycle_profile(buf, [2.0 * shift * self.RATE / self.N for shift in shifts], *self.WINDOW)
+        assert [served[shift] for shift in shifts] == [5400, 5400, 4096, 4096, 2048, 2048]
         work = SliceWork(1, self.N, self.RATE, *self.WINDOW)
-        sizes = [work.nfft(shift) for shift in [0, *self.BOUNDARIES, 2047]]
-        assert sizes == [5400, 5400, 4096, 4096, 2048, 2048]
+        assert [work.nfft(shift) for shift in shifts] == [8192, 8192, 4096, 4096, 2048, 2048]
         # scd_slice's work and the trial engine's are served at the power of two
         engine, _ = harness._cycle_work(SensingConfig(), 1)
         assert work.products.shape == engine.products.shape == (1, 8192)
@@ -676,7 +687,7 @@ class TestBandSizedProfile:
         n, window = 2 ** 17, (WindowKind.HAMMING, 3)
         buf = white_buffer(n, seed=17, rate=float(n))
         work = SliceWork(1, n, float(n), *window)
-        classes = {work.nfft(shift): shift for shift in range(work.max_shift + 1)}
+        classes = {profile_size(work, shift): shift for shift in range(work.max_shift + 1)}
         assert sorted(classes) == [*(2 ** k for k in range(2, 18)), 131220]
         alphas = [2.0 * shift * work.bin_width for shift in classes.values()]
         magnitudes = cycle_profile(buf, alphas, *window)
@@ -693,29 +704,40 @@ def is_5_smooth(size):
     return size == 1
 
 
+def profile_size(work, shift):
+    # the size class cycle_profile runs a shift in
+    return min(work.nfft(shift), scd._profile_cap(work.n + work.weights.size - 1))
+
+
 class TestSizeRule:
-    """SliceWork.nfft(a) holds a row's linear convolution, N - 2|a| + L - 1 points, in
-    the smaller of that length's power of two and the smallest 5-smooth size that
-    holds every row's; so the size never grows with |a|."""
+    """SliceWork.nfft(a) is the power of two that holds a row's linear convolution,
+    N - 2|a| + L - 1 points.  profile runs a row at the smaller of that and the cap: the
+    smallest 5-smooth size that holds every row's, if at most 7/8 of its power of two
+    (nearer, the measured FFT pair can cost more).  So its size never grows with |a|."""
 
     @pytest.mark.parametrize("n, kind, length", [
         (64, WindowKind.HAMMING, 5), (65, WindowKind.HAMMING, 7),
         (4096, WindowKind.HAMMING, 1301), (2 ** 17, WindowKind.HAMMING, 3),
         # n + L - 2 = 1024 is 5-smooth, the cap n + L - 1 = 1025 is not: it rounds to 1080
-        (1001, WindowKind.RECTANGULAR, 25)])
+        (1001, WindowKind.RECTANGULAR, 25),
+        # n + L - 1 = 4001, 3841, 3601: 4050, 3888 and 3645 lie above 7/8 of 4096
+        (3001, WindowKind.RECTANGULAR, 1001), (3001, WindowKind.HAMMING, 841),
+        (3001, WindowKind.HAMMING, 601)])
     def test_sizes(self, n, kind, length):
         work = SliceWork(1, n, float(n), kind, length)
-        sizes = [work.nfft(shift) for shift in range(work.max_shift + 1)]
+        sizes = [profile_size(work, shift) for shift in range(work.max_shift + 1)]
         for shift, size in enumerate(sizes):
             need = n - 2 * shift + length - 1
-            assert need <= size <= 1 << (need - 1).bit_length()
-            assert work.nfft(-shift) == size
+            assert work.nfft(shift) == work.nfft(-shift) == 1 << (need - 1).bit_length()
+            assert need <= size <= work.nfft(shift)
+            assert profile_size(work, -shift) == size
         assert all(map(is_5_smooth, set(sizes)))
         assert sizes == sorted(sizes, reverse=True)
-        cap = n + length - 1
-        while not is_5_smooth(cap):
-            cap += 1
-        assert sizes[0] == cap
+        smooth = n + length - 1
+        while not is_5_smooth(smooth):
+            smooth += 1
+        power = work.nfft(0)
+        assert sizes[0] == (smooth if smooth <= 7 / 8 * power else power)
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
