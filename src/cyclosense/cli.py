@@ -154,7 +154,7 @@ def _cmd_profile(args) -> int:
     if snr_db is not None:
         buffer = add_awgn(buffer, snr_db, profile_seed(args.seed, snr_db, 1))
     window = (WindowKind(args.window), args.smoothing_len)
-    work = SliceWork(0, len(buffer), buffer.sample_rate_hz, *window)
+    work = SliceWork(len(buffer), buffer.sample_rate_hz, *window)
     alphas = work.grid(args.alpha_max_hz, args.alpha_step_hz)
     write_profile_csv(alphas, cycle_profile(buffer, alphas, *window), args.out)
     return 0

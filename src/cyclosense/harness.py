@@ -180,9 +180,9 @@ def _noise_variance(snr_db: float) -> float:
     return 10.0 ** (-snr_db / 10.0)
 
 
-def _cycle_work(config: SensingConfig, rows: int):
-    """The cycle detector's SliceWork of `rows` rows on config's grid, and its nonzero shift."""
-    work = SliceWork(rows, config.n_samples, config.sample_rate_hz, config.window_kind,
+def _cycle_work(config: SensingConfig):
+    """The cycle detector's SliceWork on config's grid, unserved, and its nonzero shift."""
+    work = SliceWork(config.n_samples, config.sample_rate_hz, config.window_kind,
                      config.smoothing_len)
     shift = work.shift(config.alpha0_hz)
     if not shift:
@@ -204,7 +204,8 @@ def _score(config: SensingConfig, count: int, buffers) -> np.ndarray:
     # four rows at once, or temporaries per row, lets glibc trim the heap and refault it.
     rows = min(BLOCK_ROWS, count)
     if cycle is not None:
-        work, shift = _cycle_work(config, rows)
+        work, shift = _cycle_work(config)
+        work.serve(rows, work.nfft(0))
         spectra = np.empty((rows, config.n_samples), dtype=np.complex128)
     squares = np.empty((2, config.n_samples)) if energy is not None else None
     buffers = iter(buffers)
@@ -263,9 +264,9 @@ def run_roc(config: SensingConfig, workers: int = 1):
         raise ConfigurationError("workers must be a positive integer")
     for target_pf in config.target_pf_list:
         check_target_pf(target_pf, config.calibration_trials)
-    # refused before the first trial, not at the first H1 trial; 0 rows allocate no block
+    # refused before the first trial, not at the first H1 trial; the grid allocates no block
     if DetectorKind.CYCLE_FEATURE in config.detectors:
-        _cycle_work(config, 0)
+        _cycle_work(config)
     check_waveform(config.modulation, config.n_samples, config.sample_rate_hz)
 
     # a fork pool starts all its workers at the first task, and the output

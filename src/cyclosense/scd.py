@@ -21,8 +21,8 @@ SliceWork alone owns the grid of N samples at rate fs: bin width Fs = fs/N, scal
 a cycle frequency, refused when |a| > (N-1)/2 as no two in-band bins are further
 apart, and profile's grid of 2 a Fs.  scd_slice returns values only; a caller
 reads the quantized cycle frequency 2 a Fs and the scale from a SliceWork.
-A row at shift a has N - 2|a| nonzero products: cycle_profile runs each size class at
-its power of two or _profile_cap (SliceWork.serve), dropping zero bins beyond its buffer.
+A row at shift a has N - 2|a| nonzero products; SliceWork.serve(rows, nfft) sizes every buffer:
+nfft(0) for scd_slice and the engine, each class's power of two or _profile_cap for profiles.
 """
 
 import math
@@ -119,19 +119,19 @@ def _window_transform(kind: WindowKind, length: int, nfft: int) -> np.ndarray:
 
 
 class SliceWork:
-    """The grid of n samples at sample_rate_hz, make_window's weights of kind and length,
-    and the buffers of smoothed_slices for blocks of up to `rows` slices.  Refuses, in this
-    order, a length or rate no buffer has, a bin width, a window (check_window's rule) and
-    a scale 1 / ((n-1) * Ts) the grid cannot hold.
+    """The grid of n samples at sample_rate_hz and make_window's weights of kind and length;
+    serve sizes the buffers of smoothed_slices.  Refuses, in this order, a length or rate no
+    buffer has, a bin width, a window (check_window's rule) and a scale 1 / ((n-1) * Ts) the
+    grid cannot hold.
 
-    Built at nfft(0), it serves every shift, all n bins; cycle_profile re-serves it per class.
+    Served at nfft(0), it holds every shift, all n bins; cycle_profile serves it per class.
     Reusing one across calls spares each slice its ~100 KB temporaries, which glibc would
     otherwise map, fault in and unmap every time.  glibc raises its mmap threshold only on
-    freeing a mapped block (mallopt(3)), so a products-sized block is freed untouched first:
-    numpy's batched-FFT scratch then stays on the heap from the first call.
+    freeing a mapped block (mallopt(3)), so serve frees a products-sized block untouched
+    first: numpy's batched-FFT scratch then stays on the heap from the first call.
     """
 
-    def __init__(self, rows: int, n: int, sample_rate_hz: float, kind: WindowKind, length: int):
+    def __init__(self, n: int, sample_rate_hz: float, kind: WindowKind, length: int):
         check_length_and_rate(n, sample_rate_hz)
         if not sample_rate_hz / n:
             raise ConfigurationError(f"bin width {sample_rate_hz!r} Hz / {n} underflows to 0 Hz")
@@ -143,25 +143,24 @@ class SliceWork:
         self.n = n
         self.bin_width = sample_rate_hz / n
         self.max_shift = (n - 1) // 2
-        self.kind, self.weights, self.rows = kind, weights, rows
-        self.centered = np.empty(n, dtype=np.complex128)
-        np.empty((rows, self.nfft(0)), dtype=np.complex128)  # freed untouched; see the docstring
-        self.serve(self.nfft(0))
-        self.magnitudes = np.empty((rows, n))
+        self.kind, self.weights = kind, weights
 
     def nfft(self, shift: int) -> int:
         """The power of two that holds a row's linear convolution at |shift| (n if L = 1)."""
         length = self.weights.size
         return self.n if length == 1 else 1 << (self.n - 2 * abs(shift) + length - 2).bit_length()
 
-    def serve(self, nfft: int) -> None:
-        """Size the buffers at nfft for |a| >= band = max(0, ceil((n + L - 1 - nfft) / 2)):
-        a row's products start at column |a| - band, its n bins at column L//2 - band, and
-        held is the columns of those the buffer holds (all n at band 0; the rest are 0)."""
+    def serve(self, rows: int, nfft: int) -> None:
+        """Make the buffers of blocks of up to rows slices at nfft, for |a| >= band = max(0,
+        ceil((n + L - 1 - nfft) / 2)): a row's products start at column |a| - band, its n bins
+        at L//2 - band; held is the columns of those it holds (all n at band 0; the rest are 0)."""
         n, length = self.n, self.weights.size
         self.band = max(0, (n + length - nfft) // 2)
         self.transform = None if length == 1 else _window_transform(self.kind, length, nfft)
-        self.products = np.empty((self.rows, nfft), dtype=np.complex128)
+        self.centered = np.empty(n, dtype=np.complex128)
+        np.empty((rows, nfft), dtype=np.complex128)  # freed untouched; see the docstring
+        self.products = np.empty((rows, nfft), dtype=np.complex128)
+        self.magnitudes = np.empty((rows, n))
         first = length // 2 - self.band
         self.held = slice(max(first, 0), min(first + n, nfft))
 
@@ -252,10 +251,11 @@ def scd_slice(signal: SampleBuffer, alpha_hz: float, kind: WindowKind, length: i
 
     where X<i> is dft(signal) on signed bins (zero outside the band), s(l) is
     the signed bin l, W is make_window(kind, length), L = length, and the
-    buffer's grid, work = SliceWork(1, N, rate, kind, length), gives
+    buffer's grid, work = SliceWork(N, rate, kind, length), gives
     a = work.shift(alpha_hz), scale = work.scale and Fs = work.bin_width.
     """
-    work = SliceWork(1, len(signal), signal.sample_rate_hz, kind, length)
+    work = SliceWork(len(signal), signal.sample_rate_hz, kind, length)
+    work.serve(1, work.nfft(0))
     row = smoothed_slices(dft(signal), [work.shift(alpha_hz)], work)[0]
     return read_only(np.fft.ifftshift(row))
 
@@ -265,13 +265,13 @@ def cycle_profile(signal: SampleBuffer, alphas_hz, kind: WindowKind, length: int
     alphas = np.asarray(alphas_hz, dtype=np.float64)
     if alphas.ndim != 1 or alphas.size == 0:
         raise ConfigurationError("alphas_hz must be a nonempty 1-D sequence")
-    work = SliceWork(BLOCK_ROWS, len(signal), signal.sample_rate_hz, kind, length)
+    work = SliceWork(len(signal), signal.sample_rate_hz, kind, length)
     shifts = [abs(work.shift(alpha)) for alpha in alphas]
     bins = dft(signal)
     peaks = np.empty(max(shifts) + 1)
     cap = _profile_cap(work.n + work.weights.size - 1)
     for nfft, members in groupby(sorted(set(shifts)), lambda a: min(work.nfft(a), cap)):
-        work.serve(nfft)
+        work.serve(BLOCK_ROWS, nfft)
         distinct = list(members)
         for first in range(0, len(distinct), BLOCK_ROWS):
             block = distinct[first:first + BLOCK_ROWS]

@@ -76,7 +76,7 @@ def test_criterion_1_oracle_equivalence(capsys):
                 window = (kind, length)
                 fast = scd_slice(buf, alpha, *window)
                 slow = scd_slice_naive(buf, alpha, *window)
-                assert SliceWork(1, n, rate, *window).shift(alpha) == naive_shift(buf, alpha)
+                assert SliceWork(n, rate, *window).shift(alpha) == naive_shift(buf, alpha)
                 worst = max(worst, rel_err(fast, slow))
                 cases += 1
     ok = cases >= 100 and worst < 1e-9

@@ -1,0 +1,47 @@
+"""tools/bench_pairs.py records where each side ran and refuses pairs of checkouts
+whose path lengths would bias the comparison."""
+
+import importlib.util
+import json
+import subprocess
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+
+
+@pytest.fixture
+def bench_pairs(monkeypatch):
+    spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    runs = []
+
+    def perfbench(argv, cwd, **kwargs):
+        runs.append(cwd)
+        line = json.dumps({"metrics": {"op_ms_p50": {"value": float(len(runs))}},
+                           "correct": True, "failed": 0})
+        return subprocess.CompletedProcess(argv, 0, stdout=line + "\n")
+
+    monkeypatch.setattr(module.subprocess, "run", perfbench)
+    module.runs = runs
+    return module
+
+
+def test_roots_of_unequal_length_refused_before_a_run(bench_pairs, tmp_path):
+    out = tmp_path / "bench.json"
+    with pytest.raises(SystemExit, match="differ in path length"):
+        bench_pairs.main(str(out), "pair", "roc_reference", "1-2",
+                         f"A={tmp_path / 'aa'}@1", f"B={tmp_path / 'abc'}@2")
+    assert bench_pairs.runs == [] and not out.exists()
+
+
+def test_each_record_names_its_absolute_root(bench_pairs, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    bench_pairs.main("bench.json", "pair", "roc_reference", "1-2", "A=aa@1", "B=ab@2", "5")
+    records = json.loads((tmp_path / "bench.json").read_text())["records"]
+    roots = [str(tmp_path / "aa"), str(tmp_path / "ab")]
+    assert bench_pairs.runs == [*roots, *roots[::-1]]
+    assert [(r["side"], r["rev"], r["root"]) for r in records] == [
+        ("A", "1", roots[0]), ("B", "2", roots[1]), ("B", "2", roots[1]), ("A", "1", roots[0])]

@@ -48,6 +48,13 @@ def cosine_buffer(n, cycles, rate=None):
     return SampleBuffer(np.cos(2.0 * np.pi * cycles * k / n), rate)
 
 
+def served(rows, *grid):
+    # a SliceWork on grid served at nfft(0), as scd_slice and the trial engine serve theirs
+    work = SliceWork(*grid)
+    work.serve(rows, work.nfft(0))
+    return work
+
+
 class TestDft:
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 12, 16, 33, 64])
     def test_naive_matches_fft(self, n):
@@ -82,7 +89,7 @@ class TestDft:
         assert abs(lhs - rhs) <= 1e-9 * rhs
 
     def test_frequency_resolution(self):
-        work = SliceWork(1, 32, 3e6, WindowKind.RECTANGULAR, 1)
+        work = SliceWork(32, 3e6, WindowKind.RECTANGULAR, 1)
         assert 2.0 * work.shift(6 * 3e6 / 32) * work.bin_width == 2 * 3 * (3e6 / 32)
 
     def test_bins_read_only(self):
@@ -115,7 +122,7 @@ class TestMakeWindow:
 
     def test_half_and_length(self):
         # the kernel keeps bins L // 2 .. L // 2 + n of each linear convolution
-        work = SliceWork(1, 64, 1.0, WindowKind.HAMMING, 31)
+        work = served(1, 64, 1.0, WindowKind.HAMMING, 31)
         assert work.weights is make_window(WindowKind.HAMMING, 31)
         assert (work.weights.size, work.weights.size // 2) == (31, 15)
         assert (work.products.shape, work.transform.shape) == ((1, 128), (128,))
@@ -150,7 +157,7 @@ class TestMakeWindow:
     def test_slice_paths_refuse_by_the_window_rule(self, kind, length, message):
         buf = white_buffer(16, seed=0, rate=16.0)
         for call in (lambda: scd.check_window(kind, length, 16),
-                     lambda: SliceWork(1, 16, 16.0, kind, length),
+                     lambda: SliceWork(16, 16.0, kind, length),
                      lambda: scd_slice(buf, 4.0, kind, length),
                      lambda: cycle_profile(buf, [4.0], kind, length)):
             with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
@@ -162,7 +169,7 @@ class TestWindowTransformCache:
 
     def test_one_entry_per_window(self):
         scd._window_transform.cache_clear()
-        works = [SliceWork(1, 64, 1.0, WindowKind.HAMMING, 5) for _ in range(2)]
+        works = [served(1, 64, 1.0, WindowKind.HAMMING, 5) for _ in range(2)]
         info = scd._window_transform.cache_info()
         assert (info.currsize, info.misses, info.hits) == (1, 1, 1)
         assert works[0].transform is works[1].transform
@@ -170,8 +177,8 @@ class TestWindowTransformCache:
     def test_equal_windows_share_one_entry(self):
         # another grid with the same nfft = 128, and a length of another integer type
         scd._window_transform.cache_clear()
-        first = SliceWork(1, 64, 1.0, WindowKind.HAMMING, 5)
-        second = SliceWork(4, 65, 3e6, WindowKind.HAMMING, np.int64(5))
+        first = served(1, 64, 1.0, WindowKind.HAMMING, 5)
+        second = served(4, 65, 3e6, WindowKind.HAMMING, np.int64(5))
         info = scd._window_transform.cache_info()
         assert (info.currsize, info.misses, info.hits) == (1, 1, 1)
         assert first.transform is second.transform
@@ -200,14 +207,14 @@ class TestSliceAgainstReference:
         fast = scd_slice(buf, alpha, *window)
         slow = scd_slice_naive(buf, alpha, *window)
         assert rel_err(fast, slow) < 1e-9
-        work = SliceWork(1, n, buf.sample_rate_hz, *window)
+        work = SliceWork(n, buf.sample_rate_hz, *window)
         assert work.shift(alpha) == naive_shift(buf, alpha)
         assert work.scale == naive_scale(buf)
 
     def test_reference_and_fast_quantize_ties_to_even(self):
         buf = white_buffer(16, seed=7, rate=16.0)
         window = (WindowKind.RECTANGULAR, 3)
-        work = SliceWork(1, 16, 16.0, *window)
+        work = SliceWork(16, 16.0, *window)
         # resolution is 1 Hz, so the half-bin boundary sits at odd alphas
         for alpha, effective in [(1.0, 0.0), (3.0, 4.0), (-1.0, 0.0), (-3.0, -4.0)]:
             assert 2.0 * work.shift(alpha) * work.bin_width == effective
@@ -244,7 +251,7 @@ class TestCycleShiftRule:
         else:
             fast = scd_slice(buf, alpha, *window)
             assert rel_err(fast, slow) < 1e-9
-            assert SliceWork(1, n, rate, *window).shift(alpha) == naive_shift(buf, alpha)
+            assert SliceWork(n, rate, *window).shift(alpha) == naive_shift(buf, alpha)
             cycle_profile(buf, [alpha], *window)
 
     @pytest.mark.parametrize("alpha", [math.inf, -math.inf, math.nan])
@@ -262,7 +269,7 @@ class TestBinWidth:
         buf = white_buffer(64, seed=0, rate=5e-324)
         window = (WindowKind.RECTANGULAR, 3)
         message = "bin width 5e-324 Hz / 64 underflows to 0 Hz"
-        for call in (lambda: SliceWork(0, 64, 5e-324, *window),
+        for call in (lambda: SliceWork(64, 5e-324, *window),
                      lambda: scd_slice(buf, 0.0, *window),
                      lambda: cycle_profile(buf, [0.0], *window)):
             with pytest.raises(ConfigurationError) as info:
@@ -279,7 +286,7 @@ class TestGrid:
     @pytest.mark.parametrize("rate", [1.0, 7.3, 64.0, 3e6, 1e-300, 1e300])
     @pytest.mark.parametrize("n", [2, 3, 16, 64, 65, 4096, 4097])
     def test_matches_the_cli_arithmetic(self, n, rate):
-        work = SliceWork(0, n, rate, WindowKind.RECTANGULAR, 1)
+        work = SliceWork(n, rate, WindowKind.RECTANGULAR, 1)
         for alpha_max in self.BOUNDS:
             for alpha_step in self.BOUNDS:
                 want = profile_grid_arithmetic(n, rate, alpha_max, alpha_step)
@@ -289,14 +296,14 @@ class TestGrid:
     @pytest.mark.parametrize("name", ["alpha_max_hz", "alpha_step_hz"])
     @pytest.mark.parametrize("value", [0.0, -1.0, -5.0, math.nan, math.inf, -math.inf])
     def test_bound_not_positive_and_finite_refused(self, name, value):
-        work = SliceWork(0, 64, 64.0, WindowKind.RECTANGULAR, 1)
+        work = SliceWork(64, 64.0, WindowKind.RECTANGULAR, 1)
         with pytest.raises(ConfigurationError,
                            match=f"^{name} must be positive and finite, got {value!r}$"):
             work.grid(**{name: value})
 
     def test_reference_full_grid(self):
         # perfbench's profile_grid(): 2.0 * arange(-max_shift, max_shift + 1) * fs / N
-        work = SliceWork(0, 4096, 3e6, WindowKind.HAMMING, 1301)
+        work = SliceWork(4096, 3e6, WindowKind.HAMMING, 1301)
         want = 2.0 * np.arange(-2047, 2048) * (3e6 / 4096)
         assert work.grid().tobytes() == want.tobytes()
 
@@ -310,7 +317,7 @@ class TestBlockKernel:
         window = (WindowKind.HAMMING, 7)
         buffers = [white_buffer(n, seed=40 + i, rate=float(n)) for i in range(len(shifts))]
         spectra = np.array([dft(buf) for buf in buffers])
-        work = SliceWork(len(shifts), n, float(n), *window)
+        work = served(len(shifts), n, float(n), *window)
         values = smoothed_slices(spectra, shifts, work)
         for row, buf, shift in zip(values, buffers, shifts):
             slow = scd_slice_naive(buf, 2.0 * shift, *window)
@@ -323,12 +330,12 @@ class TestBlockKernel:
         # held.start - (L//2 - band) + j, near the oracle, whose other bins are exact zeros
         window = (WindowKind.HAMMING, 7)
         buf = white_buffer(n, seed=n, rate=float(n))
-        work = SliceWork(2, n, float(n), *window)
+        work = SliceWork(n, float(n), *window)
         everything = range(work.max_shift + 1)
         for nfft in sorted({work.nfft(shift) for shift in everything}):
-            served = [shift for shift in everything if work.nfft(shift) == nfft]
-            work.serve(nfft)
-            shifts = [-served[0], served[-1]]
+            members = [shift for shift in everything if work.nfft(shift) == nfft]
+            work.serve(2, nfft)
+            shifts = [-members[0], members[-1]]
             values = smoothed_slices(dft(buf), shifts, work)
             width = values.shape[1]
             assert width == n if work.band == 0 else width <= nfft
@@ -365,7 +372,7 @@ class TestBlockKernel:
         am = generate_signal(ModulationSpec(ModulationKind.AM, 1e6, 10e3), n, rate, seed=3)
         buf = add_awgn(am, -22.0, 4)
         window = (WindowKind.HAMMING, 1301)
-        work = SliceWork(1, n, rate, *window)
+        work = served(1, n, rate, *window)
         alpha = 2.0 * shift * work.bin_width
         assert work.shift(alpha) == shift
         piece = scd_slice(buf, alpha, *window)
@@ -460,7 +467,7 @@ class TestProfileMirror:
 
         monkeypatch.setattr(scd, "smoothed_slices", spy)
         window = (WindowKind.RECTANGULAR, 3)
-        alphas = SliceWork(0, n, float(n), *window).grid()
+        alphas = SliceWork(n, float(n), *window).grid()
         assert alphas.tobytes() == (2.0 * np.arange(-2047, 2048)).tobytes()
         cycle_profile(white_buffer(n, seed=1, rate=float(n)), alphas, *window)
         rows = [shift for block in blocks for shift in block]
@@ -483,7 +490,7 @@ class TestSliceValues:
         window = (WindowKind.RECTANGULAR, 1)
         piece = scd_slice(buf, 8.0, *window)
         scale = 16.0 / 15.0
-        assert SliceWork(1, n, 16.0, *window).scale == pytest.approx(scale, rel=1e-15)
+        assert SliceWork(n, 16.0, *window).scale == pytest.approx(scale, rel=1e-15)
         want_peak = scale * (n / 2) ** 2
         assert abs(piece[0] - want_peak) < 1e-9 * want_peak
         rest = np.abs(piece[1:])
@@ -493,7 +500,7 @@ class TestSliceValues:
         buf = white_buffer(64, seed=5, rate=64.0)
         window = (WindowKind.RECTANGULAR, 1)
         piece = scd_slice(buf, 0.0, *window)
-        want = SliceWork(1, 64, 64.0, *window).scale * np.abs(np.fft.fft(buf.samples)) ** 2
+        want = SliceWork(64, 64.0, *window).scale * np.abs(np.fft.fft(buf.samples)) ** 2
         assert rel_err(piece, want) < 1e-12
         assert float(np.max(np.abs(piece.imag))) < 1e-12 * float(np.max(piece.real))
 
@@ -549,7 +556,7 @@ class TestSliceValues:
         window = (WindowKind.HAMMING, 3)
         piece = scd_slice(buf, 6.0, *window)
         assert piece.shape == (32,) and piece.dtype == np.complex128
-        work = SliceWork(1, 32, 32.0, *window)
+        work = SliceWork(32, 32.0, *window)
         assert 2.0 * work.shift(6.0) * work.bin_width == 6.0
         assert work.scale == pytest.approx(32.0 / 31.0, rel=1e-15)
         with pytest.raises(ValueError):
@@ -640,30 +647,54 @@ class TestBandSizedProfile:
         am = generate_signal(ModulationSpec(ModulationKind.AM, 1e6, 10e3), self.N, self.RATE,
                              seed=11)
         buf = add_awgn(am, 0.0, 12)
-        alphas = SliceWork(0, self.N, self.RATE, *self.WINDOW).grid()
+        alphas = SliceWork(self.N, self.RATE, *self.WINDOW).grid()
         return buf, alphas, cycle_profile(buf, alphas, *self.WINDOW)
 
     def test_size_classes(self, monkeypatch):
-        served = {}
+        sizes = {}
         kernel = scd.smoothed_slices
 
         def spy(spectra, shifts, work):
-            served.update(dict.fromkeys(shifts, work.products.shape[1]))
+            sizes.update(dict.fromkeys(shifts, work.products.shape[1]))
             return kernel(spectra, shifts, work)
 
         monkeypatch.setattr(scd, "smoothed_slices", spy)
         shifts = [0, *self.BOUNDARIES, 2047]
         buf = white_buffer(self.N, seed=37, rate=self.RATE)
         cycle_profile(buf, [2.0 * shift * self.RATE / self.N for shift in shifts], *self.WINDOW)
-        assert [served[shift] for shift in shifts] == [5400, 5400, 4096, 4096, 2048, 2048]
-        work = SliceWork(1, self.N, self.RATE, *self.WINDOW)
+        assert [sizes[shift] for shift in shifts] == [5400, 5400, 4096, 4096, 2048, 2048]
+        work = served(1, self.N, self.RATE, *self.WINDOW)
         assert [work.nfft(shift) for shift in shifts] == [8192, 8192, 4096, 4096, 2048, 2048]
         # scd_slice's work and the trial engine's are served at the power of two
-        engine, _ = harness._cycle_work(SensingConfig(), 1)
+        engine, _ = harness._cycle_work(SensingConfig())
+        engine.serve(1, engine.nfft(0))
         assert work.products.shape == engine.products.shape == (1, 8192)
         for nfft, band in [(5400, 0), (4096, 650), (2048, 1674)]:
-            work.serve(nfft)
+            work.serve(1, nfft)
             assert (work.band, work.products.shape) == (band, (1, nfft))
+
+    def test_full_grid_serves_and_transforms_only_its_classes(self, monkeypatch):
+        # the grid allocates no buffer and computes no transform; the profile serves each
+        # class once and computes its three transforms, never the engine's 8192 points
+        scd._window_transform.cache_clear()
+        grid = SliceWork(self.N, self.RATE, *self.WINDOW)
+        assert not hasattr(grid, "products")
+        assert scd._window_transform.cache_info().currsize == 0
+        calls = []
+        serve = SliceWork.serve
+
+        def spy(work, rows, nfft):
+            calls.append((rows, nfft))
+            return serve(work, rows, nfft)
+
+        monkeypatch.setattr(SliceWork, "serve", spy)
+        cycle_profile(white_buffer(self.N, seed=38, rate=self.RATE), grid.grid(), *self.WINDOW)
+        assert calls == [(BLOCK_ROWS, 5400), (BLOCK_ROWS, 4096), (BLOCK_ROWS, 2048)]
+        info = scd._window_transform.cache_info()
+        assert (info.currsize, info.misses) == (3, 3)
+        for nfft in (2048, 4096, 5400):
+            scd._window_transform(*self.WINDOW, nfft)
+        assert scd._window_transform.cache_info().misses == 3
 
     @pytest.mark.parametrize("shift", [0, 1, 400, 648, -649, 1365, 2047, *BOUNDARIES])
     def test_peaks_near_the_slice(self, profile, shift):
@@ -686,7 +717,7 @@ class TestBandSizedProfile:
         # the cap 131220 = 2**2 * 3**8 * 5 >= n + 2, fit the transform cache too
         n, window = 2 ** 17, (WindowKind.HAMMING, 3)
         buf = white_buffer(n, seed=17, rate=float(n))
-        work = SliceWork(1, n, float(n), *window)
+        work = SliceWork(n, float(n), *window)
         classes = {profile_size(work, shift): shift for shift in range(work.max_shift + 1)}
         assert sorted(classes) == [*(2 ** k for k in range(2, 18)), 131220]
         alphas = [2.0 * shift * work.bin_width for shift in classes.values()]
@@ -724,7 +755,7 @@ class TestSizeRule:
         (3001, WindowKind.RECTANGULAR, 1001), (3001, WindowKind.HAMMING, 841),
         (3001, WindowKind.HAMMING, 601)])
     def test_sizes(self, n, kind, length):
-        work = SliceWork(1, n, float(n), kind, length)
+        work = SliceWork(n, float(n), kind, length)
         sizes = [profile_size(work, shift) for shift in range(work.max_shift + 1)]
         for shift, size in enumerate(sizes):
             need = n - 2 * shift + length - 1
@@ -748,14 +779,14 @@ class TestFirstCallFaults:
     glibc maps a block at or above its mmap threshold fresh, and raises the
     threshold only when it frees such a block (mallopt(3)).  numpy's batched
     FFT of a 4-row block at nfft 8192 takes ~390 KB of scratch, so until the
-    first big block is freed every FFT faults ~97 pages back in.  SliceWork
-    frees one untouched products-sized block up front.  Heap history belongs
-    to the process, so each call runs first in a fresh interpreter.  Minor
-    faults counted around the call (2-vCPU Xeon, Python 3.11.7, numpy 2.4.6),
-    without the freed block / with it: the full reference profile 418 / 353,
-    and a 300-trial cycle calibration 15 215 / 711.  The profile barely needs
-    the block: its first class, 5400 points, re-sizes the work built at 8192,
-    which frees a mapped block before the first FFT.
+    first big block is freed every FFT faults ~97 pages back in.  SliceWork.serve
+    frees one untouched products-sized block before it allocates the products.
+    Heap history belongs to the process, so each call runs first in a fresh
+    interpreter.  Minor faults counted around the call (2-vCPU Xeon, Python
+    3.11.7, numpy 2.4.6), without the freed block / with it: the full reference
+    profile 24 517 / 316, and a 300-trial cycle calibration 15 053 / 701.  The
+    profile's first serve, at 5400 points, is its first mapped block, so it
+    needs the freed block as much as the engine does.
     """
 
     BUDGET = 3000
@@ -803,11 +834,11 @@ class TestSliceScale:
         (4096, 5e-324, "bin width")])
     def test_refused(self, n, rate, message):
         with pytest.raises(ConfigurationError, match=message):
-            SliceWork(1, n, rate, WindowKind.RECTANGULAR, 1)
+            SliceWork(n, rate, WindowKind.RECTANGULAR, 1)
 
     @pytest.mark.parametrize("rate", [3e6, 1e-300, 1e300])
     def test_representable_scale_kept(self, rate):
-        work = SliceWork(1, 4096, rate, WindowKind.RECTANGULAR, 1)
+        work = SliceWork(4096, rate, WindowKind.RECTANGULAR, 1)
         assert work.scale == 1.0 / (4095 * (1.0 / rate))
 
     def test_refused_before_the_shift(self):

@@ -5,8 +5,13 @@
 
 SEEDS is FIRST-LAST.  Pair k runs `perfbench/run.py --workload WORKLOAD --seed S
 --seconds SECONDS --trace 0` (SECONDS defaults to 25) in both checkouts, A first
-when k is even.  Each record gives the comparison NAME, the side, its revision, the
-seed, the argv, the end-to-end metrics, `correct` and `failed`.  The summary is
+when k is even.  Each record gives the comparison NAME, the side, its revision, its
+checkout root as an absolute path, the seed, the argv, the end-to-end metrics, `correct`
+and `failed`.  Two roots whose absolute paths differ in length are refused before any
+run: a path's length biases the timings, as environment size does (Mytkowicz et al.,
+ASPLOS 2009).  In alternating `roc_reference` runs of one revision (2-vCPU Xeon), a
+checkout at a 10-character path beat one at 16 characters in 4 of 4 pairs, one at 26
+beat the 16 in 4 of 4, and two 16-character copies split 2-2.  The summary is
 recomputed from all records after the last pair: per comparison, side and metric, the
 median and quartiles (statistics.quantiles, n=4, exclusive method) of the runs.
 """
@@ -23,7 +28,7 @@ def run(side, rev, root, workload, seed, seconds):
             "--seconds", str(seconds), "--trace", "0"]
     out = subprocess.run(argv, cwd=root, capture_output=True, text=True, check=True).stdout
     result = json.loads(out.strip().splitlines()[-1])
-    return {"side": side, "rev": rev, "seed": seed, "argv": argv[1:],
+    return {"side": side, "rev": rev, "root": root, "seed": seed, "argv": argv[1:],
             "metrics": {name: m["value"] for name, m in result["metrics"].items()},
             "correct": result["correct"], "failed": result["failed"]}
 
@@ -40,13 +45,20 @@ def summarize(records):
 
 
 def main(path, name, workload, seeds, *sides_and_seconds):
-    sides = [side.partition("=") for side in sides_and_seconds[:2]]
+    sides = []
+    for side in sides_and_seconds[:2]:
+        label, _, where = side.partition("=")
+        root, _, rev = where.partition("@")
+        sides.append((label, rev, str(Path(root).resolve())))
+    roots = [root for _, _, root in sides]
+    if len(roots[0]) != len(roots[1]):
+        sys.exit(f"checkout roots {roots[0]} and {roots[1]} differ in path length; "
+                 "give both sides paths of equal length")
     seconds = sides_and_seconds[2] if len(sides_and_seconds) > 2 else "25"
     bench = json.loads(Path(path).read_text()) if Path(path).exists() else {"records": []}
     first, last = map(int, seeds.split("-"))
     for pair, seed in enumerate(range(first, last + 1)):
-        for label, _, where in sides if pair % 2 == 0 else sides[::-1]:
-            root, _, rev = where.partition("@")
+        for label, rev, root in sides if pair % 2 == 0 else sides[::-1]:
             record = run(label, rev, root, workload, seed, seconds)
             bench["records"].append({"comparison": name, "workload": workload,
                                      "pair": pair, **record})
