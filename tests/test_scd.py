@@ -784,7 +784,7 @@ class TestFirstCallFaults:
     Heap history belongs to the process, so each call runs first in a fresh
     interpreter.  Minor faults counted around the call (2-vCPU Xeon, Python
     3.11.7, numpy 2.4.6), without the freed block / with it: the full reference
-    profile 24 517 / 316, and a 300-trial cycle calibration 15 053 / 701.  The
+    profile 24 515 / 314, and a 300-trial cycle calibration 15 049 / 696.  The
     profile's first serve, at 5400 points, is its first mapped block, so it
     needs the freed block as much as the engine does.
     """

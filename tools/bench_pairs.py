@@ -8,12 +8,12 @@ SEEDS is FIRST-LAST.  Pair k runs `perfbench/run.py --workload WORKLOAD --seed S
 when k is even.  Each record gives the comparison NAME, the side, its revision, its
 checkout root as an absolute path, the seed, the argv, the end-to-end metrics, `correct`
 and `failed`.  Two roots whose absolute paths differ in length are refused before any
-run: a path's length biases the timings, as environment size does (Mytkowicz et al.,
-ASPLOS 2009).  In alternating `roc_reference` runs of one revision (2-vCPU Xeon), a
-checkout at a 10-character path beat one at 16 characters in 4 of 4 pairs, one at 26
-beat the 16 in 4 of 4, and two 16-character copies split 2-2.  The summary is
-recomputed from all records after the last pair: per comparison, side and metric, the
-median and quartiles (statistics.quantiles, n=4, exclusive method) of the runs.
+run: a path's length can bias the timings, as environment size does (Mytkowicz et al.,
+ASPLOS 2009).  In alternating 5-second `roc_reference` runs of one revision (2-vCPU
+Xeon), a checkout at a 40-character path beat one at 16 characters in 3 of 4 pairs,
+while two 16-character copies split 2-2.  The summary is recomputed from all records
+after the last pair: per comparison, side and metric, the median and quartiles
+(statistics.quantiles, n=4, exclusive method) of the runs.
 """
 
 import json
