@@ -230,31 +230,23 @@ _COMMANDS = {
 }
 
 
-def _fill(parser: argparse.ArgumentParser, command: str) -> argparse.ArgumentParser:
-    _, _, flags, extras = _COMMANDS[command]
-    _add_flags(parser, *flags)
-    for flag, keywords in extras:
-        parser.add_argument(flag, **keywords)
-    parser.set_defaults(command=command)
-    return parser
-
-
 def build_parser(command=None) -> argparse.ArgumentParser:
-    """The full parser, or with command that subcommand's parser alone, built once per process."""
-    return _parser(command)
+    """The full parser, or with command that subcommand's parser inside it, built once per process."""
+    return _parsers()[command]
 
 
 @lru_cache(maxsize=None)
-def _parser(command) -> argparse.ArgumentParser:
-    if command is not None:
-        return _fill(argparse.ArgumentParser(prog=f"cyclosense {command}",
-                                             description=_COMMANDS[command][1]), command)
+def _parsers() -> dict:
     parser = argparse.ArgumentParser(prog="cyclosense", description=(
         "Cyclostationary-feature spectrum sensing with an energy-detection baseline."))
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, description, _, _) in _COMMANDS.items():
-        _fill(sub.add_parser(name, help=help_text, description=description), name)
-    return parser
+    for name, (help_text, description, flags, extras) in _COMMANDS.items():
+        subparser = sub.add_parser(name, help=help_text, description=description)
+        _add_flags(subparser, *flags)
+        for flag, keywords in extras:
+            subparser.add_argument(flag, **keywords)
+        subparser.set_defaults(command=name)
+    return {None: parser, **sub.choices}
 
 
 def _parse(argv) -> argparse.Namespace:

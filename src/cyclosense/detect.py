@@ -33,17 +33,10 @@ class DetectorKind(Enum):
     ENERGY = "energy"
 
 
-def _check_metric(value: float) -> float:
-    """value, refused unless finite and nonnegative, as every metric is."""
+def check_value(noun: str, value: float) -> float:
+    """value, refused unless finite and nonnegative, as every metric and threshold is."""
     if not (math.isfinite(value) and value >= 0.0):
-        raise ConfigurationError("metric value must be finite and nonnegative")
-    return value
-
-
-def check_threshold(value: float) -> float:
-    """value, refused unless finite and nonnegative, as every threshold is."""
-    if not (math.isfinite(value) and value >= 0.0):
-        raise ConfigurationError("threshold value must be finite and nonnegative")
+        raise ConfigurationError(f"{noun} value must be finite and nonnegative")
     return value
 
 
@@ -53,12 +46,12 @@ def cycle_metric(values: np.ndarray) -> float:
     values = np.asarray(values)
     if values.ndim != 1 or values.size == 0:
         raise ConfigurationError("slice values must be a nonempty 1-D sequence")
-    return _check_metric(float(np.abs(values).max()))
+    return check_value("metric", float(np.abs(values).max()))
 
 
 def energy_metric(signal: SampleBuffer) -> float:
     """The correctly rounded sum of the buffer's squares, a float, order-free; inf refused."""
-    return _check_metric(sum_of_squares(signal.samples))
+    return check_value("metric", sum_of_squares(signal.samples))
 
 
 @np.errstate(over="ignore")    # an inf square is left to the exact routine, as 2^1024
@@ -135,8 +128,8 @@ def decide(metric: float, threshold: float) -> bool:
     """True (H1, the primary user is active) iff metric >= threshold, a tie detecting; False
     is H0.  A zero threshold, met by all, is refused.  No kind is compared: detect refuses
     another detector's threshold before it measures."""
-    _check_metric(metric)
-    if check_threshold(threshold) == 0.0:
+    check_value("metric", metric)
+    if check_value("threshold", threshold) == 0.0:
         raise ConfigurationError(f"threshold {float(threshold)!r} is met by every metric, an "
                                  "all-zero buffer's too; it decides on no evidence")
     return bool(metric >= threshold)

@@ -17,7 +17,7 @@ from functools import partial
 
 import numpy as np
 
-from .detect import DetectorKind, calibrate_threshold, check_target_pf, check_threshold, \
+from .detect import DetectorKind, calibrate_threshold, check_target_pf, check_value, \
     sum_of_squares
 from .errors import ConfigurationError
 from .scd import BLOCK_ROWS, SliceWork, WindowKind, check_window, smoothed_slices
@@ -136,7 +136,7 @@ class RocPoint:
                 raise ConfigurationError(f"{name} must lie in [0, 1]")
         if self.h0_trials < 1 or self.h1_trials < 1:
             raise ConfigurationError("trial counts must be positive")
-        check_threshold(self.threshold)
+        check_value("threshold", self.threshold)
 
 
 def complexity_model(n: int, l: int) -> dict:
@@ -356,7 +356,7 @@ def write_threshold_file(detector: DetectorKind, target_pf: float, threshold: fl
                          path_or_stream) -> None:
     """Single line `<detector>,<target_pf>,<threshold>` matching the CSV field
     order (see siggen.write_lines); refused unless read_threshold_file reads it back."""
-    check_threshold(threshold)
+    check_value("threshold", threshold)
     check_target_pf(target_pf)
     write_lines([f"{detector.value},{float(target_pf)!r},{float(threshold)!r}\n"], path_or_stream)
 
@@ -374,7 +374,7 @@ def read_threshold_file(path) -> tuple:
     except ValueError as exc:
         raise ConfigurationError(f"{path}: unparseable threshold file: {exc}") from exc
     try:
-        check_threshold(threshold)
+        check_value("threshold", threshold)
         check_target_pf(target_pf)
     except ConfigurationError as exc:
         raise ConfigurationError(f"{path}: {exc}") from exc

@@ -1,5 +1,6 @@
-"""tools/bench_pairs.py records where each side ran and refuses pairs of checkouts
-whose path lengths would bias the comparison."""
+"""tools/bench_pairs.py records where each side ran, runs each side without writing
+bytecode, and refuses pairs of checkouts whose path lengths or bytecode would bias the
+comparison."""
 
 import importlib.util
 import json
@@ -16,16 +17,17 @@ def bench_pairs(monkeypatch):
     spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    runs = []
+    runs, envs = [], []
 
-    def perfbench(argv, cwd, **kwargs):
+    def perfbench(argv, cwd, env, **kwargs):
         runs.append(cwd)
+        envs.append(env)
         line = json.dumps({"metrics": {"op_ms_p50": {"value": float(len(runs))}},
                            "correct": True, "failed": 0})
         return subprocess.CompletedProcess(argv, 0, stdout=line + "\n")
 
     monkeypatch.setattr(module.subprocess, "run", perfbench)
-    module.runs = runs
+    module.runs, module.envs = runs, envs
     return module
 
 
@@ -35,6 +37,24 @@ def test_roots_of_unequal_length_refused_before_a_run(bench_pairs, tmp_path):
         bench_pairs.main(str(out), "pair", "roc_reference", "1-2",
                          f"A={tmp_path / 'aa'}@1", f"B={tmp_path / 'abc'}@2")
     assert bench_pairs.runs == [] and not out.exists()
+
+
+def test_root_with_bytecode_refused_before_a_run(bench_pairs, tmp_path):
+    out = tmp_path / "bench.json"
+    (tmp_path / "ab" / "src" / "pkg" / "__pycache__").mkdir(parents=True)
+    with pytest.raises(SystemExit, match="holds a __pycache__ directory"):
+        bench_pairs.main(str(out), "pair", "roc_reference", "1-2",
+                         f"A={tmp_path / 'aa'}@1", f"B={tmp_path / 'ab'}@2")
+    assert bench_pairs.runs == [] and not out.exists()
+
+
+def test_each_run_writes_no_bytecode(bench_pairs, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("CALLER_SETTING", "kept")
+    bench_pairs.main("bench.json", "pair", "roc_reference", "1-2", "A=aa@1", "B=ab@2", "5")
+    assert len(bench_pairs.envs) == 4
+    for env in bench_pairs.envs:
+        assert env["PYTHONDONTWRITEBYTECODE"] == "1" and env["CALLER_SETTING"] == "kept"
 
 
 def test_each_record_names_its_absolute_root(bench_pairs, tmp_path, monkeypatch):

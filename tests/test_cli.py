@@ -156,10 +156,17 @@ COMMANDS = ["roc", "profile", "detect", "calibrate", "complexity"]
 
 
 class TestLoneSubcommandParser:
-    """main parses with the named subcommand's parser alone, which prints its
-    own help and errors; the full parser parses only argv that names no
-    subcommand or leaves an argument over.  Either way main prints what the
-    full parser would print, byte for byte."""
+    """main parses with the named subcommand's parser alone, the very parser
+    the full parser dispatches to, which prints its own help and errors; the
+    full parser parses only argv that names no subcommand or leaves an
+    argument over.  Either way main prints what the full parser would print,
+    byte for byte."""
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_subcommand_parser_is_the_one_inside_the_full_parser(self, command):
+        subparsers = next(action for action in build_parser()._actions
+                          if isinstance(action, argparse._SubParsersAction))
+        assert build_parser(command) is subparsers.choices[command]
 
     @pytest.mark.parametrize("argv", [
         [], ["-h"], ["--help"], ["bogus"], ["-h", "detect"],
@@ -212,7 +219,8 @@ class TestLoneSubcommandParser:
     ], ids=lambda value: " ".join(map(str, value)) or "none")
     def test_one_parser_unless_none_is_named_or_an_argument_is_left(self, argv, built,
                                                                    monkeypatch, capsys):
-        """Structural, not timed: which parsers one refused argv builds."""
+        """Structural, not timed: which parsers one refused argv asks
+        build_parser for, all from the one tree."""
         calls = []
         build_parser = cli.build_parser
 
@@ -224,29 +232,6 @@ class TestLoneSubcommandParser:
         assert main(argv) in (0, 2)
         assert calls == built
         assert capsys.readouterr() != ("", "")
-
-    def test_detect_builds_only_its_own_arguments(self, tmp_path, monkeypatch, capsys):
-        """Structural, not timed: a detect call adds detect's arguments and -h,
-        none of the other four subcommands'."""
-        subparsers = next(action for action in build_parser()._actions
-                          if isinstance(action, argparse._SubParsersAction))
-        expected = [action.option_strings[0] for action in subparsers.choices["detect"]._actions]
-        signal = tone_file(tmp_path / "tone.txt")
-        threshold = tmp_path / "threshold.txt"
-        write_threshold_file(DetectorKind.ENERGY, 0.1, 100.0, threshold)
-        added = []
-        add_argument = argparse.ArgumentParser.add_argument
-
-        def counting(self, *args, **kwargs):
-            added.append(args[0])
-            return add_argument(self, *args, **kwargs)
-
-        monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counting)
-        cli._parser.cache_clear()   # a cold cache: this call builds detect's parser
-        assert main(["detect", *TINY, "--input", signal, "--detector", "energy",
-                     "--threshold-file", str(threshold)]) == 0
-        assert added == expected
-        assert capsys.readouterr().out.startswith("decision=h0_inactive detector=energy")
 
 
 class TestWarmParser:
@@ -276,6 +261,30 @@ class TestWarmParser:
         assert main(argv) == 0
         assert added == []
         assert capsys.readouterr().out == first
+
+    def test_cold_calls_add_each_argument_once(self, tmp_path, monkeypatch):
+        """Structural, not timed: the first call builds the whole tree, and
+        later calls, a refused one too, add nothing."""
+        expected = [action.option_strings[0] for action in build_parser()._actions
+                    if action.option_strings]
+        for command in COMMANDS:
+            expected += [action.option_strings[0] for action in build_parser(command)._actions]
+        detect = self.detect_argv(tmp_path)
+        added = []
+        add_argument = argparse.ArgumentParser.add_argument
+
+        def counting(self, *args, **kwargs):
+            added.append(args[0])
+            return add_argument(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counting)
+        cli._parsers.cache_clear()   # a cold cache: the first call builds the tree
+        assert main(detect) == 0
+        assert main(["calibrate", *TINY, "--detector", "energy", "--noise-variance", "1.0",
+                     "--calibration-trials", "20", "--target-pf", "0.5",
+                     "--out", str(tmp_path / "t.txt")]) == 0
+        assert main(["bogus"]) == 2
+        assert added == expected
 
     def test_rebound_command_runs(self, tmp_path, monkeypatch, capsys):
         argv = self.detect_argv(tmp_path)

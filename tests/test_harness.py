@@ -732,7 +732,7 @@ class TestRocPointType:
 
     @pytest.mark.parametrize("threshold", [-1.0, math.nan])
     def test_threshold_refused_by_the_one_rule(self, threshold):
-        # detect.check_threshold's message, as decide and the threshold file give it
+        # detect.check_value's threshold message, as decide and the threshold file give it
         with pytest.raises(ConfigurationError,
                            match="^threshold value must be finite and nonnegative$"):
             RocPoint(DetectorKind.ENERGY, 0.0, 0.1, threshold, 0.5, 0.5, 10, 10)

@@ -11,12 +11,16 @@ and `failed`.  Two roots whose absolute paths differ in length are refused befor
 run: a path's length can bias the timings, as environment size does (Mytkowicz et al.,
 ASPLOS 2009).  In alternating 5-second `roc_reference` runs of one revision (2-vCPU
 Xeon), a checkout at a 40-character path beat one at 16 characters in 3 of 4 pairs,
-while two 16-character copies split 2-2.  The summary is recomputed from all records
-after the last pair: per comparison, side and metric, the median and quartiles
-(statistics.quantiles, n=4, exclusive method) of the runs.
+while two 16-character copies split 2-2.  A root with a `__pycache__` directory
+anywhere under it is refused too, and each run has PYTHONDONTWRITEBYTECODE=1 set:
+bytecode left by an earlier run or test session spares one side its compiles at
+import.  The summary is recomputed from all records after the last pair: per
+comparison, side and metric, the median and quartiles (statistics.quantiles, n=4,
+exclusive method) of the runs.
 """
 
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -26,7 +30,8 @@ from pathlib import Path
 def run(side, rev, root, workload, seed, seconds):
     argv = ["python3", "perfbench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", "0"]
-    out = subprocess.run(argv, cwd=root, capture_output=True, text=True, check=True).stdout
+    out = subprocess.run(argv, cwd=root, env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"},
+                         capture_output=True, text=True, check=True).stdout
     result = json.loads(out.strip().splitlines()[-1])
     return {"side": side, "rev": rev, "root": root, "seed": seed, "argv": argv[1:],
             "metrics": {name: m["value"] for name, m in result["metrics"].items()},
@@ -54,6 +59,10 @@ def main(path, name, workload, seeds, *sides_and_seconds):
     if len(roots[0]) != len(roots[1]):
         sys.exit(f"checkout roots {roots[0]} and {roots[1]} differ in path length; "
                  "give both sides paths of equal length")
+    for root in roots:
+        if next(Path(root).rglob("__pycache__"), None) is not None:
+            sys.exit(f"checkout root {root} holds a __pycache__ directory; "
+                     "give a fresh checkout, such as one from git archive")
     seconds = sides_and_seconds[2] if len(sides_and_seconds) > 2 else "25"
     bench = json.loads(Path(path).read_text()) if Path(path).exists() else {"records": []}
     first, last = map(int, seeds.split("-"))
