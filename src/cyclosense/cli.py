@@ -231,7 +231,7 @@ _COMMANDS = {
 
 
 def build_parser(command=None) -> argparse.ArgumentParser:
-    """The full parser, or with command that subcommand's parser inside it, built once per process."""
+    """The full parser, or with command the subcommand's parser inside it: one tree per process."""
     return _parsers()[command]
 
 
