@@ -21,8 +21,10 @@ SliceWork alone owns the grid of N samples at rate fs: bin width Fs = fs/N, scal
 a cycle frequency, refused when |a| > (N-1)/2 as no two in-band bins are further
 apart, and profile's grid of 2 a Fs.  scd_slice returns values only; a caller
 reads the quantized cycle frequency 2 a Fs and the scale from a SliceWork.
-A row at shift a has N - 2|a| nonzero products; SliceWork.serve(rows, nfft) sizes every buffer:
-nfft(0) for scd_slice and the engine, each class's power of two or _profile_cap for profiles.
+A row at shift a has N - 2|a| nonzero products, and its N bins need only N + L//2 circular
+columns, as its convolution's spill past the end wraps left of them.  SliceWork.serve(rows, nfft)
+sizes every buffer: nfft(0) for scd_slice and the engine, and for profiles each class's power of
+two or _profile_cap(N + L//2).
 """
 
 import math
@@ -103,8 +105,8 @@ def _window(kind: WindowKind, length: int) -> np.ndarray:
 # 4096 or 8192, but in up to 1.20 times it above 7/8 (3888 against 4096).
 @lru_cache(maxsize=16)
 def _profile_cap(size: int) -> int:
-    """profile's largest FFT size: the smallest 2**i * 3**j * 5**k >= size if at most 7/8
-    of the power of two >= size, else that power of two."""
+    """profile's largest FFT size for size = N + L//2 (see SliceWork.serve): the smallest
+    2**i * 3**j * 5**k >= size if at most 7/8 of the power of two >= size, else that power."""
     odds = [3 ** j * 5 ** k for j in range(size.bit_length()) for k in range(size.bit_length())]
     smooth = min(odd << (-(-size // odd) - 1).bit_length() for odd in odds)
     power = 1 << (size - 1).bit_length()
@@ -151,11 +153,13 @@ class SliceWork:
         return self.n if length == 1 else 1 << (self.n - 2 * abs(shift) + length - 2).bit_length()
 
     def serve(self, rows: int, nfft: int) -> None:
-        """Make the buffers of blocks of up to rows slices at nfft, for |a| >= band = max(0,
-        ceil((n + L - 1 - nfft) / 2)): a row's products start at column |a| - band, its n bins
-        at L//2 - band; held is the columns of those it holds (all n at band 0; the rest are 0)."""
+        """Make the buffers of blocks of up to rows slices at nfft, for |a| >= band: a row's
+        products start at column |a| - band, its n bins at L//2 - band; held is the columns of
+        those it holds (all n at band 0; the rest are 0).  band is the smaller of ceil((n + L -
+        1 - nfft) / 2), where no row's convolution wraps, and n + L//2 - nfft, where its spill
+        lands left of its bins (in columns <= L//2 - 1 - |a| at band 0), or 0 if negative."""
         n, length = self.n, self.weights.size
-        self.band = max(0, (n + length - nfft) // 2)
+        self.band = max(0, min((n + length - nfft) // 2, n + length // 2 - nfft))
         self.transform = None if length == 1 else _window_transform(self.kind, length, nfft)
         self.centered = np.empty(n, dtype=np.complex128)
         np.empty((rows, nfft), dtype=np.complex128)  # freed untouched; see the docstring
@@ -202,7 +206,7 @@ def smoothed_slices(spectra: np.ndarray, shifts, work: SliceWork) -> np.ndarray:
     """Core kernel: scale * (1/L) sum_v X<i+a+v> conj(X<i-a+v>) W(v), a block at a time.
 
     spectra holds DFT-order bins, one row per shift, or one spectrum that
-    every row shares; shifts gives each row's bin shift a.  Each row is
+    every row shares (centred once a call); shifts gives each row's shift a.  Each row is
     formed at |a| in signed-bin (fftshifted) order, zero outside the band,
     smoothed by one batched FFT pair (a linear convolution, as the window is
     symmetric), then conjugated where a < 0, as S^-a = conj(S^a).  Returns work.held's
@@ -216,18 +220,24 @@ def smoothed_slices(spectra: np.ndarray, shifts, work: SliceWork) -> np.ndarray:
     low = n // 2
     centered = work.centered
     block = work.products[:rows]
+    shared = spectra.ndim == 1
+    if shared:  # one spectrum for every row: centred and conjugated once per call
+        centered[low:] = spectra[:n - low]
+        centered[:low] = spectra[n - low:]
+        conj = np.conj(centered)
     with np.errstate(over="ignore", invalid="ignore"):
         for row, bins, shift in zip(block, np.broadcast_to(spectra, (rows, n)), shifts):
             a = abs(shift)
-            centered[low:] = bins[:n - low]
-            centered[:low] = bins[n - low:]
             lo, hi = a - work.band, n - a - work.band
             row[:lo] = 0.0
             row[hi:] = 0.0
             # explicit out= buffers: numpy's temporary elision would change
             # the last bit of a large `x * np.conj(y)`
-            np.conj(centered[:n - 2 * a], out=row[lo:hi])
-            np.multiply(centered[2 * a:], row[lo:hi], out=row[lo:hi])
+            if not shared:
+                centered[low:] = bins[:n - low]
+                centered[:low] = bins[n - low:]
+                conj = np.conj(centered[:n - 2 * a], out=row[lo:hi])
+            np.multiply(centered[2 * a:], conj[:n - 2 * a], out=row[lo:hi])
         if work.transform is not None:
             np.fft.fft(block, axis=-1, out=block)
             np.multiply(block, work.transform, out=block)
@@ -269,7 +279,7 @@ def cycle_profile(signal: SampleBuffer, alphas_hz, kind: WindowKind, length: int
     shifts = [abs(work.shift(alpha)) for alpha in alphas]
     bins = dft(signal)
     peaks = np.empty(max(shifts) + 1)
-    cap = _profile_cap(work.n + work.weights.size - 1)
+    cap = _profile_cap(work.n + work.weights.size // 2)
     for nfft, members in groupby(sorted(set(shifts)), lambda a: min(work.nfft(a), cap)):
         work.serve(BLOCK_ROWS, nfft)
         distinct = list(members)

@@ -634,10 +634,12 @@ class TestCycleProfile:
 
 class TestBandSizedProfile:
     """cycle_profile runs each size class of its shifts with a work of that size.  At
-    N = 4096, L = 1301 a row at |a| needs 4096 - 2|a| + 1300 points: 5400, the 5-smooth
-    cap in place of nfft 8192, serves |a| <= 649, 4096 serves 650 .. 1673 and 2048 serves
-    1674 .. 2047.  scd_slice and the trial engine keep 8192 points, so every profile row
-    lies within 1e-12 of scd_slice's peak, not on its bits."""
+    N = 4096, L = 1301 a row at |a| has a linear convolution of 4096 - 2|a| + 1300 points,
+    but its n bins need only 4096 + 650 = 4746 circular columns: what spills past the end
+    wraps left of them.  So 4800, the 5-smooth cap in place of nfft 8192, serves
+    |a| <= 649, 4096 serves 650 .. 1673 and 2048 serves 1674 .. 2047.  scd_slice and the
+    trial engine keep 8192 points, so every profile row lies within 1e-12 of scd_slice's
+    peak, not on its bits."""
 
     N, RATE, WINDOW = 4096, 3e6, (WindowKind.HAMMING, 1301)
     BOUNDARIES = [649, 650, 1673, 1674]
@@ -662,14 +664,15 @@ class TestBandSizedProfile:
         shifts = [0, *self.BOUNDARIES, 2047]
         buf = white_buffer(self.N, seed=37, rate=self.RATE)
         cycle_profile(buf, [2.0 * shift * self.RATE / self.N for shift in shifts], *self.WINDOW)
-        assert [sizes[shift] for shift in shifts] == [5400, 5400, 4096, 4096, 2048, 2048]
+        assert [sizes[shift] for shift in shifts] == [4800, 4800, 4096, 4096, 2048, 2048]
         work = served(1, self.N, self.RATE, *self.WINDOW)
         assert [work.nfft(shift) for shift in shifts] == [8192, 8192, 4096, 4096, 2048, 2048]
         # scd_slice's work and the trial engine's are served at the power of two
         engine, _ = harness._cycle_work(SensingConfig())
         engine.serve(1, engine.nfft(0))
         assert work.products.shape == engine.products.shape == (1, 8192)
-        for nfft, band in [(5400, 0), (4096, 650), (2048, 1674)]:
+        # one column below n + L//2 = 4746, a row at |a| = 0 would spill onto bin 0
+        for nfft, band in [(4800, 0), (4746, 0), (4745, 1), (4096, 650), (2048, 1674)]:
             work.serve(1, nfft)
             assert (work.band, work.products.shape) == (band, (1, nfft))
 
@@ -689,10 +692,10 @@ class TestBandSizedProfile:
 
         monkeypatch.setattr(SliceWork, "serve", spy)
         cycle_profile(white_buffer(self.N, seed=38, rate=self.RATE), grid.grid(), *self.WINDOW)
-        assert calls == [(BLOCK_ROWS, 5400), (BLOCK_ROWS, 4096), (BLOCK_ROWS, 2048)]
+        assert calls == [(BLOCK_ROWS, 4800), (BLOCK_ROWS, 4096), (BLOCK_ROWS, 2048)]
         info = scd._window_transform.cache_info()
         assert (info.currsize, info.misses) == (3, 3)
-        for nfft in (2048, 4096, 5400):
+        for nfft in (2048, 4096, 4800):
             scd._window_transform(*self.WINDOW, nfft)
         assert scd._window_transform.cache_info().misses == 3
 
@@ -714,7 +717,7 @@ class TestBandSizedProfile:
 
     def test_second_profile_computes_no_transform_at_17_classes(self):
         # N = 2**17, L = 3, one alpha per size class: the 17 classes, 2**17 down to 4 and
-        # the cap 131220 = 2**2 * 3**8 * 5 >= n + 2, fit the transform cache too
+        # the cap 131220 = 2**2 * 3**8 * 5 >= n + L//2, fit the transform cache too
         n, window = 2 ** 17, (WindowKind.HAMMING, 3)
         buf = white_buffer(n, seed=17, rate=float(n))
         work = SliceWork(n, float(n), *window)
@@ -737,38 +740,71 @@ def is_5_smooth(size):
 
 def profile_size(work, shift):
     # the size class cycle_profile runs a shift in
-    return min(work.nfft(shift), scd._profile_cap(work.n + work.weights.size - 1))
+    return min(work.nfft(shift), scd._profile_cap(work.n + work.weights.size // 2))
 
 
 class TestSizeRule:
     """SliceWork.nfft(a) is the power of two that holds a row's linear convolution,
     N - 2|a| + L - 1 points.  profile runs a row at the smaller of that and the cap: the
-    smallest 5-smooth size that holds every row's, if at most 7/8 of its power of two
-    (nearer, the measured FFT pair can cost more).  So its size never grows with |a|."""
+    smallest 5-smooth size that holds every row's n bins and their left neighbours, N + L//2
+    circular columns, if at most 7/8 of its power of two (nearer, the measured FFT pair can
+    cost more).  So its size never grows with |a|."""
 
     @pytest.mark.parametrize("n, kind, length", [
         (64, WindowKind.HAMMING, 5), (65, WindowKind.HAMMING, 7),
         (4096, WindowKind.HAMMING, 1301), (2 ** 17, WindowKind.HAMMING, 3),
-        # n + L - 2 = 1024 is 5-smooth, the cap n + L - 1 = 1025 is not: it rounds to 1080
-        (1001, WindowKind.RECTANGULAR, 25),
-        # n + L - 1 = 4001, 3841, 3601: 4050, 3888 and 3645 lie above 7/8 of 4096
-        (3001, WindowKind.RECTANGULAR, 1001), (3001, WindowKind.HAMMING, 841),
-        (3001, WindowKind.HAMMING, 601)])
+        # n + L//2 - 1 = 1024 is 5-smooth, the cap n + L//2 = 1025 is not: it rounds to 1080
+        (1013, WindowKind.RECTANGULAR, 25),
+        # n + L//2 = 4001, 3841, 3601: 4050, 3888 and 3645 lie above 7/8 of 4096
+        (3501, WindowKind.RECTANGULAR, 1001), (3501, WindowKind.HAMMING, 681),
+        (3501, WindowKind.HAMMING, 201)])
     def test_sizes(self, n, kind, length):
         work = SliceWork(n, float(n), kind, length)
         sizes = [profile_size(work, shift) for shift in range(work.max_shift + 1)]
         for shift, size in enumerate(sizes):
             need = n - 2 * shift + length - 1
             assert work.nfft(shift) == work.nfft(-shift) == 1 << (need - 1).bit_length()
-            assert need <= size <= work.nfft(shift)
+            assert min(need, n + length // 2) <= size <= work.nfft(shift)
             assert profile_size(work, -shift) == size
         assert all(map(is_5_smooth, set(sizes)))
         assert sizes == sorted(sizes, reverse=True)
-        smooth = n + length - 1
+        smooth = n + length // 2
         while not is_5_smooth(smooth):
             smooth += 1
-        power = work.nfft(0)
+        power = 1 << (n + length // 2 - 1).bit_length()
         assert sizes[0] == (smooth if smooth <= 7 / 8 * power else power)
+
+
+class TestBandRule:
+    """SliceWork.serve holds a row's n bins at band max(0, min((N + L - nfft)//2,
+    N + L//2 - nfft)): at band 0 a row's products fill columns [|a|, N - |a|) and its
+    circular convolution's spill past nfft lands in columns <= L//2 - 1 - |a|, left of its
+    bins at L//2 .. L//2 + N - 1.  So every full-grid profile value lies within 1e-12 of
+    max |scd_slice| at its alpha, whose 8192-point rows see no wrap at all."""
+
+    @pytest.mark.parametrize("n, kind, length", [
+        (64, WindowKind.HAMMING, 1), (65, WindowKind.RECTANGULAR, 1),
+        (64, WindowKind.RECTANGULAR, 3), (65, WindowKind.HAMMING, 3),
+        (64, WindowKind.HAMMING, 5), (65, WindowKind.RECTANGULAR, 5),
+        # the cap is N + L//2 itself: at |a| = 0 the spill reaches column L//2 - 1
+        (250, WindowKind.HAMMING, 101), (85, WindowKind.HAMMING, 11),
+        (251, WindowKind.RECTANGULAR, 101),
+        # the 1024 class: band 1 = N + L//2 - 1024, below (N + L - 1024)//2 = 7
+        (1013, WindowKind.RECTANGULAR, 25),
+        # the cap is a power of two below nfft(0): 4096 against 8192
+        (3500, WindowKind.HAMMING, 1001),
+        # the 7/8 rule keeps the power of two: 3600 > 7/8 of 4096 = nfft(0)
+        (3001, WindowKind.RECTANGULAR, 1001)])
+    def test_full_grid_near_the_slice(self, n, kind, length):
+        buf = white_buffer(n, seed=n + length, rate=float(n))
+        work = SliceWork(n, float(n), kind, length)
+        alphas = work.grid()
+        magnitudes = cycle_profile(buf, alphas, kind, length)
+        for shift in range(work.max_shift + 1):
+            want = np.abs(scd_slice(buf, alphas[work.max_shift + shift], kind, length)).max()
+            for signed in (shift, -shift):
+                got = magnitudes[work.max_shift + signed]
+                assert abs(got - want) <= 1e-12 * want, (signed, got, want)
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
@@ -785,7 +821,7 @@ class TestFirstCallFaults:
     interpreter.  Minor faults counted around the call (2-vCPU Xeon, Python
     3.11.7, numpy 2.4.6), without the freed block / with it: the full reference
     profile 24 515 / 314, and a 300-trial cycle calibration 15 049 / 696.  The
-    profile's first serve, at 5400 points, is its first mapped block, so it
+    profile's first serve, at 4800 points, is its first mapped block, so it
     needs the freed block as much as the engine does.
     """
 
