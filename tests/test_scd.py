@@ -780,7 +780,7 @@ class TestBandRule:
     N + L//2 - nfft)): at band 0 a row's products fill columns [|a|, N - |a|) and its
     circular convolution's spill past nfft lands in columns <= L//2 - 1 - |a|, left of its
     bins at L//2 .. L//2 + N - 1.  So every full-grid profile value lies within 1e-12 of
-    max |scd_slice| at its alpha, whose 8192-point rows see no wrap at all."""
+    max |scd_slice| at its alpha, whose rows at nfft(0) see no wrap at all."""
 
     @pytest.mark.parametrize("n, kind, length", [
         (64, WindowKind.HAMMING, 1), (65, WindowKind.RECTANGULAR, 1),

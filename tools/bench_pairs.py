@@ -3,22 +3,22 @@
 
     python3 tools/bench_pairs.py BENCH.json NAME WORKLOAD SEEDS A=DIR@REV B=DIR@REV [SECONDS]
 
-SEEDS is FIRST-LAST and holds at least two seeds, as the summary's quartiles need two
-runs a side.  Pair k runs `perfbench/run.py --workload WORKLOAD --seed S --seconds
-SECONDS --trace 0` (SECONDS defaults to 25) in both checkouts, A first when k is even.
-A call that adds to a comparison already in the file numbers its pairs on from that
-comparison's last pair, so the alternation goes on too.  Each record gives the
-comparison NAME, the side, its revision, its checkout root as an absolute path, the
-seed, the argv, the end-to-end metrics, `correct` and `failed`.  Two roots whose
-absolute paths differ in length are refused before any run: a path's length can bias the
-timings, as environment size does (Mytkowicz et al., ASPLOS 2009).  In alternating
-5-second `roc_reference` runs of one revision (2-vCPU Xeon), a checkout at a
-40-character path beat one at 16 characters in 3 of 4 pairs, while two 16-character
-copies split 2-2.  A root with a `__pycache__` directory anywhere under it is refused
-too, and each run has PYTHONDONTWRITEBYTECODE=1 set: bytecode left by an earlier run or
-test session spares one side its compiles at import.  The summary is recomputed from all
-records after the last pair: per comparison, side and metric, the median and quartiles
-(statistics.quantiles, n=4, exclusive method) of the runs.
+SEEDS is FIRST-LAST, at least two seeds: the summary's quartiles need two runs a side.
+Pair k runs `perfbench/run.py --workload WORKLOAD --seed S --seconds SECONDS --trace 0`
+(SECONDS defaults to 25) in both checkouts, A first when k is even; a call that adds to
+a comparison already in the file numbers its pairs on from that comparison's last pair.
+Each record gives the comparison NAME, the side, its revision, its
+checkout root as an absolute path, the seed, the argv, the end-to-end metrics, `correct`
+and `failed`.  Two roots whose absolute paths differ in length are refused before any
+run: a path's length can bias the timings, as environment size does (Mytkowicz et al.,
+ASPLOS 2009).  In alternating 5-second `roc_reference` runs of one revision (2-vCPU
+Xeon), a checkout at a 40-character path beat one at 16 characters in 3 of 4 pairs,
+while two 16-character copies split 2-2.  A root with a `__pycache__` directory
+anywhere under it is refused too, and each run has PYTHONDONTWRITEBYTECODE=1 set:
+bytecode left by an earlier run or test session spares one side its compiles at
+import.  The summary is recomputed from all records after the last pair: per
+comparison, side and metric, the median and quartiles (statistics.quantiles, n=4,
+exclusive method) of the runs.
 """
 
 import json
